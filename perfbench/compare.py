@@ -8,8 +8,9 @@
 Each file holds the standard output of one or more runs.  Runs are grouped
 by workload and trace mode, and each side's median of every metric is
 printed with the relative change.  Runs made with different kernel
-backends measure different code: the script refuses (exit 2) instead of
-reporting them side by side.
+backends measure different code, and runs scaled to different reference
+CPUs (`clock.REFERENCE_S`) are in different units: the script refuses
+(exit 2) instead of reporting them side by side.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ def main(argv=None) -> int:
     backends = {r["provenance"]["kernel_backend"] for side in sides for r in side}
     if len(backends) > 1:
         print(f"refusing to compare runs of different kernel backends: {sorted(backends)}", file=sys.stderr)
+        return 2
+    references = {r.get("calibration", {}).get("reference_s") for side in sides for r in side}
+    if len(references) > 1:
+        print(f"refusing to compare runs scaled to different reference CPUs: {references}", file=sys.stderr)
         return 2
 
     for workload, trace in sorted({(r["workload"], r["trace"]) for side in sides for r in side}):

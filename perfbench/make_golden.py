@@ -17,7 +17,7 @@ import run as bench
 
 
 def golden_verdicts(spec: bench.Workload, seed: int) -> list:
-    _, pkg, instance, queries = bench.setup(spec, seed)
+    pkg, instance, queries = bench.setup(spec, seed)
     fn = bench.verdict_function(spec, pkg, instance)
     return [bench.summary(spec.kind, fn(q)) for q in queries]
 

@@ -4,7 +4,7 @@
 Run from the root of a combcert checkout; the package is imported from
 `src/` as it is, with whatever kernel backend it selects:
 
-    python3 perfbench/run.py --workload lazy-k8 --seed 0 --seconds 28 --trace 0
+    python3 perfbench/run.py --workload lazy-k8 --seed 0 --seconds 30 --trace 0
 
 One process runs one workload, single-threaded, as a closed loop: one
 client sends the next verdict request (a *query*) when the previous one
@@ -16,15 +16,23 @@ CLI, in-process.  Every result is checked after the timed loop (see
 The last line of standard output is the result:
 `{"correct", "attempted", "failed", "metrics"}`.  The line before it is a
 report with provenance (kernel backend, Python, commit, source digest,
-nproc, seed), `failed_ratio`, exact counts and the correctness problems
-found, which `compare.py` reads.
+nproc, seed), `failed_ratio`, exact counts, the correctness problems
+found and the same figures in plain wall time, which `compare.py` reads.
 
-End-to-end metrics (`--trace 0`):
-  verdicts_per_s   queries that passed the check, per second of the loop
-  verdict_p50_s    median query wall time
-  verdict_tail_s   the query time with exactly 10 slower queries; the
-                   percentile it is and the sample count are in the report
-  setup_s          median of 7 set-ups, each importing combcert, building
+End-to-end metrics (`--trace 0`).  Times are in seconds of a reference
+CPU: each query's (and set-up's) wall time is scaled by the speed of the
+host around it, measured by the calibration passes of `clock.py`, because
+the raw wall time of a run on a shared host moves by up to half with what
+other tenants run.
+  verdicts_per_s   queries that passed the check, per second of query time
+  verdict_p50_s    median query time
+  verdict_tail_s   a high percentile of query time, fixed per workload
+                   (`Workload.tail`) so that a 30-second run at the usual
+                   host speed has at least 10 slower queries.  A fixed
+                   percentile keeps a faster or slower host from changing
+                   which one is reported; the report gives the number of
+                   slower queries
+  setup_s          median of 11 set-ups, each importing combcert, building
                    the instance and making the query pool
   peak_rss_mib     peak resident memory of the process, before the check
 
@@ -32,7 +40,8 @@ Per-layer metrics (`--trace 1`) come from `spans.py`.  Every query then
 runs twice, traced and untraced, so that `trace.overhead_s` is measured
 on the same queries.  `other_s` is traced time outside the reported
 layers; on facet-k5 it is mostly the per-tour `FractionalPoint` that
-`facet_test` builds.
+`facet_test` builds.  These times are scaled to the reference CPU by the
+run's median calibration pass; the report keeps them in wall time.
 
 Workloads (why each was chosen):
   lazy-k8     lazy `is_implied` on "wild" combs over K_{8,8}: the subset
@@ -55,6 +64,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import platform
 import random
@@ -65,11 +75,12 @@ import sys
 from dataclasses import dataclass
 from time import perf_counter
 
+from clock import REFERENCE_S, Clock
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden.json")
 DEFAULT_SEED = 0
-SETUP_REPEATS = 7
-TAIL_BEYOND = 10  # samples the tail percentile leaves above it
+SETUP_REPEATS = 11
 SEARCH_FAMILIES = ("l1", "l2", "l3", "t1", "t2")
 
 
@@ -79,15 +90,16 @@ class Workload:
     kind: str  # "lazy" | "direct" | "facet" | "search"
     size: int  # n of the complete K_{n,n}
     pool: int  # distinct queries made from the seed, cycled in order
+    tail: int  # percentile of verdict_tail_s (see the module docstring)
 
 
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("lazy-k8", "lazy", 8, 256),
-        Workload("direct-k4", "direct", 4, 384),
-        Workload("facet-k5", "facet", 5, 128),
-        Workload("search-k10", "search", 10, 256),
+        Workload("lazy-k8", "lazy", 8, 256, 90),
+        Workload("direct-k4", "direct", 4, 384, 90),
+        Workload("facet-k5", "facet", 5, 128, 85),
+        Workload("search-k10", "search", 10, 256, 90),
     )
 }
 
@@ -116,11 +128,9 @@ def make_queries(spec: Workload, pkg, instance, seed: int) -> list:
 
 
 def setup(spec: Workload, seed: int):
-    start = perf_counter()
     pkg = _import_package()
     instance = pkg.BipartiteInstance.complete(spec.size)
-    queries = make_queries(spec, pkg, instance, seed)
-    return perf_counter() - start, pkg, instance, queries
+    return pkg, instance, make_queries(spec, pkg, instance, seed)
 
 
 def verdict_function(spec: Workload, pkg, instance):
@@ -221,17 +231,20 @@ def check(spec, pkg, instance, queries, entries, golden) -> tuple[int, list[str]
     return failed, problems
 
 
-def measure(fn, queries, seconds, kind, tracer=None):
+def measure(fn, queries, seconds, kind, clock, tracer=None):
     """Closed loop over the pool until `seconds` have passed.
 
-    Returns the per-query wall times, untraced and traced, and one
-    (pool index, outcome) entry per query run.  The outcome is the result
-    on a query's first run and its summary on repeats, so memory does not
-    grow with the number of queries a run completes.  With a tracer every
-    query runs untraced and traced, alternating which goes first.
+    Returns the (start, end) of every untraced query run, the wall times
+    of the traced runs, and one (pool index, outcome) entry per query run.
+    The outcome is the result on a query's first run and its summary on
+    repeats, so memory does not grow with the number of queries a run
+    completes.  With a tracer every query runs untraced and traced,
+    alternating which goes first.  `clock` takes its calibration passes
+    between queries.
     """
-    times = {False: [], True: []}
+    query_spans, traced_times = [], []
     entries, seen = [], set()
+    clock.sample()
     deadline = perf_counter() + seconds
     step = 0
     while True:
@@ -247,14 +260,19 @@ def measure(fn, queries, seconds, kind, tracer=None):
             t1 = perf_counter()
             if traced:
                 tracer.uninstall()
-            times[traced].append(t1 - t0)
-            if index in seen and not isinstance(outcome, Exception):
-                outcome = summary(kind, outcome)
-            seen.add(index)
+                traced_times.append(t1 - t0)
+            else:
+                query_spans.append((t0, t1))
+            if not isinstance(outcome, Exception):
+                if index in seen:
+                    outcome = summary(kind, outcome)
+                seen.add(index)
             entries.append((index, outcome))
         step += 1
+        clock.sample_if_due(t1)
         if t1 >= deadline:
-            return times[False], times[True], entries
+            clock.sample()
+            return query_spans, traced_times, entries
 
 
 def load_golden(spec: Workload):
@@ -297,10 +315,16 @@ def provenance(pkg, seed: int) -> dict:
 
 def run(spec: Workload, seed: int, seconds: float, trace: bool, golden) -> tuple[dict, dict]:
     """Set up, measure, check.  Returns (report, result line)."""
-    setup_times = []
+    clock = Clock()
+    setup_spans = []
     for _ in range(SETUP_REPEATS):
-        took, pkg, instance, queries = setup(spec, seed)
-        setup_times.append(took)
+        clock.sample()
+        clock.sample()
+        start = perf_counter()
+        pkg, instance, queries = setup(spec, seed)
+        setup_spans.append((start, perf_counter()))
+        clock.sample()
+        clock.sample()
     if not pkg.reproduce_tables("corrected").ok:
         raise BenchmarkError('reproduce_tables("corrected") is not ok')
     fn = verdict_function(spec, pkg, instance)
@@ -317,45 +341,66 @@ def run(spec: Workload, seed: int, seconds: float, trace: bool, golden) -> tuple
 
         tracer = Tracer()
     start = perf_counter()
-    times, traced, entries = measure(fn, queries, seconds, spec.kind, tracer)
+    query_spans, traced, entries = measure(fn, queries, seconds, spec.kind, clock, tracer)
     elapsed = perf_counter() - start
     peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     failed, problems = check(spec, pkg, instance, queries, entries, golden)
     attempted = len(entries)
+    walls = [end - start for start, end in query_spans]
+    setup_walls = [end - start for start, end in setup_spans]
     if trace:
-        layers = tracer.layer_metrics(len(traced), sum(traced), sum(times))
-        metrics = {name: {"value": v, "unit": u} for name, (v, u) in layers.items()}
+        # Layer times are scaled by the run's median calibration pass.
+        scale = REFERENCE_S / clock.median_pass_s()
+        layers = tracer.layer_metrics(len(traced), sum(traced), sum(walls))
+        metrics = {
+            name: {"value": v * scale if u == "s/query" else v, "unit": u}
+            for name, (v, u) in layers.items()
+        }
         report.update(
             queries_traced=len(traced),
             counts=dict(sorted(tracer.counts.items())),
             self_s=dict(sorted(tracer.self_s.items())),
             traced_wall_s=sum(traced),
-            untraced_wall_s=sum(times),
+            untraced_wall_s=sum(walls),
         )
     else:
-        ranked = sorted(times)
-        tail_rank = len(ranked) - TAIL_BEYOND if len(ranked) > TAIL_BEYOND else len(ranked)
+        times = sorted(clock.scaled(start, end) for start, end in query_spans)
+        tail_rank = math.ceil(len(times) * spec.tail / 100)
+        setup_times = [clock.scaled(start, end) for start, end in setup_spans]
         metrics = {
-            "verdicts_per_s": {"value": (attempted - failed) / elapsed, "unit": "1/s"},
+            "verdicts_per_s": {"value": (attempted - failed) / sum(times), "unit": "1/s"},
             "verdict_p50_s": {"value": statistics.median(times), "unit": "s"},
-            "verdict_tail_s": {"value": ranked[tail_rank - 1], "unit": "s"},
+            "verdict_tail_s": {"value": times[tail_rank - 1], "unit": "s"},
             "setup_s": {"value": statistics.median(setup_times), "unit": "s"},
             "peak_rss_mib": {"value": peak_rss_mib, "unit": "MiB"},
         }
         report["tail"] = {
-            "percentile": 100 * tail_rank / len(ranked),
-            "samples": len(ranked),
-            "samples_beyond": len(ranked) - tail_rank,
+            "percentile": spec.tail,
+            "samples": len(times),
+            "samples_beyond": len(times) - tail_rank,
+        }
+        # The same figures in plain wall time, which the host's speed moves.
+        ranked = sorted(walls)
+        report["wall"] = {
+            "verdicts_per_s": (attempted - failed) / elapsed,
+            "verdict_p50_s": statistics.median(ranked),
+            "verdict_tail_s": ranked[tail_rank - 1],
+            "setup_s": statistics.median(setup_walls),
         }
         report["timed_s"] = elapsed
+    report["calibration"] = {
+        "reference_s": REFERENCE_S,
+        "median_pass_s": clock.median_pass_s(),
+        "passes": len(clock.passes),
+    }
     report.update(
         attempted=attempted,
         failed=failed,
         failed_ratio=failed / attempted,
         golden_checked=golden is not None,
         problems=problems[:20],
-        setup_runs_s=setup_times,
+        setup_runs_s=setup_walls,
         metrics=metrics,
     )
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}
@@ -366,7 +411,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=28.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

@@ -6,7 +6,8 @@
 For every workload, at sizes small enough to run in a fraction of a
 second, it checks that the result line has its four keys and
 exactly the metric names BENCHMARK.json declares in both modes, that the
-traced run sees the layers the workload exercises, and that the
+run took calibration passes to scale its times by, that the traced run
+sees the layers the workload exercises, and that the
 correctness gate fails a run whose golden verdict is deliberately wrong.
 """
 
@@ -43,7 +44,8 @@ def main() -> None:
         tiny = dataclasses.replace(spec, size=TINY_SIZES[name], pool=4)
         golden = golden_verdicts(tiny, SEED)
         for trace in (False, True):
-            _, result = bench.run(tiny, SEED, SECONDS, trace, golden)
+            report, result = bench.run(tiny, SEED, SECONDS, trace, golden)
+            assert report["calibration"]["passes"] >= 2, report["calibration"]
             assert set(result) == {"correct", "attempted", "failed", "metrics"}, result
             assert result["correct"] and result["failed"] == 0, result
             emitted = set(result["metrics"])
