@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python reference.
 
-Two workloads:
+Three workloads:
   * the exhaustive subtour subset scan (the hot loop behind the
-    feasibility checker and lazy separation), on a weighted K_{n,n}
-    with every subset size in play;
-  * Hamiltonian tour enumeration on complete balanced instances.
+    feasibility checker), on a weighted K_{n,n} with every subset size
+    in play;
+  * Hamiltonian tour enumeration on complete balanced instances;
+  * lazy subtour separation: the subset scan against the min cut that
+    `is_implied` uses, on the LP points its lazy loop visits for seeded
+    wild combs.  Both must find the same most violated amount.
 
-Usage: python benchmarks/bench_kernels.py [--scan-vertices N] [--tour-n N]
+Usage: python benchmarks/bench_kernels.py [--seed S] [--scan-vertices N]
+           [--tour-n N] [--sep-n N] [--sep-combs K]
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ import argparse
 import random
 import time
 
+import combcert
+from combcert import BipartiteInstance, comb_inequality, is_implied, lp
 from combcert._kernels import reference
+from combcert.search import sample_comb
 
 try:
     from combcert._kernels import _speedups
@@ -24,7 +31,7 @@ except ImportError:
     _speedups = None
 
 
-def scan_case(num_vertices: int, seed: int = 7):
+def scan_case(num_vertices: int, seed: int):
     rng = random.Random(seed)
     half = num_vertices // 2
     masks, weights = [], []
@@ -46,8 +53,8 @@ def time_call(fn, *args, repeat=3):
     return best, result
 
 
-def bench_scan(num_vertices: int):
-    masks, weights = scan_case(num_vertices)
+def bench_scan(num_vertices: int, seed: int):
+    masks, weights = scan_case(num_vertices, seed)
     denom, lo, hi = 6, 3, num_vertices - 1
     t_pure, out_pure = time_call(
         reference.sec_violations, num_vertices, masks, weights, denom, lo, hi
@@ -73,21 +80,70 @@ def bench_tours(n: int):
     print(f"{line}  pure {t_pure * 1e3:9.1f} ms", end="")
     if _speedups is not None:
         t_fast, out_fast = time_call(_speedups.hamiltonian_cycles, n, adj, adj)
-        assert len(out_fast) == len(out_pure)
+        assert out_fast == out_pure  # every tour, vertex by vertex, in order
         print(f"   compiled {t_fast * 1e3:9.1f} ms   speedup {t_pure / t_fast:6.1f}x")
     else:
         print("   (compiled kernel not built)")
 
 
+def lazy_points(n: int, combs: int, seed: int):
+    """The LP points that lazy `is_implied` separates, for seeded wild combs."""
+    instance = BipartiteInstance.complete(n)
+    rng = random.Random(seed)
+    points = []
+    separate = lp._most_violated_sec
+
+    def record(inst, point, size_bounds):
+        points.append(point)
+        return separate(inst, point, size_bounds)
+
+    lp._most_violated_sec = record
+    try:
+        for _ in range(combs):
+            comb = sample_comb(rng, instance, "wild")
+            is_implied(instance, comb_inequality(instance, comb))
+    finally:
+        lp._most_violated_sec = separate
+    return instance, points
+
+
+def bench_separation(n: int, combs: int, seed: int):
+    instance, points = lazy_points(n, combs, seed)
+    window = (3, instance.num_vertices - 1)  # the default, but scanned
+    t_scan = t_cut = 0.0
+    for point in points:
+        t0 = time.perf_counter()
+        scan = lp._most_violated_sec(instance, point, window)
+        t1 = time.perf_counter()
+        cut = lp._most_violated_sec(instance, point, None)
+        t_cut += time.perf_counter() - t1
+        t_scan += t1 - t0
+        assert (scan is None) == (cut is None)
+        if scan is not None:
+            assert scan.value_on(point) - scan.rhs == cut.value_on(point) - cut.rhs
+    calls = len(points)
+    line = f"separation   n={2 * n:2d} ({calls} LP points, {combs} combs)"
+    print(
+        f"{line}  scan {t_scan / calls * 1e3:9.2f} ms/call"
+        f"   min cut {t_cut / calls * 1e3:7.2f} ms/call"
+        f"   speedup {t_scan / t_cut:6.1f}x"
+    )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--scan-vertices", type=int, default=18)
     parser.add_argument("--tour-n", type=int, default=6)
+    parser.add_argument("--sep-n", type=int, default=8, help="separate on K_{n,n}")
+    parser.add_argument("--sep-combs", type=int, default=20)
     args = parser.parse_args()
+    print(f"kernel backend: {combcert.kernel_backend}   seed: {args.seed}")
     for n in (12, 16, args.scan_vertices):
-        bench_scan(n)
+        bench_scan(n, args.seed)
     for n in (5, args.tour_n):
         bench_tours(n)
+    bench_separation(args.sep_n, args.sep_combs, args.seed)
 
 
 if __name__ == "__main__":

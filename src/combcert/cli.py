@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("implied", help="LP test: is the comb row implied?")
     common(p)
     p.add_argument("--direct", action="store_true", help="materialize all subtour rows")
-    p.add_argument("--lazy", action="store_true", help="lazy separation (default)")
     p.add_argument("--mode", choices=("le", "eq"), default="le")
     p.set_defaults(func=_cmd_implied)
 

@@ -13,7 +13,10 @@ feasibility checker relies on the bounds for that case.
 
 Subtour enumeration is exhaustive by design (desk scale) and refuses to
 run above a configurable vertex cap.  The subset sweep itself is delegated
-to `combcert._kernels`.
+to `combcert._kernels`; it serves `check_point` and lazy separation in a
+non-default size window.  Lazy separation in the default window is an
+exact min cut instead (see `combcert.lp`).  `scan_inputs` turns a point
+into the integer data that the scan and the min cut read.
 """
 
 from __future__ import annotations
@@ -184,6 +187,25 @@ def gen_secs(
             yield sec_constraint(instance, combo)
 
 
+def scan_inputs(
+    instance: BipartiteInstance, point: FractionalPoint
+) -> tuple[list[int], list[int], int]:
+    """A point's support as integer data for the subset kernels.
+
+    Returns, for every edge of nonzero weight, its vertex bitmask (bits at
+    the endpoints' global indices) and its weight times D, plus D itself,
+    the common denominator of the weights.
+    """
+    weighted = [(e, w) for e, w in point.items() if w != 0]
+    denom = common_denominator(w for _, w in weighted)
+    masks = [
+        (1 << instance.global_index(e.u)) | (1 << instance.global_index(e.v))
+        for e, _ in weighted
+    ]
+    scaled = [int(w * denom) for _, w in weighted]
+    return masks, scaled, denom
+
+
 def check_point(
     instance: BipartiteInstance,
     point: FractionalPoint,
@@ -216,13 +238,7 @@ def check_point(
         if w < 0:
             violations.append((lower_bound(instance, e), -w))
 
-    weighted = [(e, w) for e, w in point.items() if w != 0]
-    denom = common_denominator(w for _, w in weighted)
-    masks = [
-        (1 << instance.global_index(e.u)) | (1 << instance.global_index(e.v))
-        for e, _ in weighted
-    ]
-    scaled = [int(w * denom) for _, w in weighted]
+    masks, scaled, denom = scan_inputs(instance, point)
     for mask, value in _kernels.sec_violations(n, masks, scaled, denom, lo, hi):
         subset = frozenset(
             instance.vertex_at(i) for i in range(n) if mask & (1 << i)

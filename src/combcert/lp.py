@@ -14,7 +14,10 @@ checkable nonnegative combination of relaxation rows.
 polytope.  Direct mode materializes every subtour row inside the size
 window; lazy mode starts from degree rows and bounds and repeatedly adds
 the most violated subtour row at the current optimum until none is
-violated.  Both modes end at the same exact optimum.
+violated.  Both modes end at the same exact optimum.  Lazy separation is
+an exact integer min cut (Padberg & Wolsey, "Trees and cuts", 1983), so
+its cost is polynomial in the number of vertices; only a non-default size
+window falls back to scanning every subset in it.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from .constraints import (
     _sec_size_range,
     gen_degree,
     gen_secs,
+    scan_inputs,
     sec_constraint,
     upper_bound,
 )
 from .errors import CombcertError, EnumerationCapError
 from .graph import BipartiteInstance, Edge, FractionalPoint
-from .rational import common_denominator
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -125,20 +128,27 @@ def solve(problem: LpProblem) -> LpSolution:
 
 
 def _audit_duality(rows, variables, objective, optimum, dual) -> None:
-    """Strong-duality audit from scratch; failure means a solver bug."""
+    """Strong-duality audit from scratch; failure means a solver bug.
+
+    Reads only the original rows, the dual and the objective.  Work is
+    proportional to the nonzeros of the rows with a nonzero multiplier,
+    plus one comparison per variable.
+    """
     if len(dual) != len(rows):
         raise CombcertError("dual vector length mismatch")
+    combined: dict[Edge, Fraction] = {}
+    total = Fraction(0)
     for y, row in zip(dual, rows):
+        if not y:
+            continue
         if not row.is_equality and y < 0:
             raise CombcertError(f"negative dual multiplier on {row.provenance}")
+        for e, c in row.coeffs.items():
+            combined[e] = combined.get(e, 0) + y * c
+        total += y * row.rhs
     for e in variables:
-        combined = sum(
-            (y * row.coeffs.get(e, Fraction(0)) for y, row in zip(dual, rows)),
-            Fraction(0),
-        )
-        if combined < Fraction(objective.get(e, 0)):
+        if combined.get(e, 0) < Fraction(objective.get(e, 0)):
             raise CombcertError(f"dual infeasible at variable {e}")
-    total = sum((y * row.rhs for y, row in zip(dual, rows)), Fraction(0))
     if total != optimum:
         raise CombcertError("dual objective does not match the optimum")
 
@@ -334,27 +344,128 @@ def _most_violated_sec(
     point: FractionalPoint,
     size_bounds: tuple[int, int] | None,
 ) -> LinearInequality | None:
+    """A subtour row of largest violation at `point`, or None.
+
+    The default window is separated exactly by `_min_cut_sec`.  A
+    non-default window scans every subset in it; there the first subset
+    of largest violation in the scan's output wins.
+    """
     n = instance.num_vertices
-    lo, hi = _sec_size_range(instance, size_bounds)
-    weighted = [(e, w) for e, w in point.items() if w != 0]
-    denom = common_denominator(w for _, w in weighted)
-    masks = [
-        (1 << instance.global_index(e.u)) | (1 << instance.global_index(e.v))
-        for e, _ in weighted
-    ]
-    scaled = [int(w * denom) for _, w in weighted]
-    best = None
-    for mask, value in _kernels.sec_violations(n, masks, scaled, denom, lo, hi):
-        size = bin(mask).count("1")
-        amount = Fraction(value, denom) - (size - 1)
-        if best is None or amount > best[0]:
-            best = (amount, mask)
-    if best is None:
+    masks, weights, denom = scan_inputs(instance, point)
+    if size_bounds is None:
+        best_mask = _min_cut_sec(n, masks, weights, denom)
+    else:
+        lo, hi = _sec_size_range(instance, size_bounds)
+        best = None
+        for mask, value in _kernels.sec_violations(n, masks, weights, denom, lo, hi):
+            amount = Fraction(value, denom) - (bin(mask).count("1") - 1)
+            if best is None or amount > best[0]:
+                best = (amount, mask)
+        best_mask = None if best is None else best[1]
+    if best_mask is None:
         return None
-    subset = frozenset(
-        instance.vertex_at(i) for i in range(n) if best[1] & (1 << i)
-    )
+    subset = frozenset(instance.vertex_at(i) for i in range(n) if best_mask >> i & 1)
     return sec_constraint(instance, subset)
+
+
+def _min_cut_sec(
+    num_vertices: int, edge_masks: list[int], weights: list[int], denom: int
+) -> int | None:
+    """Vertex mask of a most violated subtour set, or None if none is violated.
+
+    Inputs are those of `scan_inputs`: weights are the point's x_e times D.
+    With d_v the weighted degree of v, the violation of a set S is
+    1 - f(S) / (2D), where
+
+        f(S) = sum over v in S of (2D - D d_v)  +  D x(delta(S)).
+
+    f(S) is the capacity of the cut around S in the graph where each
+    vertex v has an arc of capacity 2D - D d_v to a sink t and each
+    support edge carries D x_e both ways.  Each max flow forces one vertex
+    into S and one or more out of it: vertex 0 in and k out, then k in and
+    0..k-1 out, for k = 1..N-1.  These 2(N-1) flows cover every S other
+    than the empty set and V.  The first strict minimum below 2D in that
+    order wins; within a flow, S is the source side reachable in the
+    residual graph.  Sets of one or two vertices are never violated inside
+    the unit box, so a violated S has 3 <= |S| <= N - 1, the default
+    window of the subtour family.
+    """
+    to_sink = [2 * denom] * num_vertices
+    adjacent: list[dict[int, int]] = [{} for _ in range(num_vertices)]
+    for mask, w in zip(edge_masks, weights):
+        if not 0 <= w <= denom:
+            raise CombcertError("min-cut separation needs a point inside the unit box")
+        u, v = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+        to_sink[u] -= w
+        to_sink[v] -= w
+        adjacent[u][v] = adjacent[v][u] = w
+    if any(c < 0 for c in to_sink):
+        raise CombcertError("min-cut separation needs a point within the degree rows")
+    best, best_mask = 2 * denom, None
+    for k in range(1, num_vertices):
+        for source, sinks in ((0, 1 << k), (k, (1 << k) - 1)):
+            found = _min_cut(adjacent, to_sink, source, sinks, best)
+            if found is not None:
+                best, best_mask = found
+    return best_mask
+
+
+def _min_cut(
+    adjacent: list[dict[int, int]],
+    to_sink: list[int],
+    source: int,
+    sinks: int,
+    limit: int,
+) -> tuple[int, int] | None:
+    """Minimum cut between `source` and t merged with the vertices in `sinks`.
+
+    Edmonds-Karp on integer capacities.  Returns (cut capacity, mask of the
+    vertices reachable from `source` in the final residual graph), or None
+    as soon as the flow reaches `limit`.
+    """
+    residual = [dict(arcs) for arcs in adjacent]
+    sink_arc = list(to_sink)
+    parent = [0] * len(adjacent)
+    flow = 0
+    while True:
+        reached = 1 << source
+        queue = [source]
+        tail = -1  # last vertex of an augmenting path
+        for u in queue:
+            if sink_arc[u]:
+                tail = u
+                break
+            for v, cap in residual[u].items():
+                if cap and not reached >> v & 1:
+                    reached |= 1 << v
+                    parent[v] = u
+                    if sinks >> v & 1:
+                        tail = v
+                        break
+                    queue.append(v)
+            if tail >= 0:
+                break
+        if tail < 0:
+            return flow, reached
+        # A path ending in a `sinks` vertex reaches t by an uncapacitated arc.
+        push = None if sinks >> tail & 1 else sink_arc[tail]
+        v = tail
+        while v != source:
+            u = parent[v]
+            if push is None or residual[u][v] < push:
+                push = residual[u][v]
+            v = u
+        if not sinks >> tail & 1:
+            sink_arc[tail] -= push
+        v = tail
+        while v != source:
+            u = parent[v]
+            residual[u][v] -= push
+            residual[v][u] += push
+            v = u
+        flow += push
+        if flow >= limit:
+            return None
 
 
 def is_implied(
@@ -369,8 +480,8 @@ def is_implied(
 
     Implied iff the optimum is <= the target's rhs; otherwise the optimal
     point is returned as a violation witness.  With `lazy`, subtour rows
-    are separated by enumeration at each optimum instead of materialized
-    up front.
+    are separated at each optimum instead of materialized up front: by
+    exact min cut in the default size window, by a subset scan otherwise.
     """
     if instance.num_vertices > cap:
         raise EnumerationCapError("subtour enumeration", instance.num_vertices, cap)

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from combcert import FormatError, reproduce_tables, verify
+from combcert import FormatError, comb_inequality, is_implied, reproduce_tables, verify
 from combcert.certificates import build_l3
 from combcert.cli import main
 from combcert.combs import Comb
@@ -162,6 +162,29 @@ def test_cli_classify_and_implied(capsys):
     document = json.loads(capsys.readouterr().out)
     assert document["status"] == "violated"
     assert document["optimum"] == "15/2"
+
+
+def test_cli_implied_runs_lazy_by_default(table1, capsys):
+    instance, _, comb = table1
+    args = [
+        "implied",
+        "--instance",
+        _data_path("table1_instance.json"),
+        "--comb",
+        _data_path("table1_comb.json"),
+        "--format",
+        "json",
+    ]
+    code = main(args)
+    assert code in (0, 1)
+    document = json.loads(capsys.readouterr().out)
+    lazy = is_implied(instance, comb_inequality(instance, comb), lazy=True)
+    direct = is_implied(instance, comb_inequality(instance, comb), lazy=False)
+    assert lazy.rows_used < direct.rows_used
+    assert (document["rounds"], document["rows_used"]) == (lazy.rounds, lazy.rows_used)
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--lazy"])  # lazy is the default; there is no flag for it
+    assert exc.value.code == 2
 
 
 def test_cli_certify_round_trip(tmp_path, capsys):

@@ -13,7 +13,8 @@ from combcert import (
     is_implied,
     solve,
 )
-from combcert.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, effective_rows
+from combcert.errors import CombcertError
+from combcert.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _audit_duality, effective_rows
 from combcert.search import sample_comb
 from combcert.certificates import BUILDERS
 from oracles import vertex_enumeration_max
@@ -96,6 +97,46 @@ def test_dual_is_exposed_and_matches_objective():
     assert len(solution.dual) == len(rows)
     assert sum(y * r.rhs for y, r in zip(solution.dual, rows)) == 4
     assert all(y >= 0 for y in solution.dual)
+
+
+def _audited_k22():
+    """A solved problem and the arguments `solve` hands to the audit."""
+    k22 = BipartiteInstance.complete(2)
+    objective = {e: Fraction(1) for e in k22.edges}
+    problem = LpProblem(k22, objective, tuple(gen_degree(k22)))
+    solution = solve(problem)
+    rows = effective_rows(problem)
+    return rows, problem.variables, objective, solution.objective_value, list(solution.dual)
+
+
+def test_audit_accepts_the_dual_from_solve():
+    rows, variables, objective, optimum, dual = _audited_k22()
+    _audit_duality(rows, variables, objective, optimum, tuple(dual))
+
+
+def test_audit_rejects_length_mismatch():
+    rows, variables, objective, optimum, dual = _audited_k22()
+    with pytest.raises(CombcertError, match="length mismatch"):
+        _audit_duality(rows, variables, objective, optimum, tuple(dual[:-1]))
+
+
+def test_audit_rejects_negative_multiplier():
+    rows, variables, objective, optimum, dual = _audited_k22()
+    dual[-1] = Fraction(-1)  # an upper-bound row, an inequality
+    with pytest.raises(CombcertError, match="negative dual multiplier on ub"):
+        _audit_duality(rows, variables, objective, optimum, tuple(dual))
+
+
+def test_audit_rejects_dual_infeasibility():
+    rows, variables, objective, optimum, dual = _audited_k22()
+    with pytest.raises(CombcertError, match="dual infeasible at variable"):
+        _audit_duality(rows, variables, objective, optimum, (Fraction(0),) * len(rows))
+
+
+def test_audit_rejects_objective_mismatch():
+    rows, variables, objective, optimum, dual = _audited_k22()
+    with pytest.raises(CombcertError, match="does not match the optimum"):
+        _audit_duality(rows, variables, objective, optimum + 1, tuple(dual))
 
 
 def test_table1_comb_lp_value(table1):
