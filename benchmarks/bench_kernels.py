@@ -11,7 +11,7 @@ Three workloads:
     wild combs.  Both must find the same most violated amount.
 
 Usage: python benchmarks/bench_kernels.py [--seed S] [--scan-vertices N]
-           [--tour-n N] [--sep-n N] [--sep-combs K]
+           [--tour-n N]
 """
 
 from __future__ import annotations
@@ -135,15 +135,13 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--scan-vertices", type=int, default=18)
     parser.add_argument("--tour-n", type=int, default=6)
-    parser.add_argument("--sep-n", type=int, default=8, help="separate on K_{n,n}")
-    parser.add_argument("--sep-combs", type=int, default=20)
     args = parser.parse_args()
     print(f"kernel backend: {combcert.kernel_backend}   seed: {args.seed}")
     for n in (12, 16, args.scan_vertices):
         bench_scan(n, args.seed)
     for n in (5, args.tour_n):
         bench_tours(n)
-    bench_separation(args.sep_n, args.sep_combs, args.seed)
+    bench_separation(8, 20, args.seed)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ The two hot loops of the package live here: the subset sweep behind the
 feasibility checker (and lazy SEC separation in a non-default size
 window; the default window is separated by min cut in `combcert.lp`),
 and Hamiltonian-cycle enumeration.  `BACKEND` reports which
-implementation was selected at import.  The compiled subset scan allocates a 2^n int64 table, so the
-facade routes instances that are too large for int64 arithmetic (or for
-memory) to the reference implementation regardless of availability.
+implementation was selected at import.  The compiled subset scan
+allocates a 2^n int64 table, so the facade routes instances that are
+too large for int64 arithmetic (or for memory) to the reference
+implementation regardless of availability.
 """
 
 from __future__ import annotations

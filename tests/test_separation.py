@@ -55,10 +55,10 @@ def _lazy_points(instance, combs, mode, monkeypatch):
         seen.append(point)
         return separate(inst, point, size_bounds)
 
-    monkeypatch.setattr(lp, "_most_violated_sec", record)
-    for comb in combs:
-        is_implied(instance, comb_inequality(instance, comb), mode=mode)
-    monkeypatch.setattr(lp, "_most_violated_sec", separate)
+    with monkeypatch.context() as patch:  # the oracle calls below must not record
+        patch.setattr(lp, "_most_violated_sec", record)
+        for comb in combs:
+            is_implied(instance, comb_inequality(instance, comb), mode=mode)
     return seen
 
 
