@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python reference.
 
-Three workloads:
+Four workloads:
   * the exhaustive subtour subset scan (the hot loop behind the
     feasibility checker), on a weighted K_{n,n} with every subset size
     in play;
   * Hamiltonian tour enumeration on complete balanced instances;
   * lazy subtour separation: the subset scan against the min cut that
     `is_implied` uses, on the LP points its lazy loop visits for seeded
-    wild combs.  Both must find the same most violated amount.
+    wild combs on K_{8,8}.  Both must find the same most violated amount;
+  * the lazy LP itself on those same 20 queries: the time of each warm-
+    started lazy query, against a cold `solve` over its final rows,
+    which must reach the same optimum.
 
 Usage: python benchmarks/bench_kernels.py [--seed S] [--scan-vertices N]
            [--tour-n N]
@@ -21,7 +24,15 @@ import random
 import time
 
 import combcert
-from combcert import BipartiteInstance, comb_inequality, is_implied, lp
+from combcert import (
+    BipartiteInstance,
+    LpProblem,
+    comb_inequality,
+    gen_degree,
+    is_implied,
+    lp,
+    solve,
+)
 from combcert._kernels import reference
 from combcert.search import sample_comb
 
@@ -86,29 +97,38 @@ def bench_tours(n: int):
         print("   (compiled kernel not built)")
 
 
-def lazy_points(n: int, combs: int, seed: int):
-    """The LP points that lazy `is_implied` separates, for seeded wild combs."""
+def lazy_runs(n: int, combs: int, seed: int):
+    """Lazy `is_implied` on seeded wild combs over K_{n,n}.
+
+    Per comb: the target row, the result, the seconds the query took, and
+    the (LP point, separated row or None) of each round.
+    """
     instance = BipartiteInstance.complete(n)
     rng = random.Random(seed)
-    points = []
+    runs, separated = [], []
     separate = lp._most_violated_sec
 
     def record(inst, point, size_bounds):
-        points.append(point)
-        return separate(inst, point, size_bounds)
+        row = separate(inst, point, size_bounds)
+        separated.append((point, row))
+        return row
 
     lp._most_violated_sec = record
     try:
         for _ in range(combs):
-            comb = sample_comb(rng, instance, "wild")
-            is_implied(instance, comb_inequality(instance, comb))
+            target = comb_inequality(instance, sample_comb(rng, instance, "wild"))
+            start = len(separated)
+            t0 = time.perf_counter()
+            result = is_implied(instance, target)
+            seconds = time.perf_counter() - t0
+            runs.append((target, result, seconds, separated[start:]))
     finally:
         lp._most_violated_sec = separate
-    return instance, points
+    return instance, runs
 
 
-def bench_separation(n: int, combs: int, seed: int):
-    instance, points = lazy_points(n, combs, seed)
+def bench_separation(instance, runs):
+    points = [point for *_, rounds in runs for point, _ in rounds]
     window = (3, instance.num_vertices - 1)  # the default, but scanned
     t_scan = t_cut = 0.0
     for point in points:
@@ -122,11 +142,31 @@ def bench_separation(n: int, combs: int, seed: int):
         if scan is not None:
             assert scan.value_on(point) - scan.rhs == cut.value_on(point) - cut.rhs
     calls = len(points)
-    line = f"separation   n={2 * n:2d} ({calls} LP points, {combs} combs)"
+    line = f"separation   n={instance.num_vertices:2d} ({calls} LP points, {len(runs)} combs)"
     print(
         f"{line}  scan {t_scan / calls * 1e3:9.2f} ms/call"
         f"   min cut {t_cut / calls * 1e3:7.2f} ms/call"
         f"   speedup {t_scan / t_cut:6.1f}x"
+    )
+
+
+def bench_lp(instance, runs):
+    """Warm lazy queries against a cold `solve` over each query's final rows."""
+    t_lazy = t_cold = 0.0
+    total_rounds = 0
+    for target, result, seconds, rounds in runs:
+        cuts = [row for _, row in rounds if row is not None]
+        problem = LpProblem(instance, dict(target.coeffs), tuple(gen_degree(instance) + cuts))
+        t0 = time.perf_counter()
+        cold = solve(problem)
+        t_cold += time.perf_counter() - t0
+        t_lazy += seconds
+        total_rounds += result.rounds
+        assert cold.objective_value == result.optimum
+    line = f"lazy LP      n={instance.num_vertices:2d} ({len(runs)} combs, {total_rounds} rounds)"
+    print(
+        f"{line}  lazy {t_lazy / len(runs) * 1e3:9.2f} ms/query"
+        f"   cold solve of the final rows {t_cold / len(runs) * 1e3:7.2f} ms/query"
     )
 
 
@@ -141,7 +181,9 @@ def main():
         bench_scan(n, args.seed)
     for n in (5, args.tour_n):
         bench_tours(n)
-    bench_separation(8, 20, args.seed)
+    instance, runs = lazy_runs(8, 20, args.seed)
+    bench_separation(instance, runs)
+    bench_lp(instance, runs)
 
 
 if __name__ == "__main__":

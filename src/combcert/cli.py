@@ -28,11 +28,9 @@ from .errors import (
 from .jsonio import dump_certificate, load_comb, load_instance, write_json
 from .lp import is_implied
 from .rational import format_rational
-from .search import FAMILIES, ExperimentConfig, run_search
+from .search import _BUILD_ORDER, FAMILIES, ExperimentConfig, run_search
 from .tables import reproduce_tables
 from .tours import facet_test
-
-_BUILD_ORDER = ("L1", "L2", "L3", "T1", "T2")
 
 
 def _approx(text: str) -> str:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .constraints import ConstraintKind, LinearInequality
 from .errors import InvalidCombError
@@ -310,7 +309,3 @@ def hand_classes(
     cls_one = CLASS1 if orientation == 1 else CLASS2
     h1 = frozenset(v for v in comb.hand if v.cls == cls_one)
     return h1, comb.hand - h1
-
-
-def _class_members(vertices: Iterable[VertexId], cls: int) -> frozenset[VertexId]:
-    return frozenset(v for v in vertices if v.cls == cls)

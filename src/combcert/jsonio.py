@@ -178,7 +178,7 @@ def load_certificate(source, instance: BipartiteInstance) -> Certificate:
     if builder not in ("L1", "L2", "L3", "T1", "T2"):
         raise FormatError("builder", f"unknown builder {builder!r}")
     orientation = doc.get("orientation", 1)
-    if orientation not in (1, 2):
+    if type(orientation) is not int or orientation not in (1, 2):  # not true, not 1.0
         raise FormatError("orientation", "must be 1 or 2")
     comb = load_comb(doc.get("target_comb", {}), instance)
     members_doc = doc.get("members")

@@ -1,30 +1,43 @@
 """Exact rational linear programming and the implication oracle.
 
-A dense two-phase tableau simplex over `fractions.Fraction`, pivoting by
-Bland's rule (anti-cycling, no scaling; exact arithmetic makes scaling
-pointless at desk scale).  Upper bounds x <= 1 enter as explicit rows,
-which keeps the dual a plain vector over rows.
+One sparse simplex tableau over exact rationals (`_Tableau`).  Each row,
+and the reduced-cost row, is a {column: value} dict holding only its
+nonzeros, built straight from the rows' sparse coefficients.  Integral
+entries are plain Python ints and all others `fractions.Fraction`; every
+division goes through `Fraction`, so no float ever appears, and most
+pivot arithmetic stays on ints.  Pivoting is by Bland's rule
+(anti-cycling, no scaling; exact arithmetic makes scaling pointless at
+desk scale).  Upper bounds x <= 1 enter as explicit rows, which keeps
+the dual a plain vector over rows: the multiplier of every row, box rows
+included, is read off the reduced cost of that row's slack (or
+artificial) column.
 
-Every optimal solve also extracts the dual vector and re-checks it
-against the original data (dual feasibility plus equal objective), so an
-"implied" verdict from `is_implied` always carries an independently
-checkable nonnegative combination of relaxation rows.
+`solve` runs the tableau cold, phase 1 then phase 2.  Every optimal
+tableau, cold or warm, also yields its dual vector, which is re-checked
+against the original rows by `_audit_duality` (dual feasibility plus
+equal objective), so an "implied" verdict from `is_implied` always
+carries an independently checkable nonnegative combination of
+relaxation rows.
 
 `is_implied` maximizes a row's left-hand side over the relaxation
 polytope.  Direct mode materializes every subtour row inside the size
-window; lazy mode starts from degree rows and bounds and repeatedly adds
-the most violated subtour row at the current optimum until none is
-violated.  Both modes end at the same exact optimum.  Lazy separation is
-an exact integer min cut (Padberg & Wolsey, "Trees and cuts", 1983), so
-its cost is polynomial in the number of vertices; only a non-default size
-window falls back to scanning every subset in it.
+window and solves once, cold.  Lazy mode builds one tableau from the
+degree rows and bounds, then repeatedly adds the most violated subtour
+row at the current optimum until none is violated.  Each added row is
+appended to the optimal tableau with a new slack column, reduced against
+the basis, and made feasible again by the dual simplex (Lemke, 1954), so
+a round costs a few pivots rather than a fresh solve.  Both modes end at
+the same exact optimum.  Lazy separation is an exact integer min cut
+(Padberg & Wolsey, "Trees and cuts", 1983), so its cost is polynomial in
+the number of vertices; only a non-default size window falls back to
+scanning every subset in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import _kernels
 from .constraints import (
@@ -90,41 +103,30 @@ class LpSolution:
 
 
 def solve(problem: LpProblem) -> LpSolution:
+    """Optimize `problem` from scratch; an optimal dual is audited."""
     rows = effective_rows(problem)
-    variables = problem.variables
-    n = len(variables)
-    var_index = {e: j for j, e in enumerate(variables)}
-
-    a_rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    is_eq: list[bool] = []
-    for row in rows:
-        vec = [Fraction(0)] * n
-        for e, c in row.coeffs.items():
-            vec[var_index[e]] = Fraction(c)
-        a_rows.append(vec)
-        b.append(Fraction(row.rhs))
-        is_eq.append(row.is_equality)
-
-    tableau = _Tableau(n, a_rows, b, is_eq)
-    status = tableau.run(
-        [Fraction(problem.objective.get(e, 0)) for e in variables]
-    )
+    tableau = _Tableau(problem.variables, rows)
+    status = tableau.run(problem.objective)
     if status != OPTIMAL:
         return LpSolution(status, None, None, None)
+    return _read_optimum(problem, rows, tableau)
 
+
+def _read_optimum(
+    problem: LpProblem, rows: Sequence[LinearInequality], tableau: _Tableau
+) -> LpSolution:
+    """The optimal vertex of `tableau`, its dual audited against `rows`.
+
+    `rows` are the tableau's rows in the order they were added.
+    """
     assignment = tableau.primal_values()
     value = sum(
-        (Fraction(problem.objective.get(e, 0)) * assignment[j] for j, e in enumerate(variables)),
+        (Fraction(c) * assignment.get(e, 0) for e, c in problem.objective.items()),
         Fraction(0),
     )
-    point = FractionalPoint(
-        problem.instance,
-        {e: assignment[j] for j, e in enumerate(variables) if assignment[j] != 0},
-    )
     dual = tableau.dual_values()
-    _audit_duality(rows, variables, problem.objective, value, dual)
-    return LpSolution(OPTIMAL, value, point, dual)
+    _audit_duality(rows, problem.variables, problem.objective, value, dual)
+    return LpSolution(OPTIMAL, value, FractionalPoint(problem.instance, assignment), dual)
 
 
 def _audit_duality(rows, variables, objective, optimum, dual) -> None:
@@ -153,175 +155,220 @@ def _audit_duality(rows, variables, objective, optimum, dual) -> None:
         raise CombcertError("dual objective does not match the optimum")
 
 
+def _exact(value):
+    """`value` as an int when it is integral, else as the Fraction it is."""
+    if value.__class__ is int or value.denominator != 1:
+        return value
+    return value.numerator
+
+
+def _subtract(target: dict, factor, row: dict) -> None:
+    """target -= factor * row, on sparse rows: zeros are dropped."""
+    for k, v in row.items():
+        t = target.get(k, 0) - factor * v
+        if t.__class__ is not int and t.denominator == 1:  # `_exact`, inlined here
+            t = t.numerator
+        if t:
+            target[k] = t
+        else:
+            del target[k]
+
+
 class _Tableau:
-    """Two-phase dense simplex; columns are structurals, slacks, artificials."""
+    """Sparse exact simplex tableau: two phases cold, dual simplex per cut.
 
-    def __init__(self, n: int, a_rows: list[list[Fraction]], b: list[Fraction], is_eq: list[bool]):
-        self.m = len(a_rows)
-        self.n = n
-        self.sign = [Fraction(-1) if bi < 0 else Fraction(1) for bi in b]
-        # Column layout: one slack per inequality row, then one artificial
-        # per row that starts without an identity column.
-        self.slack_col: list[int | None] = []
-        col = self.n
-        for i in range(self.m):
-            if is_eq[i]:
-                self.slack_col.append(None)
-            else:
-                self.slack_col.append(col)
-                col += 1
-        self.art_col: list[int | None] = []
-        self.rows: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
+    Each row, and the reduced-cost row `cbar`, is a {column: value} dict
+    of its nonzeros.  A value is an int when it is integral and a
+    Fraction otherwise; pivots divide through `Fraction` only, so no float
+    ever appears.  Columns are the structurals 0..n-1 (the problem's
+    variables), then one slack per inequality row, then one artificial per
+    row that starts without an identity column (an equality, or a row
+    negated for its negative rhs).  Artificials form a set and never enter
+    the basis, so a slack appended later is eligible like any other.
+
+    `run` solves cold, phase 1 then phase 2, by Bland's rule.  `add_row`
+    appends a <= row with a fresh slack column, reduces it against the
+    current basis and restores primal feasibility by the dual simplex
+    (Lemke, 1954) under Bland's rule: the leaving row is the negative-rhs
+    row with the smallest basic column; the entering column attains the
+    minimum ratio cbar_j / a_j over a_j < 0, ties to the smaller column.
+    The reduced costs never turn positive, so the result is optimal.
+
+    The dual of original row i is read off its identity column (its slack,
+    or its artificial): y_i = -sign_i * cbar[column].  That covers the box
+    rows as well, which are ordinary rows here.  A row dropped as
+    redundant in phase 1 leaves its artificial all zero, so it reads 0.
+    """
+
+    def __init__(self, variables: Sequence[Edge], rows: Sequence[LinearInequality]):
+        self.variables = tuple(variables)
+        self.column = {e: j for j, e in enumerate(self.variables)}
+        self.rows: list[dict] = []
+        self.rhs: list = []
         self.basis: list[int] = []
-        self.meta: list[int] = list(range(self.m))  # original row index
-        art_start = col
-        for i in range(self.m):
-            needs_art = is_eq[i] or self.sign[i] < 0
-            self.art_col.append(col if needs_art else None)
-            if needs_art:
-                col += 1
-        self.total_cols = col
-        self.art_start = art_start
-        for i in range(self.m):
-            vec = [Fraction(0)] * self.total_cols
-            s = self.sign[i]
-            for j, aij in enumerate(a_rows[i]):
-                if aij:
-                    vec[j] = s * aij
-            if self.slack_col[i] is not None:
-                vec[self.slack_col[i]] = s  # +1 normal slack, -1 surplus
-            if self.art_col[i] is not None:
-                vec[self.art_col[i]] = Fraction(1)
-                self.basis.append(self.art_col[i])
+        self.unit: list[tuple[int, int]] = []  # per original row: (column, sign)
+        self.artificial: set[int] = set()
+        self.cbar: dict = {}
+        col = len(self.variables)
+        slacks = []
+        for row in rows:
+            if row.is_equality:
+                slacks.append(None)
             else:
-                self.basis.append(self.slack_col[i])
-            self.rows.append(vec)
-            self.rhs.append(s * b[i])
-        self.is_eq = is_eq
-        self.cbar: list[Fraction] = []
-        self.z0 = Fraction(0)
-        self.dropped: list[int] = []  # original indices of redundant rows
+                slacks.append(col)
+                col += 1
+        for row, slack in zip(rows, slacks):
+            sign = -1 if row.rhs < 0 else 1
+            entries = {self.column[e]: _exact(c) for e, c in row.coeffs.items()}
+            if sign < 0:
+                entries = {j: -v for j, v in entries.items()}
+            unit = slack
+            if slack is not None:
+                entries[slack] = sign  # +1 slack, -1 surplus
+            if slack is None or sign < 0:
+                unit = col
+                entries[col] = 1
+                self.artificial.add(col)
+                col += 1
+            self.rows.append(entries)
+            self.rhs.append(sign * _exact(row.rhs))
+            self.basis.append(unit)
+            self.unit.append((unit, sign))
+        self.next_column = col
 
-    def _price_out(self, c: list[Fraction]) -> None:
-        self.cbar = list(c)
-        self.z0 = Fraction(0)
-        for i, bcol in enumerate(self.basis):
-            coef = c[bcol]
-            if coef:
-                self.z0 += coef * self.rhs[i]
-                row = self.rows[i]
-                for j in range(self.total_cols):
-                    if row[j]:
-                        self.cbar[j] -= coef * row[j]
+    def run(self, objective: Mapping[Edge, Fraction]) -> str:
+        if self.artificial:
+            self._price_out({col: -1 for col in self.artificial})
+            status = self._primal()
+            if status != OPTIMAL or any(
+                self.rhs[i] for i, col in enumerate(self.basis) if col in self.artificial
+            ):
+                return INFEASIBLE
+            self._expel_artificials()
+        self._price_out(
+            {self.column[e]: _exact(Fraction(c)) for e, c in objective.items() if c}
+        )
+        return self._primal()
 
-    def _pivot(self, i: int, j: int) -> None:
-        row = self.rows[i]
-        piv = row[j]
-        if piv != 1:
-            inv = Fraction(1) / piv
-            for k in range(self.total_cols):
-                if row[k]:
-                    row[k] *= inv
-            self.rhs[i] *= inv
-        for ii in range(len(self.rows)):
-            if ii == i:
-                continue
-            factor = self.rows[ii][j]
+    def add_row(self, row: LinearInequality) -> str:
+        """Append a <= row to an optimal tableau and re-optimize."""
+        entries = {self.column[e]: _exact(c) for e, c in row.coeffs.items()}
+        rhs = _exact(row.rhs)
+        for i, col in enumerate(self.basis):
+            factor = entries.get(col)
             if factor:
-                other = self.rows[ii]
-                for k in range(self.total_cols):
-                    if row[k]:
-                        other[k] -= factor * row[k]
-                self.rhs[ii] -= factor * self.rhs[i]
-        factor = self.cbar[j]
-        if factor:
-            for k in range(self.total_cols):
-                if row[k]:
-                    self.cbar[k] -= factor * row[k]
-            self.z0 += factor * self.rhs[i]
-        self.basis[i] = j
+                _subtract(entries, factor, self.rows[i])
+                rhs = _exact(rhs - factor * self.rhs[i])
+        slack = self.next_column
+        self.next_column += 1
+        entries[slack] = 1
+        self.rows.append(entries)
+        self.rhs.append(rhs)
+        self.basis.append(slack)
+        self.unit.append((slack, 1))
+        return self._dual()
 
-    def _bland(self, allow_artificial: bool) -> str:
-        limit = self.total_cols if allow_artificial else self.art_start
+    def _price_out(self, costs: dict) -> None:
+        self.cbar = dict(costs)
+        for i, col in enumerate(self.basis):
+            cost = costs.get(col)
+            if cost:
+                _subtract(self.cbar, cost, self.rows[i])
+
+    def _pivot(self, r: int, j: int) -> None:
+        row = self.rows[r]
+        pivot = row[j]
+        if pivot != 1:
+            inverse = -1 if pivot == -1 else Fraction(1) / pivot
+            row = self.rows[r] = {k: _exact(v * inverse) for k, v in row.items()}
+            self.rhs[r] = _exact(self.rhs[r] * inverse)
+        b = self.rhs[r]
+        for i, other in enumerate(self.rows):
+            factor = other.get(j)
+            if factor and i != r:
+                _subtract(other, factor, row)
+                self.rhs[i] = _exact(self.rhs[i] - factor * b)
+        factor = self.cbar.get(j)
+        if factor:
+            _subtract(self.cbar, factor, row)
+        self.basis[r] = j
+
+    def _primal(self) -> str:
+        """Primal simplex, Bland's rule, from a primal feasible basis."""
         while True:
-            enter = -1
-            for j in range(limit):
-                if self.cbar[j] > 0:
-                    enter = j
-                    break
+            enter = min(
+                (j for j, v in self.cbar.items() if v > 0 and j not in self.artificial),
+                default=-1,
+            )
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            best = None
-            for i in range(len(self.rows)):
-                coef = self.rows[i][enter]
-                if coef > 0:
-                    ratio = self.rhs[i] / coef
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+            for i, row in enumerate(self.rows):
+                a = row.get(enter, 0)
+                if a > 0:
+                    if leave >= 0:
+                        # rhs_i / a against rhs_leave / a_leave, both a > 0
+                        diff = self.rhs[i] * self.rows[leave][enter] - self.rhs[leave] * a
+                        if diff > 0 or (diff == 0 and self.basis[i] > self.basis[leave]):
+                            continue
+                    leave = i
             if leave < 0:
                 return UNBOUNDED
             self._pivot(leave, enter)
 
-    def run(self, objective: list[Fraction]) -> str:
-        if any(col is not None for col in self.art_col):
-            phase1 = [Fraction(0)] * self.total_cols
-            for col in self.art_col:
-                if col is not None:
-                    phase1[col] = Fraction(-1)
-            self._price_out(phase1)
-            status = self._bland(allow_artificial=False)
-            if status != OPTIMAL or self.z0 != 0:
+    def _dual(self) -> str:
+        """Dual simplex, Bland's rule, from a dual feasible basis."""
+        while True:
+            leave = -1
+            for i, b in enumerate(self.rhs):
+                if b < 0 and (leave < 0 or self.basis[i] < self.basis[leave]):
+                    leave = i
+            if leave < 0:
+                return OPTIMAL
+            row = self.rows[leave]
+            enter = -1
+            for j, a in row.items():
+                if a < 0 and j not in self.artificial:
+                    if enter >= 0:
+                        # cbar_j / a against cbar_enter / a_enter, both a < 0
+                        diff = self.cbar.get(j, 0) * row[enter] - self.cbar.get(enter, 0) * a
+                        if diff > 0 or (diff == 0 and j > enter):
+                            continue
+                    enter = j
+            if enter < 0:
                 return INFEASIBLE
-            self._expel_artificials()
-        c = list(objective) + [Fraction(0)] * (self.total_cols - self.n)
-        self._price_out(c)
-        return self._bland(allow_artificial=False)
+            self._pivot(leave, enter)
 
     def _expel_artificials(self) -> None:
         # Any artificial still basic sits at value 0; pivot it out on a
         # non-artificial column, or drop the row as redundant.
         i = 0
         while i < len(self.rows):
-            if self.basis[i] >= self.art_start:
-                enter = -1
-                for j in range(self.art_start):
-                    if self.rows[i][j] != 0:
-                        enter = j
-                        break
+            if self.basis[i] in self.artificial:
+                enter = min(
+                    (j for j in self.rows[i] if j not in self.artificial), default=-1
+                )
                 if enter >= 0:
                     self._pivot(i, enter)
                     i += 1
                 else:
-                    self.dropped.append(self.meta[i])
-                    del self.rows[i], self.rhs[i], self.basis[i], self.meta[i]
+                    del self.rows[i], self.rhs[i], self.basis[i]
             else:
                 i += 1
 
-    def primal_values(self) -> list[Fraction]:
-        x = [Fraction(0)] * self.n
-        for i, bcol in enumerate(self.basis):
-            if bcol < self.n:
-                x[bcol] = self.rhs[i]
-        return x
+    def primal_values(self) -> dict[Edge, Fraction]:
+        """The nonzero variables of the current basic solution."""
+        n = len(self.variables)
+        return {
+            self.variables[col]: Fraction(self.rhs[i])
+            for i, col in enumerate(self.basis)
+            if col < n and self.rhs[i]
+        }
 
     def dual_values(self) -> tuple[Fraction, ...]:
-        """Original-row multipliers read off the identity columns."""
-        y = [Fraction(0)] * self.m
-        for orig in range(self.m):
-            if orig in self.dropped:
-                continue
-            col = self.art_col[orig]
-            if col is None:
-                col = self.slack_col[orig]
-            # cbar[col] = c_col - z_col and c_col = 0, so z_col = -cbar[col].
-            y_norm = -self.cbar[col]
-            y[orig] = self.sign[orig] * y_norm
-        return tuple(y)
+        """Original-row multipliers, in the order the rows were added."""
+        # cbar[col] = c_col - z_col and c_col = 0, so z_col = -cbar[col].
+        return tuple(Fraction(-sign * self.cbar.get(col, 0)) for col, sign in self.unit)
 
 
 @dataclass(frozen=True)
@@ -482,24 +529,42 @@ def is_implied(
     point is returned as a violation witness.  With `lazy`, subtour rows
     are separated at each optimum instead of materialized up front: by
     exact min cut in the default size window, by a subset scan otherwise.
+    Each separated row is appended to the one tableau of the query and
+    re-optimized by the dual simplex; a separated row that the optimum
+    already satisfies raises `CombcertError`, since adding it again
+    would loop forever.
     """
     if instance.num_vertices > cap:
         raise EnumerationCapError("subtour enumeration", instance.num_vertices, cap)
     rows: list[LinearInequality] = gen_degree(instance, mode)
-    rounds = 0
     if lazy:
+        problem = LpProblem(instance, dict(target.coeffs), tuple(rows))
+        # Tableau order: degree rows, box rows, then each cut as it is added.
+        tableau_rows = list(effective_rows(problem))
+        tableau = _Tableau(problem.variables, tableau_rows)
+        status = tableau.run(problem.objective)
+        rounds = 0
         while True:
-            problem = LpProblem(instance, dict(target.coeffs), tuple(rows))
-            solution = solve(problem)
-            if solution.status == INFEASIBLE:
+            if status == INFEASIBLE:
                 raise CombcertError("relaxation is infeasible; nothing to imply")
-            if solution.status == UNBOUNDED:
+            if status == UNBOUNDED:
                 raise CombcertError("relaxation unbounded; missing box rows?")
+            solution = _read_optimum(problem, tableau_rows, tableau)
             rounds += 1
             violated = _most_violated_sec(instance, solution.point, size_bounds)
             if violated is None:
                 break
-            rows.append(violated)
+            if not violated.value_on(solution.point) > violated.rhs:
+                raise CombcertError(
+                    f"separation returned {violated.provenance}, which the optimum satisfies"
+                )
+            tableau_rows.append(violated)
+            status = tableau.add_row(violated)
+        # Reorder to effective_rows order: degree rows, cuts, box rows.
+        boxes = slice(len(rows), len(rows) + len(problem.variables))
+        cuts = slice(boxes.stop, None)
+        all_rows = tableau_rows[: len(rows)] + tableau_rows[cuts] + tableau_rows[boxes]
+        dual = solution.dual[: len(rows)] + solution.dual[cuts] + solution.dual[boxes]
     else:
         rows.extend(gen_secs(instance, size_bounds, cap))
         problem = LpProblem(instance, dict(target.coeffs), tuple(rows))
@@ -507,9 +572,9 @@ def is_implied(
         if solution.status != OPTIMAL:
             raise CombcertError(f"relaxation LP ended {solution.status}")
         rounds = 1
+        all_rows, dual = effective_rows(problem), solution.dual
 
     optimum = solution.objective_value
-    all_rows = effective_rows(problem)
     if optimum > target.rhs:
         return ImplicationResult(
             status="violated",
@@ -520,9 +585,7 @@ def is_implied(
             rounds=rounds,
             rows_used=len(all_rows),
         )
-    dual_rows = tuple(
-        (row, y) for row, y in zip(all_rows, solution.dual) if y != 0
-    )
+    dual_rows = tuple((row, y) for row, y in zip(all_rows, dual) if y != 0)
     return ImplicationResult(
         status="implied",
         optimum=optimum,

@@ -13,9 +13,14 @@ from math import lcm
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or integer strings (ints are accepted for convenience)."""
+    """Parse "p/q" or integer strings (ints are accepted for convenience).
+
+    A bool is refused: it is an int in Python, but JSON `true` is no number.
+    """
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise ValueError(f"booleans are not rationals: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):

@@ -273,6 +273,34 @@ def test_cli_malformed_input_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["verify-point", "implied"])
+@pytest.mark.parametrize("weight", [True, False])
+def test_cli_rejects_boolean_weight(tmp_path, capsys, command, weight):
+    doc = {"class1": ["a"], "class2": ["b"], "weights": {"a-b": weight}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))  # a JSON true or false, not "1" or "0"
+    args = [command, "--instance", str(path)]
+    if command == "implied":
+        comb = tmp_path / "comb.json"
+        comb.write_text(json.dumps({"hand": ["a"], "teeth": [["a", "b"]]}))
+        args += ["--comb", str(comb)]
+    assert main(args) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["field"] == "weights['a-b']"
+    assert "boolean" in error["reason"]
+
+
+@pytest.mark.parametrize("orientation", [True, 1.0, 3])
+def test_certificate_orientation_must_be_the_integer_1_or_2(table2, orientation):
+    instance, _, comb = table2
+    reduced = Comb(comb.hand - {instance.vertex("b")}, comb.teeth)
+    doc = dump_certificate(build_l3(instance, reduced), instance)
+    doc["orientation"] = orientation
+    with pytest.raises(FormatError) as err:
+        load_certificate(doc, instance)
+    assert err.value.field == "orientation"
+
+
 def test_search_is_deterministic(tmp_path):
     out1 = tmp_path / "f1.json"
     out2 = tmp_path / "f2.json"

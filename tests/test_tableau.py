@@ -1,0 +1,201 @@
+"""The sparse tableau: warm-started cut rounds against cold solves.
+
+Lazy `is_implied` keeps one tableau per query and appends each separated
+subtour row to it, repairing feasibility by the dual simplex.  Every warm
+result must agree with a cold `solve` over the same final rows, and no
+entry of the tableau may ever be a float.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from combcert import (
+    BipartiteInstance,
+    CombcertError,
+    ConstraintKind,
+    LinearInequality,
+    LpProblem,
+    comb_inequality,
+    gen_degree,
+    is_implied,
+    sec_constraint,
+    solve,
+)
+from combcert import lp
+from combcert.lp import INFEASIBLE, OPTIMAL, _audit_duality, effective_rows
+from combcert.search import FAMILIES, sample_comb
+
+
+def _row(variables, coeffs, rhs, name="row"):
+    return LinearInequality(
+        {variables[j]: Fraction(c) for j, c in coeffs.items() if c},
+        Fraction(rhs),
+        ConstraintKind.AGGREGATE,
+        name,
+    )
+
+
+def _lazy_run(instance, target, mode, monkeypatch):
+    """Lazy `is_implied`, plus the cuts its separation returned, in order."""
+    cuts = []
+    separate = lp._most_violated_sec
+
+    def record(inst, point, size_bounds):
+        row = separate(inst, point, size_bounds)
+        if row is not None:
+            cuts.append(row)
+        return row
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_most_violated_sec", record)
+        result = is_implied(instance, target, mode=mode)
+    return result, cuts
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("mode", ["le", "eq"])
+def test_warm_lazy_matches_cold_solve_on_final_rows(n, mode, monkeypatch):
+    instance = BipartiteInstance.complete(n)
+    rng = random.Random(700 + n)
+    combs = [sample_comb(rng, instance, family) for family in FAMILIES for _ in range(2)]
+    warm_rounds = 0
+    for comb in combs:
+        target = comb_inequality(instance, comb)
+        result, cuts = _lazy_run(instance, target, mode, monkeypatch)
+        assert result.rounds == len(cuts) + 1
+        warm_rounds += len(cuts)
+        problem = LpProblem(instance, dict(target.coeffs), tuple(gen_degree(instance, mode) + cuts))
+        cold = solve(problem)
+        assert cold.status == OPTIMAL
+        assert result.optimum == cold.objective_value
+        assert result.implied == (cold.objective_value <= target.rhs)
+        rows = effective_rows(problem)
+        assert result.rows_used == len(rows)
+        if not result.implied:
+            continue
+        # Nonzero multipliers, in effective_rows order: degree, cuts, box.
+        support = [row for row, _ in result.dual_rows]
+        position = {row.provenance: k for k, row in enumerate(rows)}
+        assert len(position) == len(rows)
+        positions = [position[row.provenance] for row in support]
+        assert positions == sorted(positions)
+        _audit_duality(
+            support,
+            problem.variables,
+            problem.objective,
+            result.optimum,
+            tuple(y for _, y in result.dual_rows),
+        )
+    if n >= 4:
+        assert warm_rounds  # some queries did take warm rounds
+
+
+class _CheckedTableau(lp._Tableau):
+    """Asserts the entry types after every solve and every appended row."""
+
+    checks = 0
+
+    def run(self, objective):
+        status = super().run(objective)
+        self.check()
+        return status
+
+    def add_row(self, row):
+        status = super().add_row(row)
+        self.check()
+        return status
+
+    def check(self):
+        values = list(self.rhs) + list(self.cbar.values())
+        for row in self.rows:
+            values += row.values()
+        for value in values:
+            assert type(value) in (int, Fraction), value
+            if type(value) is Fraction:
+                assert value.denominator != 1  # integral entries are ints
+        assert all(values[len(self.rhs) :])  # sparse rows hold no zeros
+        self.__class__.checks += 1
+
+
+def test_appended_rows_match_cold_solve_on_random_lps():
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(60):
+        instance = BipartiteInstance.complete(1, rng.randint(2, 4))
+        variables = tuple(sorted(instance.edges))
+        n = len(variables)
+
+        def random_row(name):
+            coeffs = {j: rng.randint(-2, 3) for j in range(n)}
+            return _row(variables, coeffs, Fraction(rng.randint(-1, 4), rng.choice((1, 2, 3))), name)
+
+        objective = {e: Fraction(rng.randint(-2, 3)) for e in variables}
+        base = [random_row(f"r{i}") for i in range(rng.randint(0, 3))]
+        problem = LpProblem(instance, objective, tuple(base))
+        rows = list(effective_rows(problem))
+        tableau = _CheckedTableau(variables, rows)
+        status = tableau.run(objective)
+        for k in range(4):
+            if status != OPTIMAL:
+                break
+            cut = random_row(f"cut{k}")
+            rows.append(cut)
+            status = tableau.add_row(cut)
+            cold = solve(LpProblem(instance, objective, tuple(base + rows[len(base) + n :])))
+            assert status == cold.status
+            if status == OPTIMAL:
+                warm = lp._read_optimum(problem, rows, tableau)  # audits the dual
+                assert warm.objective_value == cold.objective_value
+                checked += 1
+    assert checked > 50
+
+
+def test_cut_that_empties_the_polytope_is_infeasible():
+    instance = BipartiteInstance.complete(1, 2)
+    variables = tuple(sorted(instance.edges))
+    problem = LpProblem(instance, {variables[0]: Fraction(1)}, ())
+    tableau = lp._Tableau(variables, effective_rows(problem))
+    assert tableau.run(problem.objective) == OPTIMAL
+    assert tableau.add_row(_row(variables, {0: -1, 1: -1}, -3)) == INFEASIBLE
+
+
+def _all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+def test_tableau_entries_are_int_or_fraction_never_float(table1, monkeypatch):
+    monkeypatch.setattr(lp, "_Tableau", _CheckedTableau)
+    monkeypatch.setattr(_CheckedTableau, "checks", 0)
+    instance, _, table_comb = table1
+    k55 = BipartiteInstance.complete(5)
+    rng = random.Random(5)
+    cases = [(instance, comb_inequality(instance, table_comb), ("le",))] + [
+        (k55, comb_inequality(k55, sample_comb(rng, k55, "wild")), ("le", "eq"))
+        for _ in range(6)
+    ]
+    for inst, target, modes in cases:  # the Table 1 instance has no tour
+        for mode in modes:
+            result = is_implied(inst, target, mode=mode)
+            assert type(result.optimum) is Fraction
+            if result.implied:
+                assert _all_fractions(y for _, y in result.dual_rows)
+            else:
+                assert _all_fractions(w for _, w in result.witness.items())
+        problem = LpProblem(inst, dict(target.coeffs), tuple(gen_degree(inst)))
+        solution = solve(problem)
+        assert type(solution.objective_value) is Fraction
+        assert _all_fractions(solution.dual)
+        assert _all_fractions(w for _, w in solution.point.items())
+    assert _CheckedTableau.checks > 3 * len(cases)  # warm rounds were checked
+
+
+def test_separated_row_that_is_not_violated_stops_the_loop(k44, monkeypatch):
+    target = comb_inequality(k44, sample_comb(random.Random(3), k44, "wild"))
+    triple = frozenset(sorted(k44.vertices())[3:6])  # one class-1, two class-2
+    satisfied = sec_constraint(k44, triple)  # x(S) <= 2 holds: S spans two edges
+    assert len(satisfied.coeffs) == 2
+    monkeypatch.setattr(lp, "_most_violated_sec", lambda inst, point, bounds: satisfied)
+    with pytest.raises(CombcertError, match="which the optimum satisfies"):
+        is_implied(k44, target)
