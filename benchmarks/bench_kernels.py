@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python reference.
 
-Four workloads:
+Five workloads:
   * the exhaustive subtour subset scan (the hot loop behind the
     feasibility checker), on a weighted K_{n,n} with every subset size
     in play;
@@ -11,7 +11,11 @@ Four workloads:
     wild combs on K_{8,8}.  Both must find the same most violated amount;
   * the lazy LP itself on those same 20 queries: the time of each warm-
     started lazy query, against a cold `solve` over its final rows,
-    which must reach the same optimum.
+    which must reach the same optimum;
+  * `facet_test` on K_{5,5} (1,440 tours) over 24 seeded combs of every
+    family: the time per query, and for the first 4 combs the same report
+    as the oracle path of the tests (`Tour.as_point`, `value_on` and a
+    `Fraction` rank over all tours).
 
 Usage: python benchmarks/bench_kernels.py [--seed S] [--scan-vertices N]
            [--tour-n N]
@@ -20,7 +24,9 @@ Usage: python benchmarks/bench_kernels.py [--seed S] [--scan-vertices N]
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import sys
 import time
 
 import combcert
@@ -28,13 +34,18 @@ from combcert import (
     BipartiteInstance,
     LpProblem,
     comb_inequality,
+    enumerate_tours,
+    facet_test,
     gen_degree,
     is_implied,
     lp,
     solve,
 )
 from combcert._kernels import reference
-from combcert.search import sample_comb
+from combcert.search import FAMILIES, sample_comb
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from oracles import facet_report_oracle, tour_affine_rank  # noqa: E402
 
 try:
     from combcert._kernels import _speedups
@@ -170,6 +181,31 @@ def bench_lp(instance, runs):
     )
 
 
+def bench_facet(seed: int, combs: int = 24, checked: int = 4):
+    """`facet_test` per query on K_{5,5}; the first `checked` reports must
+    equal the oracle's."""
+    instance = BipartiteInstance.complete(5)
+    rng = random.Random(seed)
+    rows = [
+        comb_inequality(instance, sample_comb(rng, instance, FAMILIES[k % len(FAMILIES)]))
+        for k in range(combs)
+    ]
+    t0 = time.perf_counter()
+    reports = [facet_test(instance, row) for row in rows]
+    seconds = time.perf_counter() - t0
+    tours = list(enumerate_tours(instance))
+    t0 = time.perf_counter()
+    dim = tour_affine_rank(instance, tours)
+    for row, report in zip(rows[:checked], reports):
+        assert report.as_dict() == facet_report_oracle(instance, row, tours, dim)
+    t_oracle = time.perf_counter() - t0
+    line = f"facet test   n={instance.num_vertices:2d} ({len(tours)} tours, {combs} combs)"
+    print(
+        f"{line}  {seconds / combs * 1e3:9.2f} ms/query"
+        f"   oracle path {t_oracle:6.2f} s for the first {checked}, its full rank included"
+    )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
@@ -184,6 +220,7 @@ def main():
     instance, runs = lazy_runs(8, 20, args.seed)
     bench_separation(instance, runs)
     bench_lp(instance, runs)
+    bench_facet(args.seed)
 
 
 if __name__ == "__main__":

@@ -6,11 +6,33 @@ undirected tour is produced exactly once in canonical form: it starts at
 class-1 vertex 0 and runs toward the smaller-indexed of that vertex's two
 tour neighbours, which kills both rotations and reflection.
 
+Inside this module a tour is a tuple of indices into
+``sorted(instance.edges)``, in tour order; `Tour` objects are built only
+for callers of `enumerate_tours`.  `facet_test` evaluates a row on a tour
+as an integer sum: the row is scaled by D, the lcm of the denominators of
+its coefficients and rhs, so its value on a tour is the sum of the scaled
+coefficients at the tour's edge indices, compared exactly against rhs*D.
+Coefficients on edges outside the instance are ignored, as in `value_on`.
+
 Dimension work is affine: the polytope dimension is the rank of the
 difference vectors between tour incidence vectors, computed by exact
 integer elimination (rows are gcd-reduced to keep entries small).  An
 inequality's tight face gets the same treatment over the tours that meet
-it with equality.
+it with equality.  The elimination stops once the rank reaches a proven
+upper bound, which it can never exceed:
+
+  polytope    |E| - |V| + 1: every tour satisfies the |V| degree
+              equalities, whose rank is |V| - 1 because the instance is
+              bipartite and, having a Hamiltonian tour, connected.
+  tight face  polytope_dim - 1 when some tour is not tight: the tight
+              tours lie in a hyperplane that does not contain every tour.
+              polytope_dim when every tour is tight.
+
+Rank does not depend on row order, so the tours are read in a golden-ratio
+stride (`_stride_order`), which spreads the first rows over the whole
+canonical order; on K_{n,n} the first |E| - |V| + 1 rows read this way are
+independent for n = 3..6.  When the bound is not reached (an instance
+whose dimension is below it), every tour is read.
 """
 
 from __future__ import annotations
@@ -18,21 +40,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, Sequence
+from math import gcd, isqrt
+from typing import Iterator, Sequence
 
 from . import _kernels
-from .constraints import LinearInequality, evaluate
+from .constraints import LinearInequality
 from .errors import EnumerationCapError, NoToursError
-from .graph import (
-    CLASS1,
-    CLASS2,
-    BipartiteInstance,
-    Edge,
-    FractionalPoint,
-    VertexId,
-)
+from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
+from .rational import common_denominator
 
 log = logging.getLogger(__name__)
 
@@ -73,10 +88,14 @@ class FacetReport:
         }
 
 
-def enumerate_tours(
-    instance: BipartiteInstance, cap: int = DEFAULT_TOUR_CAP
-) -> Iterator[Tour]:
-    """Every Hamiltonian tour of the instance, canonical form, once each."""
+def _edge_tours(
+    instance: BipartiteInstance, edges: Sequence[Edge], cap: int
+) -> Iterator[tuple[int, ...]]:
+    """Every tour as indices into `edges`, which is ``sorted(instance.edges)``.
+
+    For the kernel sequence (a_0, b_0, ..., a_{n-1}, b_{n-1}), entry 2k is
+    the edge a_k b_k and entry 2k + 1 the edge b_k a_{k+1} (a_n = a_0).
+    """
     if not instance.tours_possible:
         log.info(
             "no tours: class sizes differ (%d vs %d)", instance.n1, instance.n2
@@ -87,19 +106,31 @@ def enumerate_tours(
         raise EnumerationCapError("tour enumeration", n, cap)
     adj12 = [0] * n
     adj21 = [0] * n
-    for e in instance.edges:
-        adj12[e.u.index] |= 1 << e.v.index
-        adj21[e.v.index] |= 1 << e.u.index
+    position = [[-1] * n for _ in range(n)]  # [a][b] -> index of edge a b
+    for k, e in enumerate(edges):
+        a, b = e.u.index, e.v.index
+        adj12[a] |= 1 << b
+        adj21[b] |= 1 << a
+        position[a][b] = k
     for seq in _kernels.hamiltonian_cycles(n, adj12, adj21):
-        vertices = tuple(
-            VertexId(CLASS1 if k % 2 == 0 else CLASS2, idx)
-            for k, idx in enumerate(seq)
+        rows = [position[a] for a in seq[0::2]]
+        yield tuple(
+            k
+            for here, after, b in zip(rows, rows[1:] + rows[:1], seq[1::2])
+            for k in (here[b], after[b])
         )
-        edges = frozenset(
-            Edge(vertices[k], vertices[(k + 1) % len(vertices)])
-            for k in range(len(vertices))
+
+
+def enumerate_tours(
+    instance: BipartiteInstance, cap: int = DEFAULT_TOUR_CAP
+) -> Iterator[Tour]:
+    """Every Hamiltonian tour of the instance, canonical form, once each."""
+    edges = sorted(instance.edges)
+    for tour in _edge_tours(instance, edges, cap):
+        yield Tour(
+            tuple(v for k in tour[0::2] for v in edges[k].endpoints()),
+            frozenset(edges[k] for k in tour),
         )
-        yield Tour(vertices, edges)
 
 
 def _reduce_row(row: list[int]) -> list[int]:
@@ -114,9 +145,11 @@ def _reduce_row(row: list[int]) -> list[int]:
 class _IntEchelon:
     """Incremental integer row echelon; exact rank over the rationals."""
 
-    def __init__(self, width: int):
-        self.width = width
-        self.pivots: list[tuple[int, list[int]]] = []  # (pivot col, row)
+    def __init__(self):
+        # (pivot col, row) in the order added.  Each row is zero at the
+        # pivot columns of the rows added before it, so reducing in this
+        # order never refills a column already cleared.
+        self.pivots: list[tuple[int, list[int]]] = []
 
     def add(self, row: Sequence[int]) -> bool:
         work = list(row)
@@ -131,7 +164,6 @@ class _IntEchelon:
         for col, v in enumerate(work):
             if v:
                 self.pivots.append((col, _reduce_row(work)))
-                self.pivots.sort(key=lambda item: item[0])
                 return True
         return False
 
@@ -140,38 +172,52 @@ class _IntEchelon:
         return len(self.pivots)
 
 
-def _edge_order(instance: BipartiteInstance) -> list[Edge]:
-    return sorted(instance.edges)
+def _stride_order(count: int) -> Iterator[int]:
+    """0, s, 2s, ... mod count: every index once, s the smallest integer
+    >= count/phi that is coprime to count (phi the golden ratio)."""
+    # count/phi = count*(sqrt(5) - 1)/2 <= s  iff  5*count^2 <= (2s + count)^2
+    step = (isqrt(5 * count * count) - count) // 2
+    while (2 * step + count) ** 2 < 5 * count * count or gcd(step, count) != 1:
+        step += 1
+    return (i * step % count for i in range(count))
 
 
-def _incidence_row(tour: Tour, edge_index: dict[Edge, int]) -> list[int]:
-    row = [0] * len(edge_index)
-    for e in tour.edges:
-        row[edge_index[e]] = 1
-    return row
+def _affine_rank(
+    tours: Sequence[tuple[int, ...]], width: int, bound: int
+) -> int:
+    """Affine rank of the tours' incidence vectors over `width` edges.
 
-
-def _affine_rank(instance: BipartiteInstance, tours: Iterable[Tour]) -> int:
-    edges = _edge_order(instance)
-    edge_index = {e: k for k, e in enumerate(edges)}
-    echelon = _IntEchelon(len(edges))
-    base: list[int] | None = None
-    for tour in tours:
-        row = _incidence_row(tour, edge_index)
-        if base is None:
-            base = row
-            continue
-        echelon.add([a - b for a, b in zip(row, base)])
-    if base is None:
+    `bound` must be a proven upper bound on that rank (see the module
+    docstring): reading stops as soon as the rank reaches it.
+    """
+    if not tours:
         raise NoToursError("instance has no Hamiltonian tour")
+    order = _stride_order(len(tours))
+    negated_base = [0] * width
+    for k in tours[next(order)]:
+        negated_base[k] = -1
+    echelon = _IntEchelon()
+    for i in order:
+        if echelon.rank >= bound:
+            break
+        row = list(negated_base)
+        for k in tours[i]:
+            row[k] += 1
+        echelon.add(row)
     return echelon.rank
+
+
+def _polytope_bound(instance: BipartiteInstance) -> int:
+    return len(instance.edges) - instance.num_vertices + 1
 
 
 def polytope_dimension(
     instance: BipartiteInstance, cap: int = DEFAULT_TOUR_CAP
 ) -> int:
     """Affine dimension of the convex hull of the tour incidence vectors."""
-    return _affine_rank(instance, enumerate_tours(instance, cap))
+    edges = sorted(instance.edges)
+    tours = list(_edge_tours(instance, edges, cap))
+    return _affine_rank(tours, len(edges), _polytope_bound(instance))
 
 
 def facet_test(
@@ -183,29 +229,32 @@ def facet_test(
     """Validity on all tours, tight-face dimension, and the verdict.
 
     `polytope_dim` can be supplied to amortize the full-rank computation
-    across many inequalities of the same instance.
+    across many inequalities of the same instance.  It must be the value
+    `polytope_dimension` returns: the tight-face rank stops at it.
     """
-    tours = list(enumerate_tours(instance, cap))
+    edges = sorted(instance.edges)
+    tours = list(_edge_tours(instance, edges, cap))
     if not tours:
         raise NoToursError("instance has no Hamiltonian tour")
     if polytope_dim is None:
-        polytope_dim = _affine_rank(instance, tours)
+        polytope_dim = _affine_rank(tours, len(edges), _polytope_bound(instance))
 
-    tight: list[Tour] = []
-    valid = True
+    scale = common_denominator([*ineq.coeffs.values(), ineq.rhs])
+    coef = [(ineq.coeffs.get(e, 0) * scale).numerator for e in edges]
+    rhs = (ineq.rhs * scale).numerator
+    equality = ineq.is_equality
+    tight: list[tuple[int, ...]] = []
     for tour in tours:
-        value, ok = evaluate(ineq, tour.as_point(instance))
-        if not ok:
-            valid = False
-            break
-        if value == ineq.rhs:
+        value = sum(map(coef.__getitem__, tour))
+        if value > rhs or (equality and value != rhs):
+            return FacetReport(polytope_dim, 0, -1, FacetVerdict.NOT_VALID)
+        if value == rhs:
             tight.append(tour)
 
-    if not valid:
-        return FacetReport(polytope_dim, 0, -1, FacetVerdict.NOT_VALID)
     if not tight:
         return FacetReport(polytope_dim, 0, -1, FacetVerdict.NOT_SUPPORTING)
-    tight_dim = _affine_rank(instance, tight)
+    bound = polytope_dim if len(tight) == len(tours) else polytope_dim - 1
+    tight_dim = _affine_rank(tight, len(edges), bound)
     verdict = (
         FacetVerdict.FACET
         if tight_dim == polytope_dim - 1

@@ -142,3 +142,40 @@ def vertex_enumeration_max(n_vars, constraints, objective):
             if best is None or value > best:
                 best = value
     return best
+
+
+def tour_affine_rank(instance, tours):
+    """Affine rank of the tours' unit points: `fraction_rank` of differences."""
+    edges = sorted(instance.edges)
+    rows = [[t.as_point(instance).weight(e) for e in edges] for t in tours]
+    return fraction_rank([[a - b for a, b in zip(row, rows[0])] for row in rows[1:]])
+
+
+def facet_report_oracle(instance, ineq, tours, polytope_dim):
+    """The facet report, spelled as `FacetReport.as_dict`, from `value_on`
+    at each tour's point and `tour_affine_rank` over the tight tours.
+
+    `polytope_dim` is `tour_affine_rank` over all tours, passed in so that
+    callers with many rows compute it once.
+    """
+    values = [ineq.value_on(t.as_point(instance)) for t in tours]
+    if ineq.is_equality:
+        valid = all(v == ineq.rhs for v in values)
+    else:
+        valid = all(v <= ineq.rhs for v in values)
+    tight = [t for t, v in zip(tours, values) if v == ineq.rhs]
+    if not valid or not tight:
+        verdict = "not_valid" if not valid else "not_supporting"
+        return {
+            "polytope_dim": polytope_dim,
+            "tight_tour_count": 0,
+            "tight_face_dim": -1,
+            "verdict": verdict,
+        }
+    tight_dim = tour_affine_rank(instance, tight)
+    return {
+        "polytope_dim": polytope_dim,
+        "tight_tour_count": len(tight),
+        "tight_face_dim": tight_dim,
+        "verdict": "facet" if tight_dim == polytope_dim - 1 else "supporting_non_facet",
+    }

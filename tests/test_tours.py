@@ -16,11 +16,18 @@ from combcert import (
     polytope_dimension,
     sec_constraint,
 )
-from combcert.constraints import ConstraintKind
-from combcert.search import sample_comb
+from combcert import _kernels, tours as tours_module
+from combcert.constraints import ConstraintKind, degree_constraint, lower_bound
+from combcert.graph import CLASS1, CLASS2, VertexId
+from combcert.search import FAMILIES, sample_comb
 from combcert.certificates import BUILDERS, verify
-from combcert.tours import FacetVerdict, _affine_rank
-from oracles import fraction_rank, is_hamiltonian_cycle
+from combcert.tours import FacetVerdict, Tour
+from oracles import (
+    facet_report_oracle,
+    fraction_rank,
+    is_hamiltonian_cycle,
+    tour_affine_rank,
+)
 
 
 @pytest.mark.parametrize("n,count", [(2, 1), (3, 6), (4, 72)])
@@ -50,27 +57,58 @@ def test_tour_cap():
         list(enumerate_tours(BipartiteInstance.complete(7)))
 
 
-def test_sparse_instance_tours():
-    # An 8-cycle as the whole instance: exactly one tour.
-    n = 4
-    edges = set()
-    for i in range(n):
-        edges.add(Edge_(1, i, 2, i))
-        edges.add(Edge_(1, (i + 1) % n, 2, i))
-    instance = BipartiteInstance(
+def Edge_(c1, i1, c2, i2):
+    return Edge(VertexId(c1, i1), VertexId(c2, i2))
+
+
+def _instance(n, pairs):
+    """K_{n,n} restricted to the class-1/class-2 index pairs given."""
+    return BipartiteInstance(
         tuple(f"u{i}" for i in range(n)),
         tuple(f"v{i}" for i in range(n)),
-        frozenset(edges),
+        frozenset(Edge_(1, a, 2, b) for a, b in pairs),
     )
+
+
+def _eight_cycle():
+    return _instance(4, [(i, i) for i in range(4)] + [(i, (i - 1) % 4) for i in range(4)])
+
+
+def _complete_minus(n, missing):
+    return _instance(
+        n, [(a, b) for a in range(n) for b in range(n) if (a, b) not in missing]
+    )
+
+
+def test_sparse_instance_tours():
+    # An 8-cycle as the whole instance: exactly one tour.
+    instance = _eight_cycle()
     tours = list(enumerate_tours(instance))
     assert len(tours) == 1
-    assert tours[0].edges == frozenset(edges)
+    assert tours[0].edges == instance.edges
 
 
-def Edge_(c1, i1, c2, i2):
-    from combcert import VertexId
-
-    return Edge(VertexId(c1, i1), VertexId(c2, i2))
+@pytest.mark.parametrize(
+    "instance",
+    [BipartiteInstance.complete(n) for n in (2, 3, 4, 5)]
+    + [_eight_cycle(), _complete_minus(4, {(0, 0)})],
+)
+def test_tours_match_kernel_sequences(instance):
+    # Tour objects built straight from the kernel's vertex sequences.
+    n = instance.n1
+    adj12 = [sum(1 << e.v.index for e in instance.edges if e.u.index == i) for i in range(n)]
+    adj21 = [sum(1 << e.u.index for e in instance.edges if e.v.index == j) for j in range(n)]
+    expected = []
+    for seq in _kernels.hamiltonian_cycles(n, adj12, adj21):
+        vertices = tuple(
+            VertexId(CLASS1 if k % 2 == 0 else CLASS2, idx) for k, idx in enumerate(seq)
+        )
+        edges = frozenset(
+            Edge(vertices[k], vertices[(k + 1) % len(vertices)])
+            for k in range(len(vertices))
+        )
+        expected.append(Tour(vertices, edges))
+    assert list(enumerate_tours(instance)) == expected
 
 
 def test_dimension_small_instances(k33, k44):
@@ -108,14 +146,18 @@ def test_facet_verdicts_for_subtour_row(k33):
     )
     assert report.polytope_dim == 4
     assert report.tight_tour_count > 0
-    # Cross-check the tight face dimension against the naive rank oracle.
+    # Cross-check the tight face dimension against the naive rank oracle:
+    # Fraction elimination over the tight tours' difference rows.
     tights = [
         t
         for t in enumerate_tours(k33)
         if row.value_on(t.as_point(k33)) == row.rhs
     ]
     assert report.tight_tour_count == len(tights)
-    assert report.tight_face_dim == _affine_rank(k33, tights)
+    edges = sorted(k33.edges)
+    points = [[t.as_point(k33).weight(e) for e in edges] for t in tights]
+    differences = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    assert report.tight_face_dim == fraction_rank(differences)
 
 
 def test_facet_trivial_inequality_not_supporting(k33):
@@ -146,3 +188,187 @@ def test_certified_combs_never_facet_on_k44(k44):
         )
         assert report.verdict is not FacetVerdict.FACET
         assert report.tight_tour_count == 0 or report.tight_face_dim < dim - 1
+
+
+# Differential tests: `facet_test` against the oracle, which evaluates each
+# row with `value_on` at every tour's point and ranks with `fraction_rank`.
+
+
+@pytest.fixture(scope="module")
+def oracle_dim():
+    """The oracle's polytope dimension, computed once per instance."""
+    dims = {}
+
+    def dim(instance, tours):
+        if instance not in dims:
+            dims[instance] = tour_affine_rank(instance, tours)
+        return dims[instance]
+
+    return dim
+
+
+def _assert_reports_match_oracle(instance, rows, oracle_dim):
+    tours = list(enumerate_tours(instance))
+    dim = oracle_dim(instance, tours)
+    for row in rows:
+        expected = facet_report_oracle(instance, row, tours, dim)
+        assert facet_test(instance, row).as_dict() == expected, row
+        assert facet_test(instance, row, polytope_dim=dim).as_dict() == expected, row
+
+
+def test_facet_reports_match_oracle_on_criterion_7_corpus(k44, oracle_dim):
+    rng = random.Random(70707)
+    rows = []
+    for k in range(150):
+        comb = sample_comb(rng, k44, ("l1", "l2", "l3", "t1", "t2")[k % 5])
+        rows.append(comb_inequality(k44, comb))
+    _assert_reports_match_oracle(k44, rows, oracle_dim)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_polytope_dimension_matches_oracle_on_criterion_6_corpus(n, oracle_dim):
+    instance = BipartiteInstance.complete(n)
+    assert polytope_dimension(instance) == oracle_dim(instance, list(enumerate_tours(instance)))
+
+
+@pytest.mark.parametrize("n,per_family", [(3, 4), (4, 4), (5, 2)])
+def test_facet_reports_match_oracle_on_seeded_combs(n, per_family, oracle_dim):
+    instance = BipartiteInstance.complete(n)
+    rng = random.Random(4000 + n)
+    rows = [
+        comb_inequality(instance, sample_comb(rng, instance, family))
+        for family in FAMILIES
+        for _ in range(per_family)
+    ]
+    if n < 5:  # on K_{5,5} the oracle takes seconds per nonnegativity row
+        # Nonnegativity rows: facets from K_{4,4} on, tight face early-stopped.
+        rows += [lower_bound(instance, e) for e in sorted(instance.edges)[:2]]
+    _assert_reports_match_oracle(instance, rows, oracle_dim)
+
+
+@pytest.mark.parametrize(
+    "instance", [_eight_cycle(), _complete_minus(4, {(0, 0)})], ids=["8-cycle", "K44-e"]
+)
+def test_facet_reports_match_oracle_on_sparse_instances(instance, oracle_dim):
+    rng = random.Random(808)
+    rows = [
+        comb_inequality(instance, sample_comb(rng, instance, family))
+        for family in FAMILIES
+    ]
+    rows += [sec_constraint(instance, list(instance.vertices())[:3])]
+    rows += [lower_bound(instance, e) for e in sorted(instance.edges)[:2]]
+    rows += [degree_constraint(instance, v, "eq") for v in instance.vertices()]
+    # A coefficient on an edge outside the instance is ignored.
+    absent = min(BipartiteInstance.complete(4).edges - instance.edges)
+    present = sorted(instance.edges)[0]
+    rows.append(
+        LinearInequality(
+            {absent: Fraction(5), present: Fraction(1)},
+            Fraction(1),
+            ConstraintKind.AGGREGATE,
+            "absent edge",
+        )
+    )
+    _assert_reports_match_oracle(instance, rows, oracle_dim)
+
+
+def test_facet_reports_match_oracle_on_special_rows(k44, oracle_dim):
+    e = sorted(k44.edges)
+    rows = [
+        # Every tour tight, so the bound is polytope_dim.
+        degree_constraint(k44, k44.vertex("u0"), "eq"),
+        degree_constraint(k44, k44.vertex("v2"), "le"),
+        # An equality that tours without e[0] miss from below.
+        LinearInequality(
+            {e[0]: Fraction(1)}, Fraction(1), ConstraintKind.DEGREE_EQ2, "x==1"
+        ),
+        # Fractional coefficients and rhs, tight on 4 tours.
+        LinearInequality(
+            {e[0]: Fraction(1, 3), e[1]: Fraction(1, 2), e[5]: Fraction(2, 3)},
+            Fraction(3, 2),
+            ConstraintKind.AGGREGATE,
+            "fractional",
+        ),
+        LinearInequality(
+            {e[0]: Fraction(1, 2), e[4]: Fraction(1, 2)},
+            Fraction(1),
+            ConstraintKind.AGGREGATE,
+            "half",
+        ),
+        # Violated by some tours and satisfied by others.
+        LinearInequality(
+            {e[0]: Fraction(1), e[5]: Fraction(1)},
+            Fraction(1),
+            ConstraintKind.AGGREGATE,
+            "not valid",
+        ),
+        LinearInequality(
+            {e[0]: Fraction(1)}, Fraction(1, 3), ConstraintKind.AGGREGATE, "x<=1/3"
+        ),
+    ]
+    _assert_reports_match_oracle(k44, rows, oracle_dim)
+    verdicts = [facet_test(k44, row).verdict for row in rows]
+    assert FacetVerdict.NOT_VALID in verdicts
+    assert FacetVerdict.SUPPORTING_NON_FACET in verdicts
+
+
+# The rank stops at |E| - |V| + 1 on the polytope.
+
+
+@pytest.mark.parametrize("n,dim", [(5, 16), (6, 25)])
+def test_polytope_dimension_large(n, dim):
+    assert polytope_dimension(BipartiteInstance.complete(n)) == dim == (n - 1) ** 2
+
+
+def _count_echelon_rows(monkeypatch):
+    calls = []
+    add = tours_module._IntEchelon.add
+
+    def counting_add(self, row):
+        calls.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(tours_module._IntEchelon, "add", counting_add)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rank_stops_at_polytope_bound(n, monkeypatch):
+    instance = BipartiteInstance.complete(n)
+    bound = len(instance.edges) - instance.num_vertices + 1
+    calls = _count_echelon_rows(monkeypatch)
+    assert polytope_dimension(instance) == bound
+    assert len(calls) <= bound
+
+
+def test_rank_below_bound_reads_every_tour(monkeypatch):
+    instance = _complete_minus(4, {(0, 0), (1, 2), (3, 2)})
+    tours = list(enumerate_tours(instance))
+    bound = len(instance.edges) - instance.num_vertices + 1
+    oracle = tour_affine_rank(instance, tours)
+    assert oracle < bound
+    calls = _count_echelon_rows(monkeypatch)
+    assert polytope_dimension(instance) == oracle
+    assert len(calls) == len(tours) - 1
+
+
+@pytest.mark.parametrize("count", range(1, 60))
+def test_stride_order_is_a_permutation(count):
+    assert sorted(tours_module._stride_order(count)) == list(range(count))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_int_echelon_rank_matches_fraction_rank(seed):
+    rng = random.Random(seed)
+    width = rng.randint(3, 8)
+    basis = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(rng.randint(1, width))]
+    rows = []
+    for _ in range(2 * width):
+        # Mostly combinations of a few basis rows, so many rows are dependent.
+        weights = [rng.randint(-2, 2) for _ in basis]
+        rows.append([sum(w * b[c] for w, b in zip(weights, basis)) for c in range(width)])
+    echelon = tours_module._IntEchelon()
+    for k, row in enumerate(rows):
+        grew = echelon.add(row)
+        assert grew == (fraction_rank(rows[: k + 1]) > fraction_rank(rows[:k]))
+    assert echelon.rank == fraction_rank(rows)
