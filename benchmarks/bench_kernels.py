@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python reference.
+"""Microbenchmark the kernels and the layers built on them.
 
 Five workloads:
   * the exhaustive subtour subset scan (the hot loop behind the
@@ -29,10 +29,10 @@ import random
 import sys
 import time
 
-import combcert
 from combcert import (
     BipartiteInstance,
     LpProblem,
+    _kernels,
     comb_inequality,
     enumerate_tours,
     facet_test,
@@ -41,16 +41,10 @@ from combcert import (
     lp,
     solve,
 )
-from combcert._kernels import reference
 from combcert.search import FAMILIES, sample_comb
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from oracles import facet_report_oracle, tour_affine_rank  # noqa: E402
-
-try:
-    from combcert._kernels import _speedups
-except ImportError:
-    _speedups = None
 
 
 def scan_case(num_vertices: int, seed: int):
@@ -78,34 +72,18 @@ def time_call(fn, *args, repeat=3):
 def bench_scan(num_vertices: int, seed: int):
     masks, weights = scan_case(num_vertices, seed)
     denom, lo, hi = 6, 3, num_vertices - 1
-    t_pure, out_pure = time_call(
-        reference.sec_violations, num_vertices, masks, weights, denom, lo, hi
+    seconds, _ = time_call(
+        _kernels.sec_violations, num_vertices, masks, weights, denom, lo, hi
     )
     line = f"subset scan  n={num_vertices:2d} ({1 << num_vertices} subsets)"
-    print(f"{line}  pure {t_pure * 1e3:9.1f} ms", end="")
-    if _speedups is not None:
-        t_fast, out_fast = time_call(
-            _speedups.sec_violations, num_vertices, masks, weights, denom, lo, hi
-        )
-        assert sorted(out_fast) == sorted(out_pure)
-        print(f"   compiled {t_fast * 1e3:9.1f} ms   speedup {t_pure / t_fast:6.1f}x")
-    else:
-        print("   (compiled kernel not built)")
+    print(f"{line}  {seconds * 1e3:9.1f} ms")
 
 
 def bench_tours(n: int):
     adj = [(1 << n) - 1] * n
-    t_pure, out_pure = time_call(
-        lambda: list(reference.hamiltonian_cycles(n, adj, adj))
-    )
-    line = f"tour search  n={n:2d} ({len(out_pure)} tours)"
-    print(f"{line}  pure {t_pure * 1e3:9.1f} ms", end="")
-    if _speedups is not None:
-        t_fast, out_fast = time_call(_speedups.hamiltonian_cycles, n, adj, adj)
-        assert out_fast == out_pure  # every tour, vertex by vertex, in order
-        print(f"   compiled {t_fast * 1e3:9.1f} ms   speedup {t_pure / t_fast:6.1f}x")
-    else:
-        print("   (compiled kernel not built)")
+    seconds, tours = time_call(_kernels.hamiltonian_cycles, n, adj, adj)
+    line = f"tour search  n={n:2d} ({len(tours)} tours)"
+    print(f"{line}  {seconds * 1e3:9.1f} ms")
 
 
 def lazy_runs(n: int, combs: int, seed: int):
@@ -212,7 +190,7 @@ def main():
     parser.add_argument("--scan-vertices", type=int, default=18)
     parser.add_argument("--tour-n", type=int, default=6)
     args = parser.parse_args()
-    print(f"kernel backend: {combcert.kernel_backend}   seed: {args.seed}")
+    print(f"seed: {args.seed}")
     for n in (12, 16, args.scan_vertices):
         bench_scan(n, args.seed)
     for n in (5, args.tour_n):

@@ -1,16 +1,16 @@
-"""Pure-Python reference implementations of the enumeration kernels.
+"""The two enumeration kernels of the package, on plain integers.
 
-Both functions are semantically identical to their compiled twins in
-`_speedups`; they are the import-time fallback and the ground truth the
-compiled code is tested against.  Inputs are plain ints so results are
-exact for any precision (the compiled path is limited to int64 and the
-facade routes oversized inputs here).
+`sec_violations` is the subset sweep behind the feasibility checker (and
+lazy SEC separation in a non-default size window; the default window is
+separated by min cut in `combcert.lp`).  `hamiltonian_cycles` enumerates
+the tours of a balanced bipartite graph.  Inputs are plain ints, so
+results are exact at any precision.  Callers reach both as attributes of
+this module, which is where layer tracing wraps them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
 
 
 def sec_violations(
@@ -26,7 +26,8 @@ def sec_violations(
     Edge e (vertex bitmask `edge_masks[i]`, scaled integer weight
     `weights[i]`) counts toward S when both endpoints lie in S.  A subset
     violates its subtour bound when the scaled internal weight exceeds
-    denom * (|S| - 1).  Returns (subset_mask, scaled_weight) pairs.
+    denom * (|S| - 1).  Returns the (subset_mask, scaled_weight) pairs of
+    the violated subsets, sorted by (popcount, mask).
     """
     pairs = [(m, w) for m, w in zip(edge_masks, weights) if w]
     out = []
@@ -42,21 +43,22 @@ def sec_violations(
                     total += w
             if total > limit:
                 out.append((mask, total))
+    out.sort(key=lambda item: (bin(item[0]).count("1"), item[0]))
     return out
 
 
 def hamiltonian_cycles(
     n: int, adj12: list[int], adj21: list[int]
-) -> Iterator[tuple[int, ...]]:
+) -> list[tuple[int, ...]]:
     """Canonical Hamiltonian cycles of a balanced bipartite graph.
 
     adj12[i] is the bitmask of class-2 neighbours of class-1 vertex i;
-    adj21[j] likewise for class-2 vertex j.  Yields alternating index
+    adj21[j] likewise for class-2 vertex j.  Returns alternating index
     sequences (a0=0, b0, a1, b1, ..., b_{n-1}); each undirected cycle
     appears exactly once, in the direction with b0 < b_{n-1}.
     """
     if n < 2:
-        return
+        return []
     seq = [0] * (2 * n)
 
     def extend(depth: int, used1: int, used2: int):
@@ -97,4 +99,4 @@ def hamiltonian_cycles(
     for j in range(n):
         if adj21[j] & 1:
             adj21_back |= 1 << j
-    yield from extend(1, 1, 0)
+    return list(extend(1, 1, 0))

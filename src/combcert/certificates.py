@@ -56,7 +56,7 @@ from .combs import (
     hand_classes,
     require_valid,
 )
-from .constraints import ConstraintKind, LinearInequality
+from .constraints import ConstraintKind, LinearInequality, sec_constraint
 from .errors import CertificateInvariantError, HypothesisNotMetError
 from .graph import BipartiteInstance, Edge, VertexId
 
@@ -138,18 +138,7 @@ def member_inequality(
             ConstraintKind.DEGREE_LE2,
             f"deg[{label}] {member.note}".strip(),
         )
-    coeffs = {
-        e: Fraction(1)
-        for e in instance.edges
-        if e.u in member.vertex_set and e.v in member.vertex_set
-    }
-    labels = ",".join(instance.labels_of(member.vertex_set))
-    return LinearInequality(
-        coeffs,
-        Fraction(len(member.vertex_set) - 1),
-        ConstraintKind.SUBTOUR_ELIM,
-        f"sec{{{labels}}} {member.note}".strip(),
-    )
+    return sec_constraint(instance, member.vertex_set)
 
 
 def aggregation_members(

@@ -216,7 +216,7 @@ def check_point(
     """Evaluate every degree row, every subtour row in range, and the bounds.
 
     Arithmetic is exact; the subset sweep runs on integer-scaled weights via
-    the kernel backend and only the violated subsets are materialized.
+    `_kernels.sec_violations` and only the violated subsets are materialized.
     """
     if point.instance != instance:
         raise ValueError("point does not belong to this instance")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .certificates import Certificate, CertificateMember
+from .certificates import Certificate, CertificateMember, _sec_member
 from .combs import Comb
 from .errors import FormatError, UnknownVertexError
 from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
@@ -123,9 +123,12 @@ def _vertex_list(instance, labels, field) -> frozenset[VertexId]:
     out = set()
     for k, label in enumerate(labels):
         try:
-            out.add(instance.vertex(label))
+            vertex = instance.vertex(label)
         except UnknownVertexError as exc:
             raise FormatError(f"{field}[{k}]", str(exc)) from exc
+        if vertex in out:
+            raise FormatError(f"{field}[{k}]", f"repeats vertex {label!r}")
+        out.add(vertex)
     return frozenset(out)
 
 
@@ -210,12 +213,7 @@ def load_certificate(source, instance: BipartiteInstance) -> Certificate:
             )
         elif kind == "sec":
             vset = _vertex_list(instance, m.get("set"), f"{field}.set")
-            support = frozenset(
-                e for e in instance.edges if e.u in vset and e.v in vset
-            )
-            members.append(
-                CertificateMember(kind="sec", vertex_set=vset, support=support)
-            )
+            members.append(_sec_member(instance, vset, ""))
         else:
             raise FormatError(f"{field}.kind", f"unknown member kind {kind!r}")
     return Certificate(builder, comb, tuple(members), orientation)

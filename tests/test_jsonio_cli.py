@@ -301,6 +301,38 @@ def test_certificate_orientation_must_be_the_integer_1_or_2(table2, orientation)
     assert err.value.field == "orientation"
 
 
+@pytest.mark.parametrize("where", ["hand", "tooth", "sec set"])
+def test_repeated_label_is_refused(table2, where):
+    instance, _, comb = table2
+    reduced = Comb(comb.hand - {instance.vertex("b")}, comb.teeth)
+    doc = dump_certificate(build_l3(instance, reduced), instance)
+    if where == "hand":
+        labels, field = doc["target_comb"]["hand"], "hand"
+    elif where == "tooth":
+        labels, field = doc["target_comb"]["teeth"][1], "teeth[1]"
+    else:
+        i = next(i for i, m in enumerate(doc["members"]) if m["kind"] == "sec")
+        labels, field = doc["members"][i]["set"], f"members[{i}].set"
+    labels.append(labels[0])
+    with pytest.raises(FormatError) as err:
+        load_certificate(doc, instance)
+    assert err.value.field == f"{field}[{len(labels) - 1}]"
+
+
+def test_cli_repeated_label_exit_2(tmp_path, capsys):
+    instance = tmp_path / "instance.json"
+    instance.write_text(
+        json.dumps({"class1": ["a"], "class2": ["b"], "weights": {"a-b": "1"}})
+    )
+    comb = tmp_path / "comb.json"
+    comb.write_text(json.dumps({"hand": ["a"], "teeth": [["a", "b", "a"]]}))
+    code = main(["implied", "--instance", str(instance), "--comb", str(comb)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["field"] == "teeth[0][2]"
+    assert "repeats" in error["reason"]
+
+
 def test_search_is_deterministic(tmp_path):
     out1 = tmp_path / "f1.json"
     out2 = tmp_path / "f2.json"
