@@ -6,7 +6,8 @@ Five workloads:
     feasibility checker), on a weighted K_{n,n} with every subset size
     in play;
   * Hamiltonian tour enumeration on complete balanced instances;
-  * lazy subtour separation: the subset scan against the min cut that
+  * lazy subtour separation: the subset scan (`_kernels.sec_violations`
+    and the largest violation in its output) against the min cut that
     `is_implied` uses, on the LP points its lazy loop visits for seeded
     wild combs on K_{8,8}.  Both must find the same most violated amount;
   * the lazy LP itself on those same 20 queries: the time of each warm-
@@ -28,6 +29,7 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 
 from combcert import (
     BipartiteInstance,
@@ -41,6 +43,7 @@ from combcert import (
     lp,
     solve,
 )
+from combcert.constraints import scan_inputs
 from combcert.search import FAMILIES, sample_comb
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
@@ -97,8 +100,8 @@ def lazy_runs(n: int, combs: int, seed: int):
     runs, separated = [], []
     separate = lp._most_violated_sec
 
-    def record(inst, point, size_bounds):
-        row = separate(inst, point, size_bounds)
+    def record(inst, point):
+        row = separate(inst, point)
         separated.append((point, row))
         return row
 
@@ -116,20 +119,28 @@ def lazy_runs(n: int, combs: int, seed: int):
     return instance, runs
 
 
+def largest_scanned_violation(instance, point):
+    """The largest subtour violation at `point` by the subset scan, or None."""
+    n = instance.num_vertices
+    masks, weights, denom = scan_inputs(instance, point)
+    violated = _kernels.sec_violations(n, masks, weights, denom, 3, n - 1)
+    amounts = (Fraction(v, denom) - (bin(mask).count("1") - 1) for mask, v in violated)
+    return max(amounts, default=None)
+
+
 def bench_separation(instance, runs):
     points = [point for *_, rounds in runs for point, _ in rounds]
-    window = (3, instance.num_vertices - 1)  # the default, but scanned
     t_scan = t_cut = 0.0
     for point in points:
         t0 = time.perf_counter()
-        scan = lp._most_violated_sec(instance, point, window)
+        scan = largest_scanned_violation(instance, point)
         t1 = time.perf_counter()
-        cut = lp._most_violated_sec(instance, point, None)
+        cut = lp._most_violated_sec(instance, point)
         t_cut += time.perf_counter() - t1
         t_scan += t1 - t0
         assert (scan is None) == (cut is None)
         if scan is not None:
-            assert scan.value_on(point) - scan.rhs == cut.value_on(point) - cut.rhs
+            assert scan == cut.value_on(point) - cut.rhs
     calls = len(points)
     line = f"separation   n={instance.num_vertices:2d} ({calls} LP points, {len(runs)} combs)"
     print(

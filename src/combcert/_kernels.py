@@ -1,11 +1,11 @@
 """The two enumeration kernels of the package, on plain integers.
 
-`sec_violations` is the subset sweep behind the feasibility checker (and
-lazy SEC separation in a non-default size window; the default window is
-separated by min cut in `combcert.lp`).  `hamiltonian_cycles` enumerates
-the tours of a balanced bipartite graph.  Inputs are plain ints, so
-results are exact at any precision.  Callers reach both as attributes of
-this module, which is where layer tracing wraps them.
+`sec_violations` is the subset sweep behind the feasibility checker
+(lazy SEC separation is a min cut, in `combcert.lp`).
+`hamiltonian_cycles` enumerates the tours of a balanced bipartite graph.
+Inputs are plain ints, so results are exact at any precision.  Callers
+reach both as attributes of this module, which is where layer tracing
+wraps them.
 """
 
 from __future__ import annotations

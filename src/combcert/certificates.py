@@ -15,9 +15,8 @@ Members come in two shapes:
            to the x <= 1 bound and singletons degenerate to 0 <= 0, both
            still valid rows of the relaxation
 
-All five builders instantiate one member recipe, parameterized by a class
-orientation, on the intersection pattern of the comb.  For a tooth listed
-before position p (it meets H^1):
+One member recipe, parameterized by a class orientation, serves every
+hypothesis class.  For a tooth listed before position p (it meets H^1):
 
   * each vertex a in H^1 n T_i contributes its degree row restricted to
     a -> T_i and a -> H^2 \\ T_i;
@@ -31,21 +30,32 @@ tooth.  Each toothless H^1 vertex contributes its degree row restricted
 to the hand.  Edges inside H^1 n T_i x H^2 n T_i end up covered twice,
 matching their coefficient 2 in the comb row.
 
-The builders differ only in the hypotheses they insist on and in how the
-orientation is chosen; hypothesis checking itself is `combs.classify`'s
-job.  Builders refuse (raise) rather than fall back when hypotheses fail.
-For the single-intersection and one-class-per-tooth families the recipe
-is attempted in both orientations and a counting argument guarantees one
-of them dominates: both slacks are integers and their sum equals
+The classes differ only in the hypothesis they insist on (a `CombClass`
+flag; checking it is `combs.classify`'s job) and in which orientations
+they accept.  `CLASSES` is the one table of both, and one rule builds
+every certificate: among the orientations that pass the class's filter,
+take the one with the least aggregate rhs, ties to orientation 1.  Three
+filters cover the five classes:
+
+  L1, L3   w == y == 0 and p < q (no toothless vertex, minority first;
+           for L1, t odd makes exactly one orientation qualify)
+  T1       the toothless-vertex condition (`condition_holds`)
+  L2, T2   the aggregate rhs is at most the comb row's rhs
+
+For the last two a counting argument guarantees that one orientation
+passes: both slacks are integers and their sum equals
 sum(s_i) + sum_{i>p} r_i - 1 >= -1, so they cannot both be negative.
-`parity_audit` exposes exactly that arithmetic for testing.
+For single-intersection combs (L2) the sum is exactly -1, so exactly one
+orientation passes.  `parity_audit` exposes that arithmetic for testing.
+Builders refuse (raise) rather than fall back when hypotheses fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from functools import partial
+from typing import Callable, Mapping, NamedTuple
 
 from .combs import (
     Comb,
@@ -74,7 +84,6 @@ class CertificateMember:
     vertex: VertexId | None = None
     vertex_set: frozenset[VertexId] = frozenset()
     support: frozenset[Edge] = frozenset()
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -94,31 +103,22 @@ class CertificateReport:
 
 
 def _degree_member(
-    instance: BipartiteInstance,
-    vertex: VertexId,
-    partners,
-    note: str,
+    instance: BipartiteInstance, vertex: VertexId, partners
 ) -> CertificateMember:
     support = frozenset(
         Edge(vertex, u)
         for u in partners
         if u.cls != vertex.cls and Edge(vertex, u) in instance.edges
     )
-    return CertificateMember(
-        kind="degree", vertex=vertex, support=support, note=note
-    )
+    return CertificateMember(kind="degree", vertex=vertex, support=support)
 
 
-def _sec_member(
-    instance: BipartiteInstance, vertex_set, note: str
-) -> CertificateMember:
+def _sec_member(instance: BipartiteInstance, vertex_set) -> CertificateMember:
     vset = frozenset(vertex_set)
     support = frozenset(
         e for e in instance.edges if e.u in vset and e.v in vset
     )
-    return CertificateMember(
-        kind="sec", vertex_set=vset, support=support, note=note
-    )
+    return CertificateMember(kind="sec", vertex_set=vset, support=support)
 
 
 def member_rhs(member: CertificateMember) -> Fraction:
@@ -136,7 +136,7 @@ def member_inequality(
             {e: Fraction(1) for e in member.support},
             Fraction(2),
             ConstraintKind.DEGREE_LE2,
-            f"deg[{label}] {member.note}".strip(),
+            f"deg[{label}]",
         )
     return sec_constraint(instance, member.vertex_set)
 
@@ -152,25 +152,14 @@ def aggregation_members(
         tooth = comb.teeth[ti]
         if pos < pattern.p:
             for a in sorted(tooth & h1):
-                members.append(
-                    _degree_member(
-                        instance,
-                        a,
-                        tooth | (h2 - tooth),
-                        f"tooth {ti + 1} hand side",
-                    )
-                )
+                members.append(_degree_member(instance, a, tooth | (h2 - tooth)))
             for b in sorted(tooth & h2):
-                members.append(
-                    _degree_member(instance, b, tooth, f"tooth {ti + 1} crossing")
-                )
-            members.append(
-                _sec_member(instance, tooth - comb.hand, f"tooth {ti + 1} interior")
-            )
+                members.append(_degree_member(instance, b, tooth))
+            members.append(_sec_member(instance, tooth - comb.hand))
         else:
-            members.append(_sec_member(instance, tooth, f"tooth {ti + 1}"))
+            members.append(_sec_member(instance, tooth))
     for a in sorted(h1 - toothed):
-        members.append(_degree_member(instance, a, h2, "toothless"))
+        members.append(_degree_member(instance, a, h2))
     agg_rhs = sum((member_rhs(m) for m in members), Fraction(0))
     return tuple(members), agg_rhs
 
@@ -182,119 +171,54 @@ def _patterns(instance, comb) -> tuple[IntersectionPattern, IntersectionPattern]
     )
 
 
-def _target_rhs(instance, comb) -> Fraction:
-    return comb_inequality(instance, comb).rhs
+def _minority(pattern: IntersectionPattern) -> bool:
+    return pattern.w == 0 and pattern.y == 0 and pattern.p < pattern.q
 
 
-def build_l1(instance: BipartiteInstance, comb: Comb) -> Certificate:
-    """Certificate for combs with one hand vertex per tooth, none toothless.
+class HypothesisClass(NamedTuple):
+    """A certified class: the `CombClass` flag that admits a comb, and the
+    filter an orientation must pass (None: it must dominate)."""
 
-    Uses the orientation putting the minority class first; with t odd the
-    two tooth counts always differ, and the majority-side subtour rows
-    leave enough room for the aggregate rhs to stay under the target.
+    flag: str
+    fits: Callable[[IntersectionPattern], bool] | None
+
+
+CLASSES: dict[str, HypothesisClass] = {
+    "L1": HypothesisClass("single_all_toothed", _minority),
+    "L2": HypothesisClass("single", None),
+    "L3": HypothesisClass("sorted_minority", _minority),
+    "T1": HypothesisClass("counted_slack", IntersectionPattern.condition_holds),
+    "T2": HypothesisClass("one_class_per_tooth", None),
+}
+
+
+def _build(name: str, instance: BipartiteInstance, comb: Comb) -> Certificate:
+    """The certificate of class `name`, by the one rule of the module docstring.
+
+    Pattern filters run before any member is built, and only the classes
+    that filter by domination compute the comb row's rhs.
     """
-    flags = classify(instance, comb)
-    if not flags.single_all_toothed:
-        raise HypothesisNotMetError(
-            "needs |hand n tooth| = 1 for every tooth and no toothless hand vertex"
-        )
+    cls = CLASSES[name]
+    if not getattr(classify(instance, comb), cls.flag):
+        raise HypothesisNotMetError(f"{name} needs a {cls.flag} comb")
+    target = None if cls.fits else comb_inequality(instance, comb).rhs
+    best = None
     for pat in _patterns(instance, comb):
-        if pat.p < pat.q:
-            members, _ = aggregation_members(instance, comb, pat)
-            return Certificate("L1", comb, members, pat.orientation)
-    raise CertificateInvariantError("no orientation with p < q; t must be even?")
-
-
-def build_l2(instance: BipartiteInstance, comb: Comb) -> Certificate:
-    """Certificate for single-intersection combs, toothless vertices allowed.
-
-    Tries the classes as given; if the aggregate rhs overshoots the target,
-    the swapped orientation is guaranteed to work (integer slacks summing
-    to -1 cannot both be negative).
-    """
-    flags = classify(instance, comb)
-    if not flags.single:
-        raise HypothesisNotMetError("needs |hand n tooth| = 1 for every tooth")
-    target = _target_rhs(instance, comb)
-    fallback = None
-    for pat in _patterns(instance, comb):
+        if cls.fits and not cls.fits(pat):
+            continue
         members, agg = aggregation_members(instance, comb, pat)
-        if agg <= target:
-            return Certificate("L2", comb, members, pat.orientation)
-        fallback = (members, agg)
-    raise CertificateInvariantError(
-        f"both orientations overshoot the target rhs {target} (last {fallback[1]})"
-    )
-
-
-def build_l3(instance: BipartiteInstance, comb: Comb) -> Certificate:
-    """Certificate for fully-toothed combs whose teeth meet one class in a
-    minority of positions (p < q after sorting)."""
-    flags = classify(instance, comb)
-    if not flags.sorted_minority:
-        raise HypothesisNotMetError(
-            "needs every hand vertex toothed and p < q in some orientation"
-        )
-    best = None
-    for pat in _patterns(instance, comb):
-        if pat.w == 0 and pat.y == 0 and pat.p < pat.q:
-            members, agg = aggregation_members(instance, comb, pat)
-            if best is None or agg < best[1]:
-                best = (members, agg, pat.orientation)
-    if best is None:
-        raise CertificateInvariantError("classified sorted_minority but no orientation fits")
-    return Certificate("L3", comb, best[0], best[2])
-
-
-def build_t1(instance: BipartiteInstance, comb: Comb) -> Certificate:
-    """Certificate for combs passing the toothless-vertex counting condition
-    w <= y + (q-(p+1))/2 + sum_{i>p} r_i in some orientation."""
-    flags = classify(instance, comb)
-    if not flags.counted_slack:
-        raise HypothesisNotMetError(
-            "toothless-vertex condition fails in both orientations"
-        )
-    best = None
-    for pat in _patterns(instance, comb):
-        if pat.condition_holds():
-            members, agg = aggregation_members(instance, comb, pat)
-            if best is None or agg < best[1]:
-                best = (members, agg, pat.orientation)
-    if best is None:
-        raise CertificateInvariantError("classified counted_slack but no orientation fits")
-    return Certificate("T1", comb, best[0], best[2])
-
-
-def build_t2(instance: BipartiteInstance, comb: Comb) -> Certificate:
-    """Certificate for combs whose every tooth meets the hand in one class.
-
-    Runs the recipe in both orientations; the counting identity
-    slack_1 + slack_2 = sum(s) + sum(r) - 1 >= -1 over integer slacks
-    guarantees at least one orientation dominates.
-    """
-    flags = classify(instance, comb)
-    if not flags.one_class_per_tooth:
-        raise HypothesisNotMetError(
-            "needs every tooth to meet the hand inside a single class"
-        )
-    target = _target_rhs(instance, comb)
-    best = None
-    for pat in _patterns(instance, comb):
-        members, agg = aggregation_members(instance, comb, pat)
-        if agg <= target and (best is None or agg < best[1]):
+        if (target is None or agg <= target) and (best is None or agg < best[1]):
             best = (members, agg, pat.orientation)
     if best is None:
-        raise CertificateInvariantError("neither orientation dominates; parity broken")
-    return Certificate("T2", comb, best[0], best[2])
+        raise CertificateInvariantError(f"{name}: no orientation passes its filter")
+    return Certificate(name, comb, best[0], best[2])
 
 
+# One builder per class, each called as builder(instance, comb).
 BUILDERS: dict[str, Callable[[BipartiteInstance, Comb], Certificate]] = {
-    "L1": build_l1,
-    "L2": build_l2,
-    "L3": build_l3,
-    "T1": build_t1,
-    "T2": build_t2,
+    name: partial(_build, name) for name in CLASSES
 }
+build_l1, build_l2, build_l3, build_t1, build_t2 = BUILDERS.values()
 
 
 def _validate_member(
@@ -397,7 +321,7 @@ def parity_audit(instance: BipartiteInstance, comb: Comb) -> ParityAudit:
     flags = classify(instance, comb)
     if not flags.one_class_per_tooth:
         raise HypothesisNotMetError("parity audit needs one-class-per-tooth combs")
-    target = _target_rhs(instance, comb)
+    target = comb_inequality(instance, comb).rhs
     pats = _patterns(instance, comb)
     aggs = tuple(
         aggregation_members(instance, comb, pat)[1] for pat in pats

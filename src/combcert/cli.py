@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .certificates import BUILDERS, verify
+from .certificates import BUILDERS, CLASSES, verify
 from .combs import classify, comb_inequality
 from .constraints import check_point
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
 from .jsonio import dump_certificate, load_comb, load_instance, write_json
 from .lp import is_implied
 from .rational import format_rational
-from .search import _BUILD_ORDER, FAMILIES, ExperimentConfig, run_search
+from .search import FAMILIES, ExperimentConfig, run_search
 from .tables import reproduce_tables
 from .tours import facet_test
 
@@ -85,14 +85,8 @@ def _cmd_classify(args) -> int:
     flags = classify(instance, comb)
     document = flags.as_dict()
     lines = [f"builders: {', '.join(document['builders']) or '(none)'}"]
-    for key in (
-        "single_all_toothed",
-        "single",
-        "sorted_minority",
-        "counted_slack",
-        "one_class_per_tooth",
-    ):
-        lines.append(f"  {key}: {document[key]}")
+    for cls in CLASSES.values():
+        lines.append(f"  {cls.flag}: {document[cls.flag]}")
     for cond in document["conditions"]:
         lines.append(
             f"  orientation {cond['orientation']}: w={cond['w']} "
@@ -116,7 +110,7 @@ def _cmd_certify(args) -> int:
                 ["no hypothesis class applies to this comb"],
             )
             return 1
-        name = next(b for b in _BUILD_ORDER if b in available)
+        name = available[0]
     cert = BUILDERS[name](instance, comb)
     report = verify(instance, cert)
     document = dump_certificate(cert, instance)
@@ -198,11 +192,19 @@ def _cmd_paper_tables(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    families = FAMILIES
+    if args.families is not None:
+        families = tuple(args.families.split(","))
+        unknown = [name for name in families if name not in FAMILIES]
+        if unknown:
+            raise FormatError(
+                "families", f"unknown {unknown}; choose from {','.join(FAMILIES)}"
+            )
     config = ExperimentConfig(
         seed=args.seed,
         size=args.size,
         comb_count=args.count,
-        families=tuple(args.families.split(",")) if args.families else FAMILIES,
+        families=families,
         orientation_policy=args.policy,
         output=args.output,
     )
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--builder",
-        choices=("auto", "l1", "l2", "l3", "t1", "t2"),
+        choices=("auto", *(name.lower() for name in BUILDERS)),
         default="auto",
     )
     p.add_argument("--output", help="write the certificate JSON here")

@@ -16,7 +16,8 @@ and w / y count the hand vertices of class 1 / class 2 lying in no tooth.
 Everything here is computed for both assignments of "class 1" because the
 statements being classified are orientation-dependent.
 
-Hypothesis classes (each name refers to the matching certificate builder):
+Hypothesis flags (`certificates.CLASSES` maps each certificate class,
+L1 ... T2, to its flag):
 
   single_all_toothed   every |H n T_i| = 1 and no toothless hand vertex
   single               every |H n T_i| = 1
@@ -231,26 +232,16 @@ class CombClass:
     notes: tuple[str, ...]
 
     def builder_names(self) -> tuple[str, ...]:
-        names = []
-        if self.single_all_toothed:
-            names.append("L1")
-        if self.single:
-            names.append("L2")
-        if self.sorted_minority:
-            names.append("L3")
-        if self.counted_slack:
-            names.append("T1")
-        if self.one_class_per_tooth:
-            names.append("T2")
-        return tuple(names)
+        """The certificate classes whose flag is set, in table order."""
+        from .certificates import CLASSES  # the table sits with its builder
+
+        return tuple(name for name, c in CLASSES.items() if getattr(self, c.flag))
 
     def as_dict(self) -> dict:
+        from .certificates import CLASSES
+
         return {
-            "single_all_toothed": self.single_all_toothed,
-            "single": self.single,
-            "sorted_minority": self.sorted_minority,
-            "counted_slack": self.counted_slack,
-            "one_class_per_tooth": self.one_class_per_tooth,
+            **{c.flag: getattr(self, c.flag) for c in CLASSES.values()},
             "builders": list(self.builder_names()),
             "conditions": [c.as_dict() for c in self.conditions],
             "notes": list(self.notes),

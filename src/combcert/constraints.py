@@ -13,10 +13,9 @@ feasibility checker relies on the bounds for that case.
 
 Subtour enumeration is exhaustive by design (desk scale) and refuses to
 run above a configurable vertex cap.  The subset sweep itself is delegated
-to `combcert._kernels`; it serves `check_point` and lazy separation in a
-non-default size window.  Lazy separation in the default window is an
-exact min cut instead (see `combcert.lp`).  `scan_inputs` turns a point
-into the integer data that the scan and the min cut read.
+to `combcert._kernels`; it serves `check_point` only.  Lazy separation is
+an exact min cut instead (see `combcert.lp`).  `scan_inputs` turns a
+point into the integer data that the scan and the min cut read.
 """
 
 from __future__ import annotations

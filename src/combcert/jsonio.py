@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .certificates import Certificate, CertificateMember, _sec_member
+from .certificates import BUILDERS, Certificate, CertificateMember, _sec_member
 from .combs import Comb
 from .errors import FormatError, UnknownVertexError
 from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
@@ -178,7 +178,7 @@ def dump_certificate(cert: Certificate, instance: BipartiteInstance) -> dict:
 def load_certificate(source, instance: BipartiteInstance) -> Certificate:
     doc = _as_document(source, "certificate")
     builder = doc.get("builder")
-    if builder not in ("L1", "L2", "L3", "T1", "T2"):
+    if not isinstance(builder, str) or builder not in BUILDERS:
         raise FormatError("builder", f"unknown builder {builder!r}")
     orientation = doc.get("orientation", 1)
     if type(orientation) is not int or orientation not in (1, 2):  # not true, not 1.0
@@ -213,7 +213,7 @@ def load_certificate(source, instance: BipartiteInstance) -> Certificate:
             )
         elif kind == "sec":
             vset = _vertex_list(instance, m.get("set"), f"{field}.set")
-            members.append(_sec_member(instance, vset, ""))
+            members.append(_sec_member(instance, vset))
         else:
             raise FormatError(f"{field}.kind", f"unknown member kind {kind!r}")
     return Certificate(builder, comb, tuple(members), orientation)

@@ -20,17 +20,16 @@ carries an independently checkable nonnegative combination of
 relaxation rows.
 
 `is_implied` maximizes a row's left-hand side over the relaxation
-polytope.  Direct mode materializes every subtour row inside the size
-window and solves once, cold.  Lazy mode builds one tableau from the
-degree rows and bounds, then repeatedly adds the most violated subtour
-row at the current optimum until none is violated.  Each added row is
+polytope.  Direct mode materializes every subtour row and solves once,
+cold.  Lazy mode builds one tableau from the degree rows and bounds,
+then repeatedly adds the most violated subtour row at the current
+optimum until none is violated.  Each added row is
 appended to the optimal tableau with a new slack column, reduced against
 the basis, and made feasible again by the dual simplex (Lemke, 1954), so
 a round costs a few pivots rather than a fresh solve.  Both modes end at
 the same exact optimum.  Lazy separation is an exact integer min cut
 (Padberg & Wolsey, "Trees and cuts", 1983), so its cost is polynomial in
-the number of vertices; only a non-default size window falls back to
-scanning every subset in it.
+the number of vertices.
 """
 
 from __future__ import annotations
@@ -39,12 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import _kernels
 from .constraints import (
     DEFAULT_ENUMERATION_CAP,
     DegreeMode,
     LinearInequality,
-    _sec_size_range,
     gen_degree,
     gen_secs,
     scan_inputs,
@@ -387,28 +384,12 @@ class ImplicationResult:
 
 
 def _most_violated_sec(
-    instance: BipartiteInstance,
-    point: FractionalPoint,
-    size_bounds: tuple[int, int] | None,
+    instance: BipartiteInstance, point: FractionalPoint
 ) -> LinearInequality | None:
-    """A subtour row of largest violation at `point`, or None.
-
-    The default window is separated exactly by `_min_cut_sec`.  A
-    non-default window scans every subset in it; there the first subset
-    of largest violation in the scan's output wins.
-    """
+    """A subtour row of largest violation at `point`, or None; exact, by
+    `_min_cut_sec`."""
     n = instance.num_vertices
-    masks, weights, denom = scan_inputs(instance, point)
-    if size_bounds is None:
-        best_mask = _min_cut_sec(n, masks, weights, denom)
-    else:
-        lo, hi = _sec_size_range(instance, size_bounds)
-        best = None
-        for mask, value in _kernels.sec_violations(n, masks, weights, denom, lo, hi):
-            amount = Fraction(value, denom) - (bin(mask).count("1") - 1)
-            if best is None or amount > best[0]:
-                best = (amount, mask)
-        best_mask = None if best is None else best[1]
+    best_mask = _min_cut_sec(n, *scan_inputs(instance, point))
     if best_mask is None:
         return None
     subset = frozenset(instance.vertex_at(i) for i in range(n) if best_mask >> i & 1)
@@ -520,19 +501,17 @@ def is_implied(
     target: LinearInequality,
     mode: DegreeMode = "le",
     lazy: bool = True,
-    size_bounds: tuple[int, int] | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ImplicationResult:
     """Maximize the target's left side over the relaxation.
 
     Implied iff the optimum is <= the target's rhs; otherwise the optimal
     point is returned as a violation witness.  With `lazy`, subtour rows
-    are separated at each optimum instead of materialized up front: by
-    exact min cut in the default size window, by a subset scan otherwise.
-    Each separated row is appended to the one tableau of the query and
-    re-optimized by the dual simplex; a separated row that the optimum
-    already satisfies raises `CombcertError`, since adding it again
-    would loop forever.
+    are separated at each optimum by exact min cut instead of materialized
+    up front.  Each separated row is appended to the one tableau of the
+    query and re-optimized by the dual simplex; a separated row that the
+    optimum already satisfies raises `CombcertError`, since adding it
+    again would loop forever.
     """
     if instance.num_vertices > cap:
         raise EnumerationCapError("subtour enumeration", instance.num_vertices, cap)
@@ -551,7 +530,7 @@ def is_implied(
                 raise CombcertError("relaxation unbounded; missing box rows?")
             solution = _read_optimum(problem, tableau_rows, tableau)
             rounds += 1
-            violated = _most_violated_sec(instance, solution.point, size_bounds)
+            violated = _most_violated_sec(instance, solution.point)
             if violated is None:
                 break
             if not violated.value_on(solution.point) > violated.rhs:
@@ -566,7 +545,7 @@ def is_implied(
         all_rows = tableau_rows[: len(rows)] + tableau_rows[cuts] + tableau_rows[boxes]
         dual = solution.dual[: len(rows)] + solution.dual[cuts] + solution.dual[boxes]
     else:
-        rows.extend(gen_secs(instance, size_bounds, cap))
+        rows.extend(gen_secs(instance, cap=cap))
         problem = LpProblem(instance, dict(target.coeffs), tuple(rows))
         solution = solve(problem)
         if solution.status != OPTIMAL:

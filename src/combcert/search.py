@@ -25,9 +25,8 @@ from .jsonio import dump_comb, write_json
 from .lp import is_implied
 from .rational import format_rational
 
-FAMILIES = ("l1", "l2", "l3", "t1", "t2", "wild")
-
-_BUILD_ORDER = ("L1", "L2", "L3", "T1", "T2")
+# One family per certificate class, plus "wild" (no pattern restriction).
+FAMILIES = tuple(name.lower() for name in BUILDERS) + ("wild",)
 
 
 class _Pools:
@@ -114,14 +113,7 @@ def sample_comb(
 
 
 def _family_holds(instance, comb, family) -> bool:
-    flags = classify(instance, comb)
-    return {
-        "l1": flags.single_all_toothed,
-        "l2": flags.single,
-        "l3": flags.sorted_minority,
-        "t1": flags.counted_slack,
-        "t2": flags.one_class_per_tooth,
-    }[family]
+    return family.upper() in classify(instance, comb).builder_names()
 
 
 def _feasible_teeth(instance, lo) -> list[int]:
@@ -254,7 +246,7 @@ def run_search(config: ExperimentConfig) -> dict:
         entry = {"index": k, "family": family, "comb": dump_comb(comb, instance)}
         builders = flags.builder_names()
         if builders:
-            name = next(b for b in _BUILD_ORDER if b in builders)
+            name = builders[0]
             cert = BUILDERS[name](instance, comb)
             report = verify(instance, cert)
             entry["builder"] = name

@@ -90,11 +90,7 @@ def test_certificate_round_trip_losslessly(table2):
     restored = load_certificate(doc, instance)
     assert restored.builder == cert.builder
     assert restored.comb == cert.comb
-    # Notes are presentation-only; structural identity must survive exactly.
-    structural = lambda ms: {
-        (m.kind, m.vertex, m.vertex_set, m.support) for m in ms
-    }
-    assert structural(restored.members) == structural(cert.members)
+    assert restored.members == cert.members
     report = verify(instance, restored)
     assert report.dominates
 
@@ -290,6 +286,17 @@ def test_cli_rejects_boolean_weight(tmp_path, capsys, command, weight):
     assert "boolean" in error["reason"]
 
 
+@pytest.mark.parametrize("builder", ["L4", "l1", ["L1"], None])
+def test_certificate_builder_tag_must_name_a_class(table2, builder):
+    instance, _, comb = table2
+    reduced = Comb(comb.hand - {instance.vertex("b")}, comb.teeth)
+    doc = dump_certificate(build_l3(instance, reduced), instance)
+    doc["builder"] = builder
+    with pytest.raises(FormatError) as err:
+        load_certificate(doc, instance)
+    assert err.value.field == "builder"
+
+
 @pytest.mark.parametrize("orientation", [True, 1.0, 3])
 def test_certificate_orientation_must_be_the_integer_1_or_2(table2, orientation):
     instance, _, comb = table2
@@ -358,3 +365,12 @@ def test_search_rediscovers_a_violated_comb():
     assert findings["violated"]
     entry = findings["violated"][0]
     assert Fraction(entry["margin"]) > 0
+
+
+@pytest.mark.parametrize("families", ["foo", "", "l1,", "l1,wild,L2"])
+def test_cli_search_unknown_family_exit_2(families, capsys):
+    code = main(["search", "--seed", "0", "--count", "1", "--families", families])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["field"] == "families"
+    assert "unknown" in error["reason"]

@@ -1,11 +1,10 @@
-"""Min-cut subtour separation, differential-tested against the subset scan.
+"""Min-cut subtour separation, differential-tested against a subset scan.
 
-`_most_violated_sec` separates the default window [3, N-1] by min cut.
-Passing that same window explicitly routes it to the exhaustive subset
-scan instead, which serves here as the oracle.  The two may pick
-different sets on ties, so they must agree on whether any row is violated
-and on the largest violation, and the min-cut row must be violated by
-exactly that amount.
+`_most_violated_sec` separates the subtour window [3, N-1] by min cut.
+The oracle is `oracles.naive_sec_violations`, which scans every subset of
+the window with set arithmetic.  The two may pick different sets on ties,
+so they must agree on whether any row is violated and on the largest
+violation, and the min-cut row must be violated by exactly that amount.
 """
 
 import random
@@ -34,12 +33,12 @@ def _violation(row, point):
 
 def _assert_min_cut_matches_scan(instance, point):
     n = instance.num_vertices
-    cut = lp._most_violated_sec(instance, point, None)
-    scan = lp._most_violated_sec(instance, point, (3, n - 1))
-    assert (cut is None) == (scan is None)
+    cut = lp._most_violated_sec(instance, point)
+    scan = naive_sec_violations(instance, point, 3, n - 1)
+    assert (cut is None) == (not scan)
     if cut is None:
         return None
-    amount = _violation(scan, point)
+    amount = max(value - (len(subset) - 1) for subset, value in scan)
     assert amount > 0
     assert _violation(cut, point) == amount
     assert 3 <= cut.rhs + 1 <= n - 1  # the row of S has rhs |S| - 1
@@ -51,9 +50,9 @@ def _lazy_points(instance, combs, mode, monkeypatch):
     seen = []
     separate = lp._most_violated_sec
 
-    def record(inst, point, size_bounds):
+    def record(inst, point):
         seen.append(point)
-        return separate(inst, point, size_bounds)
+        return separate(inst, point)
 
     with monkeypatch.context() as patch:  # the oracle calls below must not record
         patch.setattr(lp, "_most_violated_sec", record)
@@ -97,7 +96,7 @@ def test_two_disjoint_four_cycles_on_k44():
     edges = _cycle_edges(ones[:2], twos[:2]) + _cycle_edges(ones[2:], twos[2:])
     point = FractionalPoint(k44, {e: 1 for e in edges})
     assert _assert_min_cut_matches_scan(k44, point) == 1
-    row = lp._most_violated_sec(k44, point, None)
+    row = lp._most_violated_sec(k44, point)
     assert row.rhs == 3  # one of the two 4-cycles
 
 
@@ -125,19 +124,14 @@ def test_half_integral_points():
                 ones[cut:], twos[cut:]
             ):
                 weights[e] = weights.get(e, 0) + HALF
-        point = FractionalPoint(k55, weights)
-        amount = _assert_min_cut_matches_scan(k55, point)
-        naive = naive_sec_violations(k55, point, 3, 9)
-        assert amount == max((v - (len(s) - 1) for s, v in naive), default=None)
+        _assert_min_cut_matches_scan(k55, FractionalPoint(k55, weights))
 
 
 def test_all_zero_point_has_no_violated_row():
     for n in (1, 2, 3, 5):
         instance = BipartiteInstance.complete(n)
         point = FractionalPoint(instance, {})
-        assert lp._most_violated_sec(instance, point, None) is None
-        if n >= 2:
-            assert _assert_min_cut_matches_scan(instance, point) is None
+        assert _assert_min_cut_matches_scan(instance, point) is None
 
 
 def test_min_cut_refuses_points_outside_degree_and_box():
@@ -145,7 +139,7 @@ def test_min_cut_refuses_points_outside_degree_and_box():
     ones, twos = _vertices(k33)
     heavy = FractionalPoint(k33, {Edge(ones[0], twos[0]): 2})
     with pytest.raises(CombcertError, match="unit box"):
-        lp._most_violated_sec(k33, heavy, None)
+        lp._most_violated_sec(k33, heavy)
     star = FractionalPoint(k33, {Edge(ones[0], t): 1 for t in twos})
     with pytest.raises(CombcertError, match="degree rows"):
-        lp._most_violated_sec(k33, star, None)
+        lp._most_violated_sec(k33, star)

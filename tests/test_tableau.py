@@ -42,8 +42,8 @@ def _lazy_run(instance, target, mode, monkeypatch):
     cuts = []
     separate = lp._most_violated_sec
 
-    def record(inst, point, size_bounds):
-        row = separate(inst, point, size_bounds)
+    def record(inst, point):
+        row = separate(inst, point)
         if row is not None:
             cuts.append(row)
         return row
@@ -196,6 +196,6 @@ def test_separated_row_that_is_not_violated_stops_the_loop(k44, monkeypatch):
     triple = frozenset(sorted(k44.vertices())[3:6])  # one class-1, two class-2
     satisfied = sec_constraint(k44, triple)  # x(S) <= 2 holds: S spans two edges
     assert len(satisfied.coeffs) == 2
-    monkeypatch.setattr(lp, "_most_violated_sec", lambda inst, point, bounds: satisfied)
+    monkeypatch.setattr(lp, "_most_violated_sec", lambda inst, point: satisfied)
     with pytest.raises(CombcertError, match="which the optimum satisfies"):
         is_implied(k44, target)
