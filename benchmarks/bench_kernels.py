@@ -5,7 +5,10 @@ Five workloads:
   * the exhaustive subtour subset scan (the hot loop behind the
     feasibility checker), on a weighted K_{n,n} with every subset size
     in play;
-  * Hamiltonian tour enumeration on complete balanced instances;
+  * Hamiltonian tour enumeration on complete balanced instances: the
+    single-frame `_kernels.hamiltonian_cycles` from a K_{n,n} position
+    table to its list of edge-index tuples, which must hold all
+    n! (n-1)! / 2 tours, and the peak RSS of the process after it;
   * lazy subtour separation: the subset scan (`_kernels.sec_violations`
     and the largest violation in its output) against the min cut that
     `is_implied` uses, on the LP points its lazy loop visits for seeded
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -37,6 +41,7 @@ from combcert import (
     _kernels,
     comb_inequality,
     enumerate_tours,
+    expected_tour_count,
     facet_test,
     gen_degree,
     is_implied,
@@ -63,8 +68,8 @@ def scan_case(num_vertices: int, seed: int):
 
 def time_call(fn, *args, repeat=3):
     best = None
-    result = None
     for _ in range(repeat):
+        result = None  # free the last result, so it does not add to peak RSS
         t0 = time.perf_counter()
         result = fn(*args)
         dt = time.perf_counter() - t0
@@ -83,10 +88,12 @@ def bench_scan(num_vertices: int, seed: int):
 
 
 def bench_tours(n: int):
-    adj = [(1 << n) - 1] * n
-    seconds, tours = time_call(_kernels.hamiltonian_cycles, n, adj, adj)
+    position = [[a * n + b for b in range(n)] for a in range(n)]
+    seconds, tours = time_call(_kernels.hamiltonian_cycles, n, position)
+    assert len(tours) == expected_tour_count(n)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     line = f"tour search  n={n:2d} ({len(tours)} tours)"
-    print(f"{line}  {seconds * 1e3:9.1f} ms")
+    print(f"{line}  {seconds * 1e3:9.1f} ms   peak RSS so far {peak:6.0f} MiB")
 
 
 def lazy_runs(n: int, combs: int, seed: int):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from os import PathLike
 from pathlib import Path
 from typing import Mapping
 
@@ -30,12 +31,15 @@ from .rational import format_rational, parse_rational
 
 
 def _as_document(source, what: str) -> dict:
+    """`source` as a document: a mapping as it is, a str or path as a file."""
     if isinstance(source, Mapping):
         return dict(source)
+    if not isinstance(source, (str, PathLike)):
+        raise FormatError(what, "must be a JSON object or a file path")
     path = Path(source)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path, not UTF-8
         raise FormatError(what, f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -58,6 +62,8 @@ def edge_key(instance: BipartiteInstance, edge: Edge) -> str:
 
 
 def parse_edge_key(instance: BipartiteInstance, key: str, field: str) -> Edge:
+    if not isinstance(key, str):
+        raise FormatError(field, f"edge key {key!r} must be a string")
     parts = key.split("-")
     if len(parts) != 2:
         raise FormatError(field, f"edge key {key!r} must be 'label-label'")
@@ -183,7 +189,10 @@ def load_certificate(source, instance: BipartiteInstance) -> Certificate:
     orientation = doc.get("orientation", 1)
     if type(orientation) is not int or orientation not in (1, 2):  # not true, not 1.0
         raise FormatError("orientation", "must be 1 or 2")
-    comb = load_comb(doc.get("target_comb", {}), instance)
+    comb_doc = doc.get("target_comb", {})
+    if not isinstance(comb_doc, dict):
+        raise FormatError("target_comb", "must be an object")
+    comb = load_comb(comb_doc, instance)
     members_doc = doc.get("members")
     if not isinstance(members_doc, list):
         raise FormatError("members", "must be a list")

@@ -8,7 +8,13 @@ tour neighbours, which kills both rotations and reflection.
 
 Inside this module a tour is a tuple of indices into
 ``sorted(instance.edges)``, in tour order; `Tour` objects are built only
-for callers of `enumerate_tours`.  `facet_test` evaluates a row on a tour
+for callers of `enumerate_tours`.  `_edge_tours` fills the table of those
+indices by (class-1, class-2) vertex pair and hands it to
+`_kernels.hamiltonian_cycles`, which returns the tuples themselves: entry
+2k is the edge a_k b_k and entry 2k + 1 the edge b_k a_{k+1}, for the
+tour a_0 = 0, b_0, a_1, ..., b_{n-1} with b_0 < b_{n-1}.  Its list order,
+lexicographic in those vertex sequences, is the canonical order that
+`_stride_order` reads.  `facet_test` evaluates a row on a tour
 as an integer sum: the row is scaled by D, the lcm of the denominators of
 its coefficients and rhs, so its value on a tour is the sum of the scaled
 coefficients at the tour's edge indices, compared exactly against rhs*D.
@@ -90,35 +96,21 @@ class FacetReport:
 
 def _edge_tours(
     instance: BipartiteInstance, edges: Sequence[Edge], cap: int
-) -> Iterator[tuple[int, ...]]:
-    """Every tour as indices into `edges`, which is ``sorted(instance.edges)``.
-
-    For the kernel sequence (a_0, b_0, ..., a_{n-1}, b_{n-1}), entry 2k is
-    the edge a_k b_k and entry 2k + 1 the edge b_k a_{k+1} (a_n = a_0).
-    """
+) -> list[tuple[int, ...]]:
+    """Every tour as indices into `edges`, which is ``sorted(instance.edges)``,
+    in the layout of `_kernels.hamiltonian_cycles`."""
     if not instance.tours_possible:
         log.info(
             "no tours: class sizes differ (%d vs %d)", instance.n1, instance.n2
         )
-        return
+        return []
     n = instance.n1
     if n > cap:
         raise EnumerationCapError("tour enumeration", n, cap)
-    adj12 = [0] * n
-    adj21 = [0] * n
     position = [[-1] * n for _ in range(n)]  # [a][b] -> index of edge a b
     for k, e in enumerate(edges):
-        a, b = e.u.index, e.v.index
-        adj12[a] |= 1 << b
-        adj21[b] |= 1 << a
-        position[a][b] = k
-    for seq in _kernels.hamiltonian_cycles(n, adj12, adj21):
-        rows = [position[a] for a in seq[0::2]]
-        yield tuple(
-            k
-            for here, after, b in zip(rows, rows[1:] + rows[:1], seq[1::2])
-            for k in (here[b], after[b])
-        )
+        position[e.u.index][e.v.index] = k
+    return _kernels.hamiltonian_cycles(n, position)
 
 
 def enumerate_tours(
@@ -216,7 +208,7 @@ def polytope_dimension(
 ) -> int:
     """Affine dimension of the convex hull of the tour incidence vectors."""
     edges = sorted(instance.edges)
-    tours = list(_edge_tours(instance, edges, cap))
+    tours = _edge_tours(instance, edges, cap)
     return _affine_rank(tours, len(edges), _polytope_bound(instance))
 
 
@@ -233,7 +225,7 @@ def facet_test(
     `polytope_dimension` returns: the tight-face rank stops at it.
     """
     edges = sorted(instance.edges)
-    tours = list(_edge_tours(instance, edges, cap))
+    tours = _edge_tours(instance, edges, cap)
     if not tours:
         raise NoToursError("instance has no Hamiltonian tour")
     if polytope_dim is None:

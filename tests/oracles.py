@@ -62,6 +62,93 @@ def is_hamiltonian_cycle(instance, tour):
     return True
 
 
+def nested_generator_edge_tours(instance):
+    """Every tour as a tuple of indices into ``sorted(instance.edges)``, by
+    the nested-generator search and per-tour mapping that the single-frame
+    `_kernels.hamiltonian_cycles` replaced, both kept unchanged as its
+    reference: entry 2k of a tour is the edge a_k b_k and entry 2k + 1 the
+    edge b_k a_{k+1} of the search's vertex sequence.
+    """
+
+    def hamiltonian_cycles(
+        n: int, adj12: list[int], adj21: list[int]
+    ) -> list[tuple[int, ...]]:
+        """Canonical Hamiltonian cycles of a balanced bipartite graph.
+
+        adj12[i] is the bitmask of class-2 neighbours of class-1 vertex i;
+        adj21[j] likewise for class-2 vertex j.  Returns alternating index
+        sequences (a0=0, b0, a1, b1, ..., b_{n-1}); each undirected cycle
+        appears exactly once, in the direction with b0 < b_{n-1}.
+        """
+        if n < 2:
+            return []
+        seq = [0] * (2 * n)
+
+        def extend(depth: int, used1: int, used2: int):
+            # Even depth: place a class-2 vertex after seq[depth - 1] (class 1).
+            if depth == 2 * n - 1:
+                last_candidates = adj12[seq[depth - 1]] & ~used2 & adj21_back
+                b = 0
+                mask = last_candidates
+                while mask:
+                    low = mask & -mask
+                    b = low.bit_length() - 1
+                    if seq[1] < b:
+                        seq[depth] = b
+                        yield tuple(seq)
+                    mask ^= low
+                return
+            if depth % 2 == 1:
+                candidates = adj12[seq[depth - 1]] & ~used2
+                mask = candidates
+                while mask:
+                    low = mask & -mask
+                    b = low.bit_length() - 1
+                    seq[depth] = b
+                    yield from extend(depth + 1, used1, used2 | low)
+                    mask ^= low
+            else:
+                candidates = adj21[seq[depth - 1]] & ~used1
+                mask = candidates
+                while mask:
+                    low = mask & -mask
+                    a = low.bit_length() - 1
+                    seq[depth] = a
+                    yield from extend(depth + 1, used1 | low, used2)
+                    mask ^= low
+
+        # Precompute which class-2 vertices can close the cycle back to vertex 0.
+        adj21_back = 0
+        for j in range(n):
+            if adj21[j] & 1:
+                adj21_back |= 1 << j
+        return list(extend(1, 1, 0))
+
+    if not instance.tours_possible:
+        return []
+    n = instance.n1
+    edges = sorted(instance.edges)
+    adj12 = [0] * n
+    adj21 = [0] * n
+    position = [[-1] * n for _ in range(n)]  # [a][b] -> index of edge a b
+    for k, e in enumerate(edges):
+        a, b = e.u.index, e.v.index
+        adj12[a] |= 1 << b
+        adj21[b] |= 1 << a
+        position[a][b] = k
+    out = []
+    for seq in hamiltonian_cycles(n, adj12, adj21):
+        rows = [position[a] for a in seq[0::2]]
+        out.append(
+            tuple(
+                k
+                for here, after, b in zip(rows, rows[1:] + rows[:1], seq[1::2])
+                for k in (here[b], after[b])
+            )
+        )
+    return out
+
+
 def fraction_rank(rows):
     """Rank over the rationals by plain Gaussian elimination."""
     matrix = [[Fraction(v) for v in row] for row in rows]

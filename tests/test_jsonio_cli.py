@@ -326,6 +326,39 @@ def test_repeated_label_is_refused(table2, where):
     assert err.value.field == f"{field}[{len(labels) - 1}]"
 
 
+def _l3_certificate_doc(table2):
+    instance, _, comb = table2
+    reduced = Comb(comb.hand - {instance.vertex("b")}, comb.teeth)
+    return instance, dump_certificate(build_l3(instance, reduced), instance)
+
+
+def test_degree_support_key_must_be_a_string(table2):
+    instance, doc = _l3_certificate_doc(table2)
+    i = next(i for i, m in enumerate(doc["members"]) if m["kind"] == "degree")
+    doc["members"][i]["support"] = [1]
+    with pytest.raises(FormatError) as err:
+        load_certificate(doc, instance)
+    assert err.value.field == f"members[{i}].support[0]"
+
+
+def test_target_comb_must_be_an_object(table2):
+    instance, doc = _l3_certificate_doc(table2)
+    doc["target_comb"] = []
+    with pytest.raises(FormatError) as err:
+        load_certificate(doc, instance)
+    assert err.value.field == "target_comb"
+
+
+def test_target_comb_string_is_not_read_as_a_path(table2, tmp_path):
+    instance, doc = _l3_certificate_doc(table2)
+    comb_file = tmp_path / "comb.json"
+    comb_file.write_text(json.dumps(doc["target_comb"]))
+    doc["target_comb"] = str(comb_file)
+    with pytest.raises(FormatError) as err:
+        load_certificate(doc, instance)
+    assert err.value.field == "target_comb"
+
+
 def test_cli_repeated_label_exit_2(tmp_path, capsys):
     instance = tmp_path / "instance.json"
     instance.write_text(

@@ -9,6 +9,7 @@ from combcert import (
     _kernels,
     check_point,
     comb_inequality,
+    expected_tour_count,
     facet_test,
 )
 from combcert.search import sample_comb
@@ -41,6 +42,16 @@ def test_scan_output_is_sorted():
     out = _kernels.sec_violations(nv, masks, weights, denom, lo, hi)
     keys = [(bin(m).count("1"), m) for m, _ in out]
     assert keys == sorted(keys)
+
+
+def test_tour_kernel_returns_a_list_of_every_tour():
+    # Layer tracing counts len(result) as the tours enumerated.
+    for n in (2, 3, 4, 5):
+        position = [[a * n + b for b in range(n)] for a in range(n)]
+        tours = _kernels.hamiltonian_cycles(n, position)
+        assert type(tours) is list
+        assert len(tours) == expected_tour_count(n)
+        assert all(len(set(t)) == 2 * n for t in tours)
 
 
 def test_callers_reach_kernels_through_module_attributes(monkeypatch):

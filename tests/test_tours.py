@@ -16,16 +16,17 @@ from combcert import (
     polytope_dimension,
     sec_constraint,
 )
-from combcert import _kernels, tours as tours_module
+from combcert import tours as tours_module
 from combcert.constraints import ConstraintKind, degree_constraint, lower_bound
-from combcert.graph import CLASS1, CLASS2, VertexId
+from combcert.graph import VertexId
 from combcert.search import FAMILIES, sample_comb
 from combcert.certificates import BUILDERS, verify
-from combcert.tours import FacetVerdict, Tour
+from combcert.tours import DEFAULT_TOUR_CAP, FacetVerdict, Tour
 from oracles import (
     facet_report_oracle,
     fraction_rank,
     is_hamiltonian_cycle,
+    nested_generator_edge_tours,
     tour_affine_rank,
 )
 
@@ -88,26 +89,41 @@ def test_sparse_instance_tours():
     assert tours[0].edges == instance.edges
 
 
+def _random_instance(rng):
+    n = rng.randint(1, 6)
+    density = rng.uniform(0.3, 0.95)
+    return _instance(
+        n, [(a, b) for a in range(n) for b in range(n) if rng.random() < density]
+    )
+
+
+def test_edge_tours_match_nested_generator_oracle():
+    # The single-frame kernel against the code it replaced: the same
+    # tuples in the same order, which `_stride_order` relies on.
+    rng = random.Random(2017)
+    instances = (
+        [BipartiteInstance.complete(n) for n in (2, 3, 4, 5, 6)]
+        + [_eight_cycle(), _complete_minus(4, {(0, 0)}), BipartiteInstance.complete(3, 2)]
+        + [_random_instance(rng) for _ in range(300)]
+    )
+    for instance in instances:
+        edges = sorted(instance.edges)
+        got = tours_module._edge_tours(instance, edges, DEFAULT_TOUR_CAP)
+        assert got == nested_generator_edge_tours(instance)
+
+
 @pytest.mark.parametrize(
     "instance",
     [BipartiteInstance.complete(n) for n in (2, 3, 4, 5)]
     + [_eight_cycle(), _complete_minus(4, {(0, 0)})],
 )
 def test_tours_match_kernel_sequences(instance):
-    # Tour objects built straight from the kernel's vertex sequences.
-    n = instance.n1
-    adj12 = [sum(1 << e.v.index for e in instance.edges if e.u.index == i) for i in range(n)]
-    adj21 = [sum(1 << e.u.index for e in instance.edges if e.v.index == j) for j in range(n)]
+    # Tour objects built from the reference search's edge tuples.
+    edges = sorted(instance.edges)
     expected = []
-    for seq in _kernels.hamiltonian_cycles(n, adj12, adj21):
-        vertices = tuple(
-            VertexId(CLASS1 if k % 2 == 0 else CLASS2, idx) for k, idx in enumerate(seq)
-        )
-        edges = frozenset(
-            Edge(vertices[k], vertices[(k + 1) % len(vertices)])
-            for k in range(len(vertices))
-        )
-        expected.append(Tour(vertices, edges))
+    for tour in nested_generator_edge_tours(instance):
+        vertices = tuple(v for k in tour[0::2] for v in (edges[k].u, edges[k].v))
+        expected.append(Tour(vertices, frozenset(edges[k] for k in tour)))
     assert list(enumerate_tours(instance)) == expected
 
 
