@@ -11,9 +11,10 @@ Members come in two shapes:
 
   degree   a vertex's degree row restricted to an explicit edge subset
            (valid because weights are nonnegative), right-hand side 2
-  sec      x(S) <= |S| - 1 on an explicit vertex set; size-2 sets reduce
-           to the x <= 1 bound and singletons degenerate to 0 <= 0, both
-           still valid rows of the relaxation
+  sec      x(S) <= |S| - 1, identified by its vertex set alone (its edges
+           come from the instance); size-2 sets reduce to the x <= 1 bound
+           and singletons degenerate to 0 <= 0, both still valid rows of
+           the relaxation
 
 One member recipe, parameterized by a class orientation, serves every
 hypothesis class.  For a tooth listed before position p (it meets H^1):
@@ -31,10 +32,11 @@ to the hand.  Edges inside H^1 n T_i x H^2 n T_i end up covered twice,
 matching their coefficient 2 in the comb row.
 
 The classes differ only in the hypothesis they insist on (a `CombClass`
-flag; checking it is `combs.classify`'s job) and in which orientations
-they accept.  `CLASSES` is the one table of both, and one rule builds
-every certificate: among the orientations that pass the class's filter,
-take the one with the least aggregate rhs, ties to orientation 1.  Three
+flag; checking it is `combs.classify`'s job, which also hands over both
+orientations' patterns) and in which orientations they accept.
+`CLASSES` is the one table of both, and one rule builds every
+certificate: among the orientations that pass the class's filter, take
+the one with the least aggregate rhs, ties to orientation 1.  Three
 filters cover the five classes:
 
   L1, L3   w == y == 0 and p < q (no toothless vertex, minority first;
@@ -57,15 +59,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
-from .combs import (
-    Comb,
-    IntersectionPattern,
-    classify,
-    comb_inequality,
-    extract_pattern,
-    hand_classes,
-    require_valid,
-)
+from .combs import Comb, IntersectionPattern, classify, comb_inequality, comb_rhs
 from .constraints import ConstraintKind, LinearInequality, sec_constraint
 from .errors import CertificateInvariantError, HypothesisNotMetError
 from .graph import BipartiteInstance, Edge, VertexId
@@ -76,8 +70,9 @@ class CertificateMember:
     """One valid row of the relaxation, identified structurally.
 
     kind "degree": `vertex` plus the explicit `support` (a subset of its
-    incident edges).  kind "sec": `vertex_set`; the support is derived
-    from the instance and never trusted from the builder.
+    incident edges).  kind "sec": its `vertex_set` alone; `support` is for
+    degree members only, and the row's edges come from the instance when
+    `member_inequality` builds it.
     """
 
     kind: str
@@ -113,14 +108,6 @@ def _degree_member(
     return CertificateMember(kind="degree", vertex=vertex, support=support)
 
 
-def _sec_member(instance: BipartiteInstance, vertex_set) -> CertificateMember:
-    vset = frozenset(vertex_set)
-    support = frozenset(
-        e for e in instance.edges if e.u in vset and e.v in vset
-    )
-    return CertificateMember(kind="sec", vertex_set=vset, support=support)
-
-
 def member_rhs(member: CertificateMember) -> Fraction:
     if member.kind == "degree":
         return Fraction(2)
@@ -145,7 +132,7 @@ def aggregation_members(
     instance: BipartiteInstance, comb: Comb, pattern: IntersectionPattern
 ) -> tuple[tuple[CertificateMember, ...], Fraction]:
     """The member recipe for one orientation, plus its aggregate rhs."""
-    h1, h2 = hand_classes(comb, pattern.orientation)
+    h1, h2 = pattern.h1, pattern.h2
     toothed = comb.toothed()
     members: list[CertificateMember] = []
     for pos, ti in enumerate(pattern.tooth_order):
@@ -155,20 +142,13 @@ def aggregation_members(
                 members.append(_degree_member(instance, a, tooth | (h2 - tooth)))
             for b in sorted(tooth & h2):
                 members.append(_degree_member(instance, b, tooth))
-            members.append(_sec_member(instance, tooth - comb.hand))
+            members.append(CertificateMember(kind="sec", vertex_set=tooth - comb.hand))
         else:
-            members.append(_sec_member(instance, tooth))
+            members.append(CertificateMember(kind="sec", vertex_set=tooth))
     for a in sorted(h1 - toothed):
         members.append(_degree_member(instance, a, h2))
     agg_rhs = sum((member_rhs(m) for m in members), Fraction(0))
     return tuple(members), agg_rhs
-
-
-def _patterns(instance, comb) -> tuple[IntersectionPattern, IntersectionPattern]:
-    return (
-        extract_pattern(instance, comb),
-        extract_pattern(instance, comb, swap_classes=True),
-    )
 
 
 def _minority(pattern: IntersectionPattern) -> bool:
@@ -195,15 +175,17 @@ CLASSES: dict[str, HypothesisClass] = {
 def _build(name: str, instance: BipartiteInstance, comb: Comb) -> Certificate:
     """The certificate of class `name`, by the one rule of the module docstring.
 
-    Pattern filters run before any member is built, and only the classes
-    that filter by domination compute the comb row's rhs.
+    `classify` validates the comb and supplies both patterns.  Pattern
+    filters run before any member is built, and only the classes that
+    filter by domination compute the comb row's rhs.
     """
     cls = CLASSES[name]
-    if not getattr(classify(instance, comb), cls.flag):
+    flags = classify(instance, comb)
+    if not getattr(flags, cls.flag):
         raise HypothesisNotMetError(f"{name} needs a {cls.flag} comb")
-    target = None if cls.fits else comb_inequality(instance, comb).rhs
+    target = None if cls.fits else comb_rhs(comb)
     best = None
-    for pat in _patterns(instance, comb):
+    for pat in flags.patterns:
         if cls.fits and not cls.fits(pat):
             continue
         members, agg = aggregation_members(instance, comb, pat)
@@ -254,9 +236,8 @@ def verify(instance: BipartiteInstance, certificate: Certificate) -> Certificate
 
     Nothing builder-side is trusted: member rows are re-derived from their
     structural identity, the per-edge sums and aggregate rhs are recomputed,
-    and the target comb row is rebuilt from the comb.
+    and the target comb row is rebuilt (and the comb validated) from the comb.
     """
-    require_valid(instance, certificate.comb)
     target = comb_inequality(instance, certificate.comb)
 
     problems: list[str] = []
@@ -321,8 +302,8 @@ def parity_audit(instance: BipartiteInstance, comb: Comb) -> ParityAudit:
     flags = classify(instance, comb)
     if not flags.one_class_per_tooth:
         raise HypothesisNotMetError("parity audit needs one-class-per-tooth combs")
-    target = comb_inequality(instance, comb).rhs
-    pats = _patterns(instance, comb)
+    target = comb_rhs(comb)
+    pats = flags.patterns
     aggs = tuple(
         aggregation_members(instance, comb, pat)[1] for pat in pats
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .certificates import BUILDERS, CLASSES, verify
 from .combs import classify, comb_inequality
@@ -34,13 +35,17 @@ from .tours import facet_test
 
 
 def _approx(text: str) -> str:
-    """Exact rational string plus a decimal reading when it is fractional."""
-    from fractions import Fraction
+    """Exact rational string plus a decimal reading when it is fractional.
 
+    The reading is rounded to six decimals in integer arithmetic, so a
+    value of any size prints (a float would overflow).
+    """
     value = Fraction(text)
     if value.denominator == 1:
         return text
-    return f"{text} (~{float(value):g})"
+    whole, micros = divmod(round(abs(value) * 10**6), 10**6)
+    digits = f"{whole}.{micros:06d}".rstrip("0").rstrip(".")
+    return f"{text} (~{'-' if value < 0 else ''}{digits})"
 
 
 def _emit(args, document: dict, text_lines) -> None:

@@ -28,6 +28,11 @@ L1 ... T2, to its flag):
 The fourth condition is compared as an exact rational.  The first implies
 all others; the last implies the fourth by a parity argument (mechanized
 in `certificates.parity_audit`).
+
+`classify` is the one place that analyses a comb: it validates it once,
+extracts both orientations' `IntersectionPattern`s, and hands them on in
+`CombClass.patterns`, which the certificate builders iterate.
+`extract_pattern` is the validating form of the same extraction.
 """
 
 from __future__ import annotations
@@ -110,12 +115,20 @@ def comb_inequality(instance: BipartiteInstance, comb: Comb) -> LinearInequality
                 c += 1
         if c:
             coeffs[e] = Fraction(c)
-    rhs = Fraction(
-        len(comb.hand) + sum(len(t) for t in comb.teeth) - (3 * comb.t + 1) // 2
-    )
     hand_labels = ",".join(instance.labels_of(comb.hand))
     return LinearInequality(
-        coeffs, rhs, ConstraintKind.COMB, f"comb{{{hand_labels}}}"
+        coeffs, comb_rhs(comb), ConstraintKind.COMB, f"comb{{{hand_labels}}}"
+    )
+
+
+def comb_rhs(comb: Comb) -> Fraction:
+    """The comb row's right-hand side |H| + sum|T_i| - (3t+1)/2.
+
+    The comb is taken as valid (t odd), so the value is integral; callers
+    that need only the rhs of a classified comb skip building the row.
+    """
+    return Fraction(
+        len(comb.hand) + sum(len(t) for t in comb.teeth) - (3 * comb.t + 1) // 2
     )
 
 
@@ -126,6 +139,7 @@ class IntersectionPattern:
     `orientation` is 1 when H^1 means the instance's class 1, 2 when the
     classes are swapped.  `tooth_order` maps sorted position -> original
     tooth index (teeth meeting H^1 first, stable within each group).
+    `h1` and `h2` are the hand's two sides H^1 and H^2 in this orientation.
     """
 
     orientation: int
@@ -136,8 +150,8 @@ class IntersectionPattern:
     r: tuple[int, ...]
     w: int
     y: int
-    toothed1: frozenset[VertexId]
-    toothed2: frozenset[VertexId]
+    h1: frozenset[VertexId]
+    h2: frozenset[VertexId]
 
     @property
     def t(self) -> int:
@@ -172,32 +186,34 @@ def extract_pattern(
 ) -> IntersectionPattern:
     """Counts (p, q, s_i, r_i, w, y) with the canonical tooth reordering."""
     require_valid(instance, comb)
+    return _pattern(comb, swap_classes)
+
+
+def _pattern(comb: Comb, swap_classes: bool) -> IntersectionPattern:
+    """`extract_pattern` on a comb already validated."""
     cls_one = CLASS2 if swap_classes else CLASS1
     h1 = frozenset(v for v in comb.hand if v.cls == cls_one)
     h2 = comb.hand - h1
 
     meets = [i for i, tooth in enumerate(comb.teeth) if tooth & h1]
-    misses = [i for i in range(comb.t) if i not in set(meets)]
-    order = tuple(meets + misses)
+    misses = [i for i, tooth in enumerate(comb.teeth) if not tooth & h1]
     p = len(meets)
     s = tuple(len(comb.teeth[i] & h1) - 1 for i in meets)
     r = tuple(len(comb.teeth[i] & h2) for i in meets) + tuple(
         len(comb.teeth[i] & h2) - 1 for i in misses
     )
     toothed = comb.toothed()
-    toothed1 = h1 & toothed
-    toothed2 = h2 & toothed
     return IntersectionPattern(
         orientation=2 if swap_classes else 1,
-        tooth_order=order,
+        tooth_order=tuple(meets + misses),
         p=p,
         q=comb.t - p,
         s=s,
         r=r,
         w=len(h1 - toothed),
         y=len(h2 - toothed),
-        toothed1=toothed1,
-        toothed2=toothed2,
+        h1=h1,
+        h2=h2,
     )
 
 
@@ -221,7 +237,11 @@ class ConditionValue:
 
 @dataclass(frozen=True)
 class CombClass:
-    """Which hypothesis classes a comb falls into (see module docstring)."""
+    """Which hypothesis classes a comb falls into (see module docstring).
+
+    `patterns` holds the comb's two intersection patterns, orientation 1
+    then 2: the flags are read from them, and the builders reuse them.
+    """
 
     single_all_toothed: bool
     single: bool
@@ -230,6 +250,7 @@ class CombClass:
     one_class_per_tooth: bool
     conditions: tuple[ConditionValue, ConditionValue]
     notes: tuple[str, ...]
+    patterns: tuple[IntersectionPattern, IntersectionPattern]
 
     def builder_names(self) -> tuple[str, ...]:
         """The certificate classes whose flag is set, in table order."""
@@ -249,9 +270,10 @@ class CombClass:
 
 
 def classify(instance: BipartiteInstance, comb: Comb) -> CombClass:
+    """Validate the comb once, extract both patterns, and read the flags."""
     require_valid(instance, comb)
-    pat1 = extract_pattern(instance, comb)
-    pat2 = extract_pattern(instance, comb, swap_classes=True)
+    pat1 = _pattern(comb, swap_classes=False)
+    pat2 = _pattern(comb, swap_classes=True)
 
     single = all(len(comb.hand & tooth) == 1 for tooth in comb.teeth)
     all_toothed = comb.hand <= comb.toothed()
@@ -278,6 +300,7 @@ def classify(instance: BipartiteInstance, comb: Comb) -> CombClass:
         one_class_per_tooth=one_class,
         conditions=conditions,
         notes=tuple(notes),
+        patterns=(pat1, pat2),
     )
 
 
@@ -292,11 +315,3 @@ def comb_value(
         total += set_weight(point, tooth)
     return total
 
-
-def hand_classes(
-    comb: Comb, orientation: int
-) -> tuple[frozenset[VertexId], frozenset[VertexId]]:
-    """(H^1, H^2) for an orientation (1 = classes as given)."""
-    cls_one = CLASS1 if orientation == 1 else CLASS2
-    h1 = frozenset(v for v in comb.hand if v.cls == cls_one)
-    return h1, comb.hand - h1

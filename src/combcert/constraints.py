@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Literal, Mapping
 
 from . import _kernels
 from .errors import EnumerationCapError
-from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId, degree
+from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
 from .rational import common_denominator
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -155,33 +155,18 @@ def lower_bound(instance: BipartiteInstance, edge: Edge) -> LinearInequality:
     )
 
 
-def _sec_size_range(
-    instance: BipartiteInstance, size_bounds: tuple[int, int] | None
-) -> tuple[int, int]:
-    n = instance.num_vertices
-    if size_bounds is None:
-        # Empty window on instances too small to have any subtour row.
-        return 3, n - 1
-    lo, hi = size_bounds
-    if lo < 1 or hi > n - 1 or lo > hi:
-        raise ValueError(
-            f"subtour size range [{lo}, {hi}] invalid for {n} vertices"
-        )
-    return lo, hi
-
-
 def gen_secs(
-    instance: BipartiteInstance,
-    size_bounds: tuple[int, int] | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    instance: BipartiteInstance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[LinearInequality]:
-    """Stream every subtour row in the size window, smallest sets first."""
+    """Stream every subtour row, 3 <= |S| <= N - 1, smallest sets first.
+
+    The window is empty on instances too small to have any subtour row.
+    """
     n = instance.num_vertices
     if n > cap:
         raise EnumerationCapError("subtour enumeration", n, cap)
-    lo, hi = _sec_size_range(instance, size_bounds)
     order = list(instance.vertices())
-    for size in range(lo, hi + 1):
+    for size in range(3, n):
         for combo in combinations(order, size):
             yield sec_constraint(instance, combo)
 
@@ -209,10 +194,9 @@ def check_point(
     instance: BipartiteInstance,
     point: FractionalPoint,
     mode: DegreeMode = "le",
-    size_bounds: tuple[int, int] | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> FeasibilityReport:
-    """Evaluate every degree row, every subtour row in range, and the bounds.
+    """Evaluate every degree row, every subtour row, and the bounds.
 
     Arithmetic is exact; the subset sweep runs on integer-scaled weights via
     `_kernels.sec_violations` and only the violated subsets are materialized.
@@ -222,7 +206,6 @@ def check_point(
     n = instance.num_vertices
     if n > cap:
         raise EnumerationCapError("subtour enumeration", n, cap)
-    lo, hi = _sec_size_range(instance, size_bounds)
 
     violations: list[tuple[LinearInequality, Fraction]] = []
 
@@ -238,7 +221,7 @@ def check_point(
             violations.append((lower_bound(instance, e), -w))
 
     masks, scaled, denom = scan_inputs(instance, point)
-    for mask, value in _kernels.sec_violations(n, masks, scaled, denom, lo, hi):
+    for mask, value in _kernels.sec_violations(n, masks, scaled, denom, 3, n - 1):
         subset = frozenset(
             instance.vertex_at(i) for i in range(n) if mask & (1 << i)
         )

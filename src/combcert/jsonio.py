@@ -7,8 +7,10 @@ Instance files bundle the structure and a weighting:
 
 The key "u-v" names an existing edge (either endpoint order is accepted;
 labels therefore must not contain "-"); the value is an exact rational
-string.  An explicit "0" declares an edge that exists with weight zero.
-Round-trips are value-exact: rationals never pass through floats.
+string: "[+-]digits" or "[+-]digits/digits", or a JSON integer (see
+`rational.parse_rational`).  An explicit "0" declares an edge that exists
+with weight zero.  Round-trips are value-exact: rationals never pass
+through floats.
 
 Comb files are { "hand": [...], "teeth": [[...], ...] }.  Certificates
 carry their builder tag, the member list, and the target comb.  All
@@ -23,7 +25,7 @@ from os import PathLike
 from pathlib import Path
 from typing import Mapping
 
-from .certificates import BUILDERS, Certificate, CertificateMember, _sec_member
+from .certificates import BUILDERS, Certificate, CertificateMember
 from .combs import Comb
 from .errors import FormatError, UnknownVertexError
 from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
@@ -43,7 +45,7 @@ def _as_document(source, what: str) -> dict:
         raise FormatError(what, f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise FormatError(what, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(what, "top-level value must be an object")
@@ -222,7 +224,7 @@ def load_certificate(source, instance: BipartiteInstance) -> Certificate:
             )
         elif kind == "sec":
             vset = _vertex_list(instance, m.get("set"), f"{field}.set")
-            members.append(_sec_member(instance, vset))
+            members.append(CertificateMember(kind="sec", vertex_set=vset))
         else:
             raise FormatError(f"{field}.kind", f"unknown member kind {kind!r}")
     return Certificate(builder, comb, tuple(members), orientation)

@@ -3,19 +3,27 @@
 All quantities in this package are `fractions.Fraction`; nothing is ever
 a float.  Counterexample margins in this problem family are exact halves,
 so any rounding would be fatal.  On the wire a rational is the string
-"p/q" (reduced, q > 0) or a plain integer string.
+"[+-]digits" or "[+-]digits/digits" (`format_rational` writes "p/q"
+reduced with q > 0, or a plain integer), or a JSON integer.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
+_WIRE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or integer strings (ints are accepted for convenience).
+    """Parse "[+-]digits" or "[+-]digits/digits" strings, or an int.
 
-    A bool is refused: it is an int in Python, but JSON `true` is no number.
+    Nothing else is read.  A bool is refused: it is an int in Python, but
+    JSON `true` is no number.  Floats, exponents, decimals, underscores and
+    surrounding blanks, all of which `Fraction` itself would take, are
+    refused too: a ten-character exponent form such as "1e3000000" would
+    otherwise expand to a ten-million-bit integer.
     """
     if isinstance(text, Fraction):
         return text
@@ -23,11 +31,11 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"booleans are not rationals: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, float):
-        raise ValueError(f"floats are not exact: {text!r}")
+    if not isinstance(text, str) or not _WIRE.fullmatch(text):
+        raise ValueError(f"not a rational: {text!r}")
     try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
@@ -36,10 +44,6 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def is_integral(value: Fraction) -> bool:
-    return Fraction(value).denominator == 1
 
 
 def common_denominator(values) -> int:

@@ -26,6 +26,7 @@ from combcert.certificates import (
     Certificate,
     CertificateMember,
     aggregation_members,
+    member_inequality,
     parity_audit,
 )
 from combcert.search import sample_comb
@@ -66,7 +67,7 @@ def test_l1_emits_trivial_singleton_subtour_members(k44):
     # The class-1 tooth has size 2, so its interior is a single vertex:
     # the member degenerates to 0 <= 0 but is still counted.
     assert len(singletons) == 1
-    assert singletons[0].support == frozenset()
+    assert member_inequality(k44, singletons[0]).coeffs == {}
 
 
 def test_l1_per_edge_surplus_exact(k44):
@@ -268,6 +269,29 @@ def test_parity_audit_identity_and_evenness():
             assert all(m % 2 == 0 for m in audit.doubled_margins)
 
 
+def test_one_builder_call_validates_once_and_extracts_two_patterns(monkeypatch):
+    from combcert import combs
+
+    calls = {"validate": 0, "extract": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(combs, "validate_comb", counted("validate", combs.validate_comb))
+    monkeypatch.setattr(combs, "_pattern", counted("extract", combs._pattern))
+    rng = random.Random(808)
+    instance = BipartiteInstance.complete(5)
+    for name, builder in BUILDERS.items():
+        comb = sample_comb(rng, instance, name.lower())
+        calls.update(validate=0, extract=0)
+        builder(instance, comb)
+        assert calls == {"validate": 1, "extract": 2}, name
+
+
 def test_builders_produce_only_primitive_members():
     rng = random.Random(5150)
     instance = BipartiteInstance.complete(5)
@@ -288,9 +312,9 @@ def test_verify_detects_member_removal(k44):
             cert.orientation,
         )
         report = verify(k44, mutant)
-        # Dropping the empty-support singleton member only tightens the
+        # Dropping the singleton member (an empty row) only tightens the
         # aggregate; dropping anything else must break domination.
-        if cert.members[drop].support:
+        if member_inequality(k44, cert.members[drop]).coeffs:
             assert not report.dominates
             assert report.problems
 
@@ -317,15 +341,7 @@ def test_no_certificate_for_table1_comb(table1):
     instance, point, comb = table1
     members = []
     for tooth in comb.teeth:
-        members.append(
-            CertificateMember(
-                kind="sec",
-                vertex_set=tooth,
-                support=frozenset(
-                    e for e in instance.edges if e.u in tooth and e.v in tooth
-                ),
-            )
-        )
+        members.append(CertificateMember(kind="sec", vertex_set=tooth))
     for v in sorted(comb.hand):
         members.append(
             CertificateMember(

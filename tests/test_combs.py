@@ -176,7 +176,8 @@ def test_swap_equivariance_and_hand_identity():
             pat1 = extract_pattern(instance, comb)
             pat2 = extract_pattern(instance, comb, swap_classes=True)
             assert (pat1.w, pat1.y) == (pat2.y, pat2.w)
-            assert (pat1.toothed1, pat1.toothed2) == (pat2.toothed2, pat2.toothed1)
+            assert (pat1.h1, pat1.h2) == (pat2.h2, pat2.h1)
+            assert pat1.h1 | pat1.h2 == comb.hand
             assert pat1.hand_size() == len(comb.hand) == pat2.hand_size()
             pairs1 = _pattern_pairs(pat1)
             pairs2 = _pattern_pairs(pat2)
@@ -207,3 +208,15 @@ def test_hypothesis_hierarchy_on_random_combs():
                 assert flags.counted_slack
             if flags.one_class_per_tooth:
                 assert flags.counted_slack
+
+
+def test_classify_hands_over_both_extracted_patterns():
+    rng = random.Random(73)
+    for n in (4, 5, 6):
+        instance = BipartiteInstance.complete(n)
+        for k in range(10 * len(FAMILIES)):
+            comb = sample_comb(rng, instance, FAMILIES[k % len(FAMILIES)])
+            assert classify(instance, comb).patterns == (
+                extract_pattern(instance, comb),
+                extract_pattern(instance, comb, swap_classes=True),
+            )

@@ -43,7 +43,7 @@ def test_gen_degree_eq_mode_two_thirds_point(k33):
 
 def test_gen_secs_count_matches_enumeration_oracle(table1):
     instance, _, _ = table1
-    rows = list(gen_secs(instance, (3, 7)))
+    rows = list(gen_secs(instance))  # the window 3..N-1 of 8 vertices
     assert len(rows) == subset_count(8, 3, 7) == 218
     provenances = {r.provenance for r in rows}
     assert len(provenances) == len(rows)  # duplicate-free

@@ -286,6 +286,59 @@ def test_cli_rejects_boolean_weight(tmp_path, capsys, command, weight):
     assert "boolean" in error["reason"]
 
 
+@pytest.mark.parametrize(
+    "weight,reading",
+    [
+        ("15/2", "value 15/2 (~7.5) vs rhs 1"),
+        ("-1/3", "value 1/3 (~0.333333) vs rhs 0"),
+        ("1" + "0" * 400 + "/3", "(~" + "3" * 400 + ".333333) vs rhs 1"),
+    ],
+    ids=["15/2", "1/3", "10**400/3"],
+)
+def test_cli_text_reading_of_a_fractional_value_is_exact(
+    tmp_path, capsys, weight, reading
+):
+    doc = {"class1": ["a"], "class2": ["b"], "weights": {"a-b": weight}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-point", "--instance", str(path)]) == 1
+    assert reading in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "weight",
+    ["1e3", "1e3000000", "1.5", ".5", "1_000", " 1", "1/2 ", "1/-2", "0x10", "\u0663"]
+    + [pytest.param("1" * 5001, id="5001-digits"), pytest.param(0.5, id="json-float")],
+)
+def test_weight_outside_the_wire_grammar_is_refused(weight):
+    doc = {"class1": ["a"], "class2": ["b"], "weights": {"a-b": weight}}
+    with pytest.raises(FormatError) as err:
+        load_instance(doc)
+    assert err.value.field == "weights['a-b']"
+
+
+@pytest.mark.parametrize("weight,value", [("+1/2", Fraction(1, 2)), ("-03", -3), (7, 7)])
+def test_weight_in_the_wire_grammar_is_read(weight, value):
+    doc = {"class1": ["a"], "class2": ["b"], "weights": {"a-b": weight}}
+    _, point = load_instance(doc)
+    assert list(point.items())[0][1] == value
+
+
+@pytest.mark.parametrize(
+    "weights,field",
+    [
+        ('{"a-b": "1e3000000"}', "weights['a-b']"),
+        ('{"a-b": 1' + "0" * 5000 + "}", "instance"),
+    ],
+    ids=["exponent", "5001-digit-literal"],
+)
+def test_cli_oversized_weight_exit_2(tmp_path, capsys, weights, field):
+    path = tmp_path / "instance.json"
+    path.write_text('{"class1": ["a"], "class2": ["b"], "weights": ' + weights + "}")
+    assert main(["verify-point", "--instance", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == field
+
+
 @pytest.mark.parametrize("builder", ["L4", "l1", ["L1"], None])
 def test_certificate_builder_tag_must_name_a_class(table2, builder):
     instance, _, comb = table2
