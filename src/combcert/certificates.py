@@ -31,16 +31,16 @@ tooth.  Each toothless H^1 vertex contributes its degree row restricted
 to the hand.  Edges inside H^1 n T_i x H^2 n T_i end up covered twice,
 matching their coefficient 2 in the comb row.
 
-The classes differ only in the hypothesis they insist on (a `CombClass`
-flag; checking it is `combs.classify`'s job, which also hands over both
-orientations' patterns) and in which orientations they accept.
-`CLASSES` is the one table of both, and one rule builds every
-certificate: among the orientations that pass the class's filter, take
-the one with the least aggregate rhs, ties to orientation 1.  Three
+The classes differ only in the hypothesis that admits a comb and in
+which orientations they accept; `combs.CLASSES` is the one table of
+both, kept next to the intersection patterns it reads.  One rule builds
+every certificate: among the orientations that pass the class's filter,
+take the one with the least aggregate rhs, ties to orientation 1.  Three
 filters cover the five classes:
 
-  L1, L3   w == y == 0 and p < q (no toothless vertex, minority first;
-           for L1, t odd makes exactly one orientation qualify)
+  L1, L3   `IntersectionPattern.minority`: w == y == 0 and p < q (no
+           toothless vertex, minority first; for L1, t odd makes
+           exactly one orientation qualify)
   T1       the toothless-vertex condition (`condition_holds`)
   L2, T2   the aggregate rhs is at most the comb row's rhs
 
@@ -57,9 +57,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
-from .combs import Comb, IntersectionPattern, classify, comb_inequality, comb_rhs
+from .combs import (
+    CLASSES,
+    Comb,
+    IntersectionPattern,
+    classify,
+    comb_inequality,
+    comb_rhs,
+)
 from .constraints import ConstraintKind, LinearInequality, sec_constraint
 from .errors import CertificateInvariantError, HypothesisNotMetError
 from .graph import BipartiteInstance, Edge, VertexId
@@ -151,41 +158,21 @@ def aggregation_members(
     return tuple(members), agg_rhs
 
 
-def _minority(pattern: IntersectionPattern) -> bool:
-    return pattern.w == 0 and pattern.y == 0 and pattern.p < pattern.q
-
-
-class HypothesisClass(NamedTuple):
-    """A certified class: the `CombClass` flag that admits a comb, and the
-    filter an orientation must pass (None: it must dominate)."""
-
-    flag: str
-    fits: Callable[[IntersectionPattern], bool] | None
-
-
-CLASSES: dict[str, HypothesisClass] = {
-    "L1": HypothesisClass("single_all_toothed", _minority),
-    "L2": HypothesisClass("single", None),
-    "L3": HypothesisClass("sorted_minority", _minority),
-    "T1": HypothesisClass("counted_slack", IntersectionPattern.condition_holds),
-    "T2": HypothesisClass("one_class_per_tooth", None),
-}
-
-
 def _build(name: str, instance: BipartiteInstance, comb: Comb) -> Certificate:
     """The certificate of class `name`, by the one rule of the module docstring.
 
-    `classify` validates the comb and supplies both patterns.  Pattern
-    filters run before any member is built, and only the classes that
-    filter by domination compute the comb row's rhs.
+    `classify` validates the comb and supplies both patterns, which the
+    class's `combs.CLASSES` entry admits or refuses.  Pattern filters run
+    before any member is built, and only the classes that filter by
+    domination compute the comb row's rhs.
     """
     cls = CLASSES[name]
-    flags = classify(instance, comb)
-    if not getattr(flags, cls.flag):
+    pats = classify(instance, comb).patterns
+    if not cls.admits(pats):
         raise HypothesisNotMetError(f"{name} needs a {cls.flag} comb")
     target = None if cls.fits else comb_rhs(comb)
     best = None
-    for pat in flags.patterns:
+    for pat in pats:
         if cls.fits and not cls.fits(pat):
             continue
         members, agg = aggregation_members(instance, comb, pat)
@@ -299,11 +286,10 @@ class ParityAudit:
 
 
 def parity_audit(instance: BipartiteInstance, comb: Comb) -> ParityAudit:
-    flags = classify(instance, comb)
-    if not flags.one_class_per_tooth:
+    pats = classify(instance, comb).patterns
+    if not CLASSES["T2"].admits(pats):
         raise HypothesisNotMetError("parity audit needs one-class-per-tooth combs")
     target = comb_rhs(comb)
-    pats = flags.patterns
     aggs = tuple(
         aggregation_members(instance, comb, pat)[1] for pat in pats
     )

@@ -15,17 +15,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .certificates import BUILDERS, CLASSES, verify
-from .combs import classify, comb_inequality
-from .constraints import check_point
-from .errors import (
-    CombcertError,
-    EnumerationCapError,
-    FormatError,
-    HypothesisNotMetError,
-    InvalidCombError,
-    NoToursError,
-)
+from .certificates import BUILDERS, verify
+from .combs import CLASSES, classify, comb_inequality
+from .constraints import DEFAULT_ENUMERATION_CAP, check_point
+from .errors import CombcertError, FormatError, HypothesisNotMetError, InvalidCombError
 from .jsonio import dump_certificate, load_comb, load_instance, write_json
 from .lp import is_implied
 from .rational import format_rational
@@ -34,18 +27,25 @@ from .tables import reproduce_tables
 from .tours import facet_test
 
 
-def _approx(text: str) -> str:
-    """Exact rational string plus a decimal reading when it is fractional.
+def _approx(value: Fraction) -> str:
+    """The exact rational plus a decimal reading when it is fractional.
 
     The reading is rounded to six decimals in integer arithmetic, so a
     value of any size prints (a float would overflow).
     """
-    value = Fraction(text)
+    text = format_rational(value)
     if value.denominator == 1:
         return text
     whole, micros = divmod(round(abs(value) * 10**6), 10**6)
-    digits = f"{whole}.{micros:06d}".rstrip("0").rstrip(".")
+    digits = f"{format_rational(whole)}.{micros:06d}".rstrip("0").rstrip(".")
     return f"{text} (~{'-' if value < 0 else ''}{digits})"
+
+
+def _write_output(path, document: dict) -> None:
+    try:
+        write_json(path, document)
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path
+        raise FormatError("output", f"cannot write {path}: {exc}") from exc
 
 
 def _emit(args, document: dict, text_lines) -> None:
@@ -78,8 +78,9 @@ def _cmd_verify_point(args) -> int:
     }
     lines = [f"feasible: {report.feasible}"]
     lines += [
-        f"  violated {v['constraint']}: value {_approx(v['value'])} vs rhs {v['rhs']}"
-        for v in document["violations"]
+        f"  violated {row.provenance}: value {_approx(value)} "
+        f"vs rhs {format_rational(row.rhs)}"
+        for row, value in report.violations
     ]
     _emit(args, document, lines)
     return 0 if report.feasible else 1
@@ -122,11 +123,11 @@ def _cmd_certify(args) -> int:
     document["verified"] = report.dominates
     document["slack"] = format_rational(report.slack)
     if args.output:
-        write_json(args.output, document)
+        _write_output(args.output, document)
     lines = [
         f"builder {cert.builder}, orientation {cert.orientation}, "
         f"{len(cert.members)} members",
-        f"dominates: {report.dominates} (slack {_approx(document['slack'])})",
+        f"dominates: {report.dominates} (slack {_approx(report.slack)})",
     ]
     lines += [f"  problem: {p}" for p in report.problems]
     _emit(args, document, lines)
@@ -147,8 +148,8 @@ def _cmd_implied(args) -> int:
         "rows_used": result.rows_used,
     }
     lines = [
-        f"{result.status}: optimum {_approx(document['optimum'])} "
-        f"vs rhs {_approx(document['rhs'])}"
+        f"{result.status}: optimum {_approx(result.optimum)} "
+        f"vs rhs {_approx(result.target_rhs)}"
     ]
     if result.witness is not None:
         witness = {
@@ -211,9 +212,10 @@ def _cmd_search(args) -> int:
         comb_count=args.count,
         families=families,
         orientation_policy=args.policy,
-        output=args.output,
     )
     findings = run_search(config)
+    if args.output:
+        _write_output(args.output, findings)
     summary = {
         key: len(findings[key])
         for key in ("certified", "violated", "implied_without_certificate", "failures")
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-point", help="check a point against the relaxation")
     common(p, comb=False)
     p.add_argument("--mode", choices=("le", "eq"), default="le")
-    p.add_argument("--max-vertices", type=int, default=24)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.set_defaults(func=_cmd_verify_point)
 
     p = sub.add_parser("classify", help="which hypothesis classes a comb matches")
@@ -305,7 +307,7 @@ def main(argv=None) -> int:
     except HypothesisNotMetError as exc:
         print(json.dumps({"error": {"hypothesis": str(exc)}}), file=sys.stderr)
         return 1
-    except (EnumerationCapError, NoToursError, CombcertError) as exc:
+    except CombcertError as exc:
         print(json.dumps({"error": {"message": str(exc)}}), file=sys.stderr)
         return 2
 

@@ -16,22 +16,25 @@ and w / y count the hand vertices of class 1 / class 2 lying in no tooth.
 Everything here is computed for both assignments of "class 1" because the
 statements being classified are orientation-dependent.
 
-Hypothesis flags (`certificates.CLASSES` maps each certificate class,
-L1 ... T2, to its flag):
+`CLASSES` is the one table of the certified classes: for each, its
+report flag, the predicate on the two patterns (orientation 1, then 2)
+that admits a comb, and the orientation filter of `certificates._build`.
+Admission reads orientation 1 unless it says "some orientation":
 
-  single_all_toothed   every |H n T_i| = 1 and no toothless hand vertex
-  single               every |H n T_i| = 1
-  sorted_minority      no toothless vertex and p < q in some orientation
-  counted_slack        w <= y + (q - (p+1))/2 + sum_{i>p} r_i  (some orientation)
-  one_class_per_tooth  every tooth meets the hand inside a single class
+  L1  single_all_toothed   L2, and w = y = 0
+  L2  single               every s_i and r_i is 0: every |H n T_i| = 1
+  L3  sorted_minority      w = y = 0 and p < q in some orientation
+  T1  counted_slack        w <= y + (q - (p+1))/2 + sum_{i>p} r_i in some
+                           orientation, compared as an exact rational
+  T2  one_class_per_tooth  r_i = 0 for every i <= p: each tooth meets the
+                           hand inside a single class
 
-The fourth condition is compared as an exact rational.  The first implies
-all others; the last implies the fourth by a parity argument (mechanized
-in `certificates.parity_audit`).
+L1 implies all others; T2 implies T1 by a parity argument (mechanized in
+`certificates.parity_audit`).
 
-`classify` is the one place that analyses a comb: it validates it once,
-extracts both orientations' `IntersectionPattern`s, and hands them on in
-`CombClass.patterns`, which the certificate builders iterate.
+`classify` is the one place that analyses a comb: it validates it once
+and hands both orientations' `IntersectionPattern`s to the builders in a
+`CombClass`, which reads every flag, condition and note off them.
 `extract_pattern` is the validating form of the same extraction.
 """
 
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .constraints import ConstraintKind, LinearInequality
 from .errors import InvalidCombError
@@ -180,6 +184,10 @@ class IntersectionPattern:
     def condition_holds(self) -> bool:
         return Fraction(self.w) <= self.condition_bound()
 
+    def minority(self) -> bool:
+        """No toothless hand vertex, and fewer teeth meet H^1 than miss it."""
+        return self.w == 0 and self.y == 0 and self.p < self.q
+
 
 def extract_pattern(
     instance: BipartiteInstance, comb: Comb, swap_classes: bool = False
@@ -217,90 +225,78 @@ def _pattern(comb: Comb, swap_classes: bool) -> IntersectionPattern:
     )
 
 
-@dataclass(frozen=True)
-class ConditionValue:
-    """One orientation's toothless-vertex condition, evaluated exactly."""
+class HypothesisClass(NamedTuple):
+    """A certified class: its report flag, the predicate on the two patterns
+    that admits a comb, and its orientation filter (None: it must dominate)."""
 
-    orientation: int
-    w: int
-    bound: Fraction
-    holds: bool
+    flag: str
+    admits: Callable[[tuple[IntersectionPattern, IntersectionPattern]], bool]
+    fits: Callable[[IntersectionPattern], bool] | None
 
-    def as_dict(self) -> dict:
-        return {
-            "orientation": self.orientation,
-            "w": self.w,
-            "bound": format_rational(self.bound),
-            "holds": self.holds,
-        }
+
+def _single(pats) -> bool:
+    return not any(pats[0].s + pats[0].r)
+
+
+def _some(fits: Callable[[IntersectionPattern], bool]):
+    """Admission when some orientation passes `fits`."""
+    return lambda pats: any(fits(pat) for pat in pats)
+
+
+_minority, _counted = IntersectionPattern.minority, IntersectionPattern.condition_holds
+
+CLASSES: dict[str, HypothesisClass] = {
+    "L1": HypothesisClass(
+        "single_all_toothed", lambda ps: _single(ps) and ps[0].w == ps[0].y == 0, _minority
+    ),
+    "L2": HypothesisClass("single", _single, None),
+    "L3": HypothesisClass("sorted_minority", _some(_minority), _minority),
+    "T1": HypothesisClass("counted_slack", _some(_counted), _counted),
+    "T2": HypothesisClass(
+        "one_class_per_tooth", lambda ps: not any(ps[0].r[: ps[0].p]), None
+    ),
+}
 
 
 @dataclass(frozen=True)
 class CombClass:
-    """Which hypothesis classes a comb falls into (see module docstring).
+    """A comb's two intersection patterns, orientation 1 then 2."""
 
-    `patterns` holds the comb's two intersection patterns, orientation 1
-    then 2: the flags are read from them, and the builders reuse them.
-    """
-
-    single_all_toothed: bool
-    single: bool
-    sorted_minority: bool
-    counted_slack: bool
-    one_class_per_tooth: bool
-    conditions: tuple[ConditionValue, ConditionValue]
-    notes: tuple[str, ...]
     patterns: tuple[IntersectionPattern, IntersectionPattern]
 
     def builder_names(self) -> tuple[str, ...]:
-        """The certificate classes whose flag is set, in table order."""
-        from .certificates import CLASSES  # the table sits with its builder
-
-        return tuple(name for name, c in CLASSES.items() if getattr(self, c.flag))
+        """The certificate classes that admit the comb, in table order."""
+        return tuple(name for name, c in CLASSES.items() if c.admits(self.patterns))
 
     def as_dict(self) -> dict:
-        from .certificates import CLASSES
-
+        flags = {c.flag: c.admits(self.patterns) for c in CLASSES.values()}
+        pat1 = self.patterns[0]
+        notes = []
+        if flags["single"] and (pat1.w or pat1.y):
+            notes.append("hand has toothless vertices; single-intersection form only")
+        if not flags["counted_slack"]:
+            notes.append("toothless-vertex condition fails in both orientations")
         return {
-            **{c.flag: getattr(self, c.flag) for c in CLASSES.values()},
+            **flags,
             "builders": list(self.builder_names()),
-            "conditions": [c.as_dict() for c in self.conditions],
-            "notes": list(self.notes),
+            "conditions": [
+                {
+                    "orientation": pat.orientation,
+                    "w": pat.w,
+                    "bound": format_rational(pat.condition_bound()),
+                    "holds": pat.condition_holds(),
+                }
+                for pat in self.patterns
+            ],
+            "notes": notes,
         }
 
 
 def classify(instance: BipartiteInstance, comb: Comb) -> CombClass:
-    """Validate the comb once, extract both patterns, and read the flags."""
+    """Validate the comb once and extract both orientations' patterns."""
     require_valid(instance, comb)
-    pat1 = _pattern(comb, swap_classes=False)
-    pat2 = _pattern(comb, swap_classes=True)
-
-    single = all(len(comb.hand & tooth) == 1 for tooth in comb.teeth)
-    all_toothed = comb.hand <= comb.toothed()
-    one_class = all(
-        len({v.cls for v in comb.hand & tooth}) == 1 for tooth in comb.teeth
-    )
-    sorted_minority = all_toothed and (pat1.p < pat1.q or pat2.p < pat2.q)
-    conditions = tuple(
-        ConditionValue(pat.orientation, pat.w, pat.condition_bound(), pat.condition_holds())
-        for pat in (pat1, pat2)
-    )
-    counted_slack = any(c.holds for c in conditions)
-
-    notes = []
-    if single and not all_toothed:
-        notes.append("hand has toothless vertices; single-intersection form only")
-    if not counted_slack:
-        notes.append("toothless-vertex condition fails in both orientations")
     return CombClass(
-        single_all_toothed=single and all_toothed,
-        single=single,
-        sorted_minority=sorted_minority,
-        counted_slack=counted_slack,
-        one_class_per_tooth=one_class,
-        conditions=conditions,
-        notes=tuple(notes),
-        patterns=(pat1, pat2),
+        (_pattern(comb, swap_classes=False), _pattern(comb, swap_classes=True))
     )
 
 

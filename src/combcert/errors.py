@@ -47,7 +47,8 @@ class NoToursError(CombcertError):
 
 
 class FormatError(CombcertError):
-    """A JSON document is malformed; `field` names the offending entry."""
+    """A JSON document is malformed, or a file cannot be read or written;
+    `field` names the offending entry or option."""
 
     def __init__(self, field: str, reason: str):
         super().__init__(f"{field}: {reason}")

@@ -39,11 +39,26 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
+_PIECE = 10**600  # str() of a piece stays under any limit the interpreter accepts
+
+
+def _digits(n: int) -> str:
+    """str(n) at any size, without lifting the integer-string limit."""
+    if n < 0:
+        return "-" + _digits(-n)
+    pieces = []
+    while n >= _PIECE:
+        n, low = divmod(n, _PIECE)
+        pieces.append(str(low).zfill(600))
+    return str(n) + "".join(reversed(pieces))
+
+
 def format_rational(value: Fraction) -> str:
+    """The wire form of `value`, exact at any size."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def common_denominator(values) -> int:

@@ -1,7 +1,7 @@
 """Randomized comb generation and search experiments.
 
 Generators produce combs on a complete balanced instance, one per
-hypothesis family (see `combs.classify`), by drawing the hand parts and
+hypothesis family (see `combs.CLASSES`), by drawing the hand parts and
 tooth interiors from disjoint vertex pools.  The "wild" family places no
 pattern restriction and is the one that can wander outside every proved
 class; the search command sends those to the LP oracle hunting for
@@ -21,7 +21,7 @@ from .certificates import BUILDERS, verify
 from .combs import Comb, classify, comb_inequality, validate_comb
 from .errors import CombcertError
 from .graph import CLASS1, CLASS2, BipartiteInstance, VertexId
-from .jsonio import dump_comb, write_json
+from .jsonio import dump_comb
 from .lp import is_implied
 from .rational import format_rational
 
@@ -209,7 +209,6 @@ class ExperimentConfig:
     tooth_size_range: tuple[int, int] = (2, 4)
     families: tuple[str, ...] = FAMILIES
     orientation_policy: str = "random"
-    output: str | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -266,6 +265,4 @@ def run_search(config: ExperimentConfig) -> dict:
                 findings["violated"].append(entry)
             else:
                 findings["implied_without_certificate"].append(entry)
-    if config.output:
-        write_json(config.output, findings)
     return findings

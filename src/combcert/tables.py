@@ -132,7 +132,7 @@ def reproduce_tables(variant: str = "corrected") -> TableReport:
         checks,
         "table2 toothless condition fails both orientations",
         (False, False),
-        tuple(c.holds for c in flags2.conditions),
+        tuple(pat.condition_holds() for pat in flags2.patterns),
     )
     _check(checks, "table2 no hypothesis class applies", (), flags2.builder_names())
     return TableReport(tuple(checks), tuple(notes))

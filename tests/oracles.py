@@ -46,6 +46,39 @@ def naive_comb_lhs(point, comb):
     return total
 
 
+def set_based_flags(comb):
+    """The five hypothesis flags by set arithmetic on the comb.
+
+    These are the flag computations `combs.classify` made before the
+    classes became predicates over intersection patterns.  The counts p, q,
+    w, y and sum_{i>p} r_i that two of them need are taken from the sets
+    here as well, so nothing is shared with `combs._pattern`.
+    """
+    toothed = frozenset().union(*comb.teeth)
+    single = all(len(comb.hand & tooth) == 1 for tooth in comb.teeth)
+    all_toothed = comb.hand <= toothed
+    one_class = all(
+        len({v.cls for v in comb.hand & tooth}) == 1 for tooth in comb.teeth
+    )
+    minority, slack = [], []
+    for cls_one in (1, 2):
+        h1 = frozenset(v for v in comb.hand if v.cls == cls_one)
+        h2 = comb.hand - h1
+        p = sum(1 for tooth in comb.teeth if tooth & h1)
+        q = len(comb.teeth) - p
+        trailing_r = sum(len(tooth & h2) - 1 for tooth in comb.teeth if not tooth & h1)
+        w, y = len(h1 - toothed), len(h2 - toothed)
+        minority.append(p < q)
+        slack.append(w <= y + Fraction(q - (p + 1), 2) + trailing_r)
+    return {
+        "single_all_toothed": single and all_toothed,
+        "single": single,
+        "sorted_minority": all_toothed and any(minority),
+        "counted_slack": any(slack),
+        "one_class_per_tooth": one_class,
+    }
+
+
 def is_hamiltonian_cycle(instance, tour):
     """Alternation, full coverage, adjacency, and closure, checked directly."""
     seq = tour.vertices

@@ -106,8 +106,8 @@ def test_l2_picks_swapped_orientation_when_needed(k44):
             _labels(k44, "v1", "u2"),
         ),
     )
-    flags = classify(k44, comb)
-    assert flags.single and not flags.single_all_toothed
+    flags = classify(k44, comb).as_dict()
+    assert flags["single"] and not flags["single_all_toothed"]
     target = comb_inequality(k44, comb).rhs
     agg1 = aggregation_members(k44, comb, extract_pattern(k44, comb))[1]
     agg2 = aggregation_members(
@@ -134,8 +134,7 @@ def test_l3_table2_comb_without_its_toothless_vertex(table2):
     # The toothless hand vertex is b (class 1); dropping it gives the
     # fully-toothed p=1 < q=2 pattern and the recipe certifies it.
     reduced = Comb(comb.hand - _labels(instance, "b"), comb.teeth)
-    flags = classify(instance, reduced)
-    assert flags.sorted_minority
+    assert classify(instance, reduced).as_dict()["sorted_minority"]
     pat = extract_pattern(instance, reduced)
     assert (pat.p, pat.q) == (1, 2)
     cert = build_l3(instance, reduced)

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from combcert import (
     validate_comb,
 )
 from combcert.search import FAMILIES, sample_comb
-from oracles import naive_comb_lhs
+from oracles import naive_comb_lhs, set_based_flags
 
 
 def _labels(instance, *names):
@@ -131,9 +133,9 @@ def test_pattern_single_intersections_zero_counts(k44):
 def test_classify_table2_condition_fails_both(table2):
     instance, _, comb = table2
     flags = classify(instance, comb)
-    assert [c.holds for c in flags.conditions] == [False, False]
-    assert flags.conditions[0].w == 1
-    assert flags.conditions[0].bound == 0
+    assert [pat.condition_holds() for pat in flags.patterns] == [False, False]
+    assert flags.patterns[0].w == 1
+    assert flags.patterns[0].condition_bound() == 0
     assert flags.builder_names() == ()
 
 
@@ -151,8 +153,8 @@ def test_classify_single_all_toothed_subsumption(k44):
             _labels(k44, "v1", "u2"),
         ),
     )
-    flags = classify(k44, comb)
-    assert flags.single_all_toothed and flags.single
+    flags = classify(k44, comb).as_dict()
+    assert flags["single_all_toothed"] and flags["single"]
 
 
 def _pattern_pairs(pat):
@@ -184,7 +186,7 @@ def test_swap_equivariance_and_hand_identity():
             for orig in range(comb.t):
                 h1, h2 = pairs1[orig]
                 assert pairs2[orig] == (h2, h1)
-            if classify(instance, comb).one_class_per_tooth:
+            if classify(instance, comb).as_dict()["one_class_per_tooth"]:
                 # With single-class teeth the counts and vector roles swap.
                 assert (pat1.p, pat1.q) == (pat2.q, pat2.p)
                 assert sorted(pat1.s) == sorted(pat2.r[pat2.p:])
@@ -198,16 +200,16 @@ def test_hypothesis_hierarchy_on_random_combs():
         for k in range(60):
             family = FAMILIES[k % len(FAMILIES)]
             comb = sample_comb(rng, instance, family)
-            flags = classify(instance, comb)
-            if flags.single_all_toothed:
-                assert flags.single
-                assert flags.sorted_minority
-            if flags.single:
-                assert flags.one_class_per_tooth
-            if flags.sorted_minority:
-                assert flags.counted_slack
-            if flags.one_class_per_tooth:
-                assert flags.counted_slack
+            flags = classify(instance, comb).as_dict()
+            if flags["single_all_toothed"]:
+                assert flags["single"]
+                assert flags["sorted_minority"]
+            if flags["single"]:
+                assert flags["one_class_per_tooth"]
+            if flags["sorted_minority"]:
+                assert flags["counted_slack"]
+            if flags["one_class_per_tooth"]:
+                assert flags["counted_slack"]
 
 
 def test_classify_hands_over_both_extracted_patterns():
@@ -219,4 +221,61 @@ def test_classify_hands_over_both_extracted_patterns():
             assert classify(instance, comb).patterns == (
                 extract_pattern(instance, comb),
                 extract_pattern(instance, comb, swap_classes=True),
+            )
+
+
+def _random_valid_comb(rng, instance):
+    """A comb of t = 3 or 5 disjoint teeth of 2-4 vertices, each split at
+    random between the hand and the outside, plus random toothless hand
+    vertices: valid by construction, with no family's recipe behind it."""
+    vertices = list(instance.vertices())
+    rng.shuffle(vertices)
+    while True:
+        sizes = [rng.randint(2, 4) for _ in range(rng.choice((3, 5)))]
+        if sum(sizes) <= len(vertices):
+            break
+    hand, teeth, start = set(), [], 0
+    for size in sizes:
+        tooth = vertices[start : start + size]
+        start += size
+        teeth.append(frozenset(tooth))
+        hand.update(rng.sample(tooth, rng.randint(1, size - 1)))
+    hand.update(v for v in vertices[start:] if rng.random() < 0.3)
+    return Comb(frozenset(hand), tuple(teeth))
+
+
+def _oracle_pool():
+    rng = random.Random(91)
+    for n in (3, 4, 5, 6, 8):
+        instance = BipartiteInstance.complete(n)
+        for k in range(30 * len(FAMILIES)):
+            yield instance, sample_comb(rng, instance, FAMILIES[k % len(FAMILIES)])
+        for _ in range(60):
+            yield instance, _random_valid_comb(rng, instance)
+
+
+def test_flags_match_the_set_based_oracle():
+    seen = set()
+    for instance, comb in _oracle_pool():
+        assert validate_comb(instance, comb) == []
+        document = classify(instance, comb).as_dict()
+        expected = set_based_flags(comb)
+        assert {flag: document[flag] for flag in expected} == expected
+        seen.add(tuple(expected.values()))
+    assert len(seen) == 7  # every combination that the hierarchy allows
+
+
+def test_combs_imports_nothing_from_certificates():
+    import combcert.combs
+
+    tree = ast.parse(Path(combcert.combs.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = {alias.name for alias in node.names}
+            assert module not in (".certificates", "combcert.certificates")
+            assert not (module in (".", "combcert") and "certificates" in names)
+        elif isinstance(node, ast.Import):
+            assert all(
+                alias.name != "combcert.certificates" for alias in node.names
             )

@@ -183,7 +183,8 @@ def test_cli_implied_runs_lazy_by_default(table1, capsys):
     assert exc.value.code == 2
 
 
-def test_cli_certify_round_trip(tmp_path, capsys):
+def _certifiable_pair(tmp_path):
+    """An L1 comb on a zero-weight K_{4,4}: (instance document, files)."""
     instance_doc = {
         "class1": ["a", "p", "q", "r"],
         "class2": ["b", "c", "x", "y"],
@@ -199,9 +200,14 @@ def test_cli_certify_round_trip(tmp_path, capsys):
     }
     ipath = tmp_path / "instance.json"
     cpath = tmp_path / "comb.json"
-    opath = tmp_path / "cert.json"
     ipath.write_text(json.dumps(instance_doc))
     cpath.write_text(json.dumps(comb_doc))
+    return instance_doc, ipath, cpath
+
+
+def test_cli_certify_round_trip(tmp_path, capsys):
+    instance_doc, ipath, cpath = _certifiable_pair(tmp_path)
+    opath = tmp_path / "cert.json"
     code = main(
         [
             "certify",
@@ -226,23 +232,7 @@ def test_cli_certify_round_trip(tmp_path, capsys):
 
 
 def test_cli_facet_and_implied_on_certifiable_comb(tmp_path, capsys):
-    instance_doc = {
-        "class1": ["a", "p", "q", "r"],
-        "class2": ["b", "c", "x", "y"],
-        "weights": {
-            f"{u}-{v}": "0"
-            for u in ("a", "p", "q", "r")
-            for v in ("b", "c", "x", "y")
-        },
-    }
-    comb_doc = {
-        "hand": ["a", "b", "c"],
-        "teeth": [["a", "x"], ["b", "p"], ["c", "q"]],
-    }
-    ipath = tmp_path / "instance.json"
-    cpath = tmp_path / "comb.json"
-    ipath.write_text(json.dumps(instance_doc))
-    cpath.write_text(json.dumps(comb_doc))
+    _, ipath, cpath = _certifiable_pair(tmp_path)
 
     code = main(
         ["implied", "--instance", str(ipath), "--comb", str(cpath), "--format", "json"]
@@ -426,14 +416,49 @@ def test_cli_repeated_label_exit_2(tmp_path, capsys):
     assert "repeats" in error["reason"]
 
 
-def test_search_is_deterministic(tmp_path):
-    out1 = tmp_path / "f1.json"
-    out2 = tmp_path / "f2.json"
-    for out in (out1, out2):
-        run_search(
-            ExperimentConfig(seed=2, size=4, comb_count=30, output=str(out))
-        )
-    assert out1.read_text() == out2.read_text()
+def test_search_is_deterministic():
+    config = ExperimentConfig(seed=2, size=4, comb_count=30)
+    assert run_search(config) == run_search(config)
+
+
+def test_cli_search_writes_its_findings(tmp_path, capsys):
+    out = tmp_path / "findings.json"
+    args = ["search", "--seed", "2", "--count", "12", "--format", "json"]
+    assert main(args + ["--output", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads(out.read_text()) == printed
+    assert printed == run_search(ExperimentConfig(seed=2, size=4, comb_count=12))
+
+
+@pytest.mark.parametrize("command", ["certify", "search"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_unwritable_output_exit_2(tmp_path, capsys, command, where):
+    if command == "certify":
+        _, ipath, cpath = _certifiable_pair(tmp_path)
+        args = ["certify", "--instance", str(ipath), "--comb", str(cpath)]
+    else:
+        args = ["search", "--seed", "0", "--count", "2"]
+    target = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+    assert main(args + ["--output", str(target)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["field"] == "output"
+    assert str(target) in error["reason"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_prints_a_value_past_the_integer_string_limit(tmp_path, capsys, fmt):
+    weight = "9" * 4300  # two at vertex a: their degree sum has 4,301 digits
+    doc = {"class1": ["a"], "class2": ["b", "c"], "weights": {"a-b": weight, "a-c": weight}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-point", "--instance", str(path), "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    degree = "1" + "9" * 4299 + "8"
+    if fmt == "json":
+        values = [v["value"] for v in json.loads(out)["violations"]]
+        assert degree in values
+    else:
+        assert f"value {degree} vs rhs 2" in out
 
 
 def test_search_certifies_all_l1_samples():
