@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from combcert import (
     BipartiteInstance,
-    LpProblem,
     _kernels,
     comb_inequality,
     enumerate_tours,
@@ -163,9 +162,9 @@ def bench_lp(instance, runs):
     total_rounds = 0
     for target, result, seconds, rounds in runs:
         cuts = [row for _, row in rounds if row is not None]
-        problem = LpProblem(instance, dict(target.coeffs), tuple(gen_degree(instance) + cuts))
+        rows = gen_degree(instance) + cuts
         t0 = time.perf_counter()
-        cold = solve(problem)
+        cold = solve(instance, target.coeffs, rows)
         t_cold += time.perf_counter() - t0
         t_lazy += seconds
         total_rounds += result.rounds

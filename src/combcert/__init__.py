@@ -67,7 +67,7 @@ from .graph import (
     degree,
     set_weight,
 )
-from .lp import ImplicationResult, LpProblem, LpSolution, is_implied, solve
+from .lp import ImplicationResult, LpSolution, is_implied, solve
 from .tables import load_table, reproduce_tables
 from .tours import (
     FacetReport,

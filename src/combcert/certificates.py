@@ -250,7 +250,7 @@ def verify(instance: BipartiteInstance, certificate: Certificate) -> Certificate
     for e, gap in surplus.items():
         if gap < 0:
             problems.append(
-                f"edge {instance.label(e.u)}-{instance.label(e.v)} under-covered: "
+                f"edge {instance.edge_label(e)} under-covered: "
                 f"aggregate {agg_coeffs.get(e, 0)} < target {target.coeffs[e]}"
             )
     if slack < 0:

@@ -48,6 +48,14 @@ def _write_output(path, document: dict) -> None:
         raise FormatError("output", f"cannot write {path}: {exc}") from exc
 
 
+def _require_writable(path) -> None:
+    """Refuse `path` before any work; an existing file keeps its content."""
+    try:
+        open(path, "a").close()
+    except (OSError, ValueError) as exc:
+        raise FormatError("output", f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, document: dict, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=True))
@@ -153,7 +161,7 @@ def _cmd_implied(args) -> int:
     ]
     if result.witness is not None:
         witness = {
-            f"{instance.label(e.u)}-{instance.label(e.v)}": format_rational(w)
+            instance.edge_label(e): format_rational(w)
             for e, w in result.witness.items()
             if w
         }
@@ -213,6 +221,8 @@ def _cmd_search(args) -> int:
         families=families,
         orientation_policy=args.policy,
     )
+    if args.output:
+        _require_writable(args.output)
     findings = run_search(config)
     if args.output:
         _write_output(args.output, findings)

@@ -142,16 +142,20 @@ def sec_constraint(
 
 
 def upper_bound(instance: BipartiteInstance, edge: Edge) -> LinearInequality:
-    label = f"{instance.label(edge.u)}-{instance.label(edge.v)}"
     return LinearInequality(
-        {edge: Fraction(1)}, Fraction(1), ConstraintKind.UPPER_BOUND, f"ub({label})"
+        {edge: Fraction(1)},
+        Fraction(1),
+        ConstraintKind.UPPER_BOUND,
+        f"ub({instance.edge_label(edge)})",
     )
 
 
 def lower_bound(instance: BipartiteInstance, edge: Edge) -> LinearInequality:
-    label = f"{instance.label(edge.u)}-{instance.label(edge.v)}"
     return LinearInequality(
-        {edge: Fraction(-1)}, Fraction(0), ConstraintKind.LOWER_BOUND, f"lb({label})"
+        {edge: Fraction(-1)},
+        Fraction(0),
+        ConstraintKind.LOWER_BOUND,
+        f"lb({instance.edge_label(edge)})",
     )
 
 
@@ -222,10 +226,8 @@ def check_point(
 
     masks, scaled, denom = scan_inputs(instance, point)
     for mask, value in _kernels.sec_violations(n, masks, scaled, denom, 3, n - 1):
-        subset = frozenset(
-            instance.vertex_at(i) for i in range(n) if mask & (1 << i)
-        )
-        violations.append((sec_constraint(instance, subset), Fraction(value, denom)))
+        row = sec_constraint(instance, instance.vertices_in(mask))
+        violations.append((row, Fraction(value, denom)))
 
     violations.sort(key=lambda item: item[0].provenance)
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))

@@ -136,6 +136,10 @@ class BipartiteInstance:
         table = self.class1_labels if vertex.cls == CLASS1 else self.class2_labels
         return table[vertex.index]
 
+    def edge_label(self, edge: Edge) -> str:
+        """The edge as "u-v": class-1 label, then class-2 label."""
+        return f"{self.label(edge.u)}-{self.label(edge.v)}"
+
     def vertex(self, label: str) -> VertexId:
         v = self._label_table.get(label)
         if v is None:
@@ -178,6 +182,10 @@ class BipartiteInstance:
         if self.n1 <= global_index < self.num_vertices:
             return VertexId(CLASS2, global_index - self.n1)
         raise UnknownVertexError(f"global index {global_index} out of range")
+
+    def vertices_in(self, mask: int) -> frozenset[VertexId]:
+        """The vertices whose global indices are the set bits of `mask`."""
+        return frozenset(self.vertex_at(i) for i in range(self.num_vertices) if mask >> i & 1)
 
     def labels_of(self, vertices: Iterable[VertexId]) -> tuple[str, ...]:
         return tuple(self.label(v) for v in sorted(vertices))

@@ -59,10 +59,6 @@ def _string_list(doc: dict, field: str) -> list[str]:
     return value
 
 
-def edge_key(instance: BipartiteInstance, edge: Edge) -> str:
-    return f"{instance.label(edge.u)}-{instance.label(edge.v)}"
-
-
 def parse_edge_key(instance: BipartiteInstance, key: str, field: str) -> Edge:
     if not isinstance(key, str):
         raise FormatError(field, f"edge key {key!r} must be a string")
@@ -115,7 +111,7 @@ def load_instance(source) -> tuple[BipartiteInstance, FractionalPoint]:
 def dump_instance(instance: BipartiteInstance, point: FractionalPoint) -> dict:
     """One weights entry per instance edge; edges off the point get "0"."""
     weights = {
-        edge_key(instance, e): format_rational(point.weight(e))
+        instance.edge_label(e): format_rational(point.weight(e))
         for e in sorted(instance.edges)
     }
     return {
@@ -168,7 +164,7 @@ def dump_certificate(cert: Certificate, instance: BipartiteInstance) -> dict:
                 {
                     "kind": "degree",
                     "vertex": instance.label(m.vertex),
-                    "support": sorted(edge_key(instance, e) for e in m.support),
+                    "support": sorted(instance.edge_label(e) for e in m.support),
                 }
             )
         else:

@@ -12,31 +12,33 @@ the dual a plain vector over rows: the multiplier of every row, box rows
 included, is read off the reduced cost of that row's slack (or
 artificial) column.
 
-`solve` runs the tableau cold, phase 1 then phase 2.  Every optimal
-tableau, cold or warm, also yields its dual vector, which is re-checked
-against the original rows by `_audit_duality` (dual feasibility plus
-equal objective), so an "implied" verdict from `is_implied` always
-carries an independently checkable nonnegative combination of
-relaxation rows.
+`solve` is the one driver.  It adds the box rows, runs the tableau
+cold, phase 1 then phase 2, and reads the optimum.  With `lazy` it then
+repeatedly appends the most violated subtour row at the current optimum
+until none is violated.  Each added row is appended to the optimal
+tableau with a new slack column, reduced against the basis, and made
+feasible again by the dual simplex (Lemke, 1954), so a round costs a few
+pivots rather than a fresh solve.  Lazy separation is an exact integer
+min cut (Padberg & Wolsey, "Trees and cuts", 1983), so its cost is
+polynomial in the number of vertices.  Every optimum read, cold or warm,
+yields its dual vector, which is re-checked against the original rows by
+`_audit_duality` (dual feasibility plus equal objective).  The cold run
+over the final rows is the reference that warm rounds are tested
+against: both end at the same exact optimum.
 
 `is_implied` maximizes a row's left-hand side over the relaxation
-polytope.  Direct mode materializes every subtour row and solves once,
-cold.  Lazy mode builds one tableau from the degree rows and bounds,
-then repeatedly adds the most violated subtour row at the current
-optimum until none is violated.  Each added row is
-appended to the optimal tableau with a new slack column, reduced against
-the basis, and made feasible again by the dual simplex (Lemke, 1954), so
-a round costs a few pivots rather than a fresh solve.  Both modes end at
-the same exact optimum.  Lazy separation is an exact integer min cut
-(Padberg & Wolsey, "Trees and cuts", 1983), so its cost is polynomial in
-the number of vertices.
+polytope.  Direct mode hands `solve` every subtour row up front; lazy
+mode hands it the degree rows only and separates the rest.  Either way
+an "implied" verdict carries an independently checkable nonnegative
+combination of relaxation rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 from .constraints import (
     DEFAULT_ENUMERATION_CAP,
@@ -57,73 +59,70 @@ UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
-class LpProblem:
-    """Maximize `objective` subject to `constraints` and (optionally) the
-    unit box; variables are edges of the instance, implicitly >= 0."""
-
-    instance: BipartiteInstance
-    objective: Mapping[Edge, Fraction]
-    constraints: tuple[LinearInequality, ...]
-    variables: tuple[Edge, ...] = ()
-    box: bool = True
-
-    def __post_init__(self):
-        variables = self.variables or tuple(sorted(self.instance.edges))
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        declared = set(variables)
-        for e in self.objective:
-            if e not in declared:
-                raise ValueError(f"objective references undeclared variable {e}")
-        for row in self.constraints:
-            for e in row.coeffs:
-                if e not in declared:
-                    raise ValueError(
-                        f"constraint {row.provenance} references undeclared variable {e}"
-                    )
-
-
-def effective_rows(problem: LpProblem) -> tuple[LinearInequality, ...]:
-    """Constraints plus the box's upper-bound rows, in solve order."""
-    rows = list(problem.constraints)
-    if problem.box:
-        rows.extend(upper_bound(problem.instance, e) for e in problem.variables)
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
 class LpSolution:
     status: str
     objective_value: Fraction | None
     point: FractionalPoint | None
-    dual: tuple[Fraction, ...] | None  # aligned with effective_rows(problem)
+    dual: tuple[Fraction, ...] | None  # aligned with `rows`
+    rows: tuple[LinearInequality, ...]  # given rows, then cuts, then box rows
+    rounds: int  # optima read: 1 per cold solve, +1 per cut
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Optimize `problem` from scratch; an optimal dual is audited."""
-    rows = effective_rows(problem)
-    tableau = _Tableau(problem.variables, rows)
-    status = tableau.run(problem.objective)
-    if status != OPTIMAL:
-        return LpSolution(status, None, None, None)
-    return _read_optimum(problem, rows, tableau)
-
-
-def _read_optimum(
-    problem: LpProblem, rows: Sequence[LinearInequality], tableau: _Tableau
+def solve(
+    instance: BipartiteInstance,
+    objective: Mapping[Edge, Fraction],
+    rows: Iterable[LinearInequality],
+    lazy: bool = False,
 ) -> LpSolution:
-    """The optimal vertex of `tableau`, its dual audited against `rows`.
+    """Maximize `objective` over `rows` and the unit box, x >= 0.
 
-    `rows` are the tableau's rows in the order they were added.
+    The variables are the instance's edges.  The tableau holds the given
+    rows, then one x_e <= 1 row per edge, and is run cold.  With `lazy`,
+    the most violated subtour row at each optimum is appended and the
+    tableau re-optimized by the dual simplex, until separation finds
+    none; a separated row that the optimum already satisfies raises
+    `CombcertError`, since adding it again would loop forever.  Every
+    optimum read has its dual audited against the tableau's rows.
     """
-    assignment = tableau.primal_values()
-    value = sum(
-        (Fraction(c) * assignment.get(e, 0) for e, c in problem.objective.items()),
-        Fraction(0),
-    )
-    dual = tableau.dual_values()
-    _audit_duality(rows, problem.variables, problem.objective, value, dual)
-    return LpSolution(OPTIMAL, value, FractionalPoint(problem.instance, assignment), dual)
+    variables = tuple(sorted(instance.edges))
+    rows = list(rows)
+    for e in objective:
+        if e not in instance.edges:
+            raise ValueError(f"objective names edge {e} outside the instance")
+    for row in rows:
+        for e in row.coeffs:
+            if e not in instance.edges:
+                raise ValueError(f"row {row.provenance} names edge {e} outside the instance")
+    # Tableau order: given rows, box rows, then each cut as it is added.
+    tableau_rows = rows + [upper_bound(instance, e) for e in variables]
+    boxes = slice(len(rows), len(tableau_rows))
+
+    def given_cuts_box(seq: Sequence) -> tuple:
+        return (*seq[: boxes.start], *seq[boxes.stop :], *seq[boxes])
+
+    tableau = _Tableau(variables, tableau_rows)
+    status = tableau.run(objective)
+    rounds = 0
+    while status == OPTIMAL:
+        assignment = tableau.primal_values()
+        value = sum(
+            (Fraction(c) * assignment.get(e, 0) for e, c in objective.items()), Fraction(0)
+        )
+        dual = tableau.dual_values()
+        _audit_duality(tableau_rows, variables, objective, value, dual)
+        point = FractionalPoint(instance, assignment)
+        rounds += 1
+        cut = _most_violated_sec(instance, point) if lazy else None
+        if cut is None:
+            rows_out = given_cuts_box(tableau_rows)
+            return LpSolution(OPTIMAL, value, point, given_cuts_box(dual), rows_out, rounds)
+        if not cut.value_on(point) > cut.rhs:
+            raise CombcertError(
+                f"separation returned {cut.provenance}, which the optimum satisfies"
+            )
+        tableau_rows.append(cut)
+        status = tableau.add_row(cut)
+    return LpSolution(status, None, None, None, given_cuts_box(tableau_rows), rounds)
 
 
 def _audit_duality(rows, variables, objective, optimum, dual) -> None:
@@ -388,12 +387,10 @@ def _most_violated_sec(
 ) -> LinearInequality | None:
     """A subtour row of largest violation at `point`, or None; exact, by
     `_min_cut_sec`."""
-    n = instance.num_vertices
-    best_mask = _min_cut_sec(n, *scan_inputs(instance, point))
+    best_mask = _min_cut_sec(instance.num_vertices, *scan_inputs(instance, point))
     if best_mask is None:
         return None
-    subset = frozenset(instance.vertex_at(i) for i in range(n) if best_mask >> i & 1)
-    return sec_constraint(instance, subset)
+    return sec_constraint(instance, instance.vertices_in(best_mask))
 
 
 def _min_cut_sec(
@@ -506,71 +503,27 @@ def is_implied(
     """Maximize the target's left side over the relaxation.
 
     Implied iff the optimum is <= the target's rhs; otherwise the optimal
-    point is returned as a violation witness.  With `lazy`, subtour rows
-    are separated at each optimum by exact min cut instead of materialized
-    up front.  Each separated row is appended to the one tableau of the
-    query and re-optimized by the dual simplex; a separated row that the
-    optimum already satisfies raises `CombcertError`, since adding it
-    again would loop forever.
+    point is returned as a violation witness.  The rows are the degree
+    rows, plus every subtour row unless `lazy`, in which case `solve`
+    separates subtour rows at each optimum instead.
     """
     if instance.num_vertices > cap:
         raise EnumerationCapError("subtour enumeration", instance.num_vertices, cap)
-    rows: list[LinearInequality] = gen_degree(instance, mode)
-    if lazy:
-        problem = LpProblem(instance, dict(target.coeffs), tuple(rows))
-        # Tableau order: degree rows, box rows, then each cut as it is added.
-        tableau_rows = list(effective_rows(problem))
-        tableau = _Tableau(problem.variables, tableau_rows)
-        status = tableau.run(problem.objective)
-        rounds = 0
-        while True:
-            if status == INFEASIBLE:
-                raise CombcertError("relaxation is infeasible; nothing to imply")
-            if status == UNBOUNDED:
-                raise CombcertError("relaxation unbounded; missing box rows?")
-            solution = _read_optimum(problem, tableau_rows, tableau)
-            rounds += 1
-            violated = _most_violated_sec(instance, solution.point)
-            if violated is None:
-                break
-            if not violated.value_on(solution.point) > violated.rhs:
-                raise CombcertError(
-                    f"separation returned {violated.provenance}, which the optimum satisfies"
-                )
-            tableau_rows.append(violated)
-            status = tableau.add_row(violated)
-        # Reorder to effective_rows order: degree rows, cuts, box rows.
-        boxes = slice(len(rows), len(rows) + len(problem.variables))
-        cuts = slice(boxes.stop, None)
-        all_rows = tableau_rows[: len(rows)] + tableau_rows[cuts] + tableau_rows[boxes]
-        dual = solution.dual[: len(rows)] + solution.dual[cuts] + solution.dual[boxes]
-    else:
+    rows = gen_degree(instance, mode)
+    if not lazy:
         rows.extend(gen_secs(instance, cap=cap))
-        problem = LpProblem(instance, dict(target.coeffs), tuple(rows))
-        solution = solve(problem)
-        if solution.status != OPTIMAL:
-            raise CombcertError(f"relaxation LP ended {solution.status}")
-        rounds = 1
-        all_rows, dual = effective_rows(problem), solution.dual
-
-    optimum = solution.objective_value
-    if optimum > target.rhs:
-        return ImplicationResult(
-            status="violated",
-            optimum=optimum,
-            target_rhs=target.rhs,
-            witness=solution.point,
-            dual_rows=None,
-            rounds=rounds,
-            rows_used=len(all_rows),
-        )
-    dual_rows = tuple((row, y) for row, y in zip(all_rows, dual) if y != 0)
+    solution = solve(instance, target.coeffs, rows, lazy)
+    if solution.status != OPTIMAL:
+        raise CombcertError(f"relaxation LP ended {solution.status}")
+    implied = solution.objective_value <= target.rhs
     return ImplicationResult(
-        status="implied",
-        optimum=optimum,
+        status="implied" if implied else "violated",
+        optimum=solution.objective_value,
         target_rhs=target.rhs,
-        witness=None,
-        dual_rows=dual_rows,
-        rounds=rounds,
-        rows_used=len(all_rows),
+        witness=None if implied else solution.point,
+        dual_rows=tuple(compress(zip(solution.rows, solution.dual), solution.dual))
+        if implied
+        else None,
+        rounds=solution.rounds,
+        rows_used=len(solution.rows),
     )

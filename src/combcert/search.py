@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .certificates import BUILDERS, verify
 from .combs import Comb, classify, comb_inequality, validate_comb
-from .errors import CombcertError
+from .constraints import DEFAULT_ENUMERATION_CAP
+from .errors import CombcertError, EnumerationCapError
 from .graph import CLASS1, CLASS2, BipartiteInstance, VertexId
 from .jsonio import dump_comb
 from .lp import is_implied
@@ -27,6 +28,7 @@ from .rational import format_rational
 
 # One family per certificate class, plus "wild" (no pattern restriction).
 FAMILIES = tuple(name.lower() for name in BUILDERS) + ("wild",)
+_ATTEMPTS = 200
 
 
 class _Pools:
@@ -90,13 +92,12 @@ def sample_comb(
     family: str,
     tooth_size_range: tuple[int, int] = (2, 4),
     orientation_policy: str = "random",
-    attempts: int = 200,
 ) -> Comb:
-    """A random comb of the requested family; raises after `attempts` misses."""
+    """A random comb of the requested family; raises after `_ATTEMPTS` misses."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     lo, hi = tooth_size_range
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         flip = orientation_policy == "random" and rng.random() < 0.5
         comb = _attempt(rng, instance, family, lo, hi, flip)
         if comb is None:
@@ -108,7 +109,7 @@ def sample_comb(
         return comb
     raise CombcertError(
         f"could not sample a {family!r} comb on {instance.n1}x{instance.n2} "
-        f"after {attempts} attempts"
+        f"after {_ATTEMPTS} attempts"
     )
 
 
@@ -222,9 +223,19 @@ class ExperimentConfig:
 
 
 def run_search(config: ExperimentConfig) -> dict:
-    """Generate combs; certify the classified ones, LP-hunt the rest."""
-    rng = random.Random(config.seed)
+    """Generate combs; certify the classified ones, LP-hunt the rest.
+
+    A wild comb may need the LP, which enumerates subtour rows up to the
+    vertex cap, so a run that samples wild combs on K_{n,n} with 2n over
+    the cap is refused before any comb is drawn.
+    """
     instance = BipartiteInstance.complete(config.size)
+    wild = "wild" in config.families[: config.comb_count]
+    if wild and instance.num_vertices > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            "subtour enumeration", instance.num_vertices, DEFAULT_ENUMERATION_CAP
+        )
+    rng = random.Random(config.seed)
     findings = {
         "config": config.as_dict(),
         "certified": [],

@@ -1,10 +1,11 @@
 """Hamiltonian tour enumeration, polytope dimension, and facet testing.
 
 Tours exist only when the two classes have equal size n; enumeration is
-exhaustive and capped (default n <= 6, 43200 tours on K_{6,6}).  Each
-undirected tour is produced exactly once in canonical form: it starts at
-class-1 vertex 0 and runs toward the smaller-indexed of that vertex's two
-tour neighbours, which kills both rotations and reflection.
+exhaustive and capped at n <= `DEFAULT_TOUR_CAP` = 6 (43200 tours on
+K_{6,6}).  Each undirected tour is produced exactly once in canonical
+form: it starts at class-1 vertex 0 and runs toward the smaller-indexed
+of that vertex's two tour neighbours, which kills both rotations and
+reflection.
 
 Inside this module a tour is a tuple of indices into
 ``sorted(instance.edges)``, in tour order; `Tour` objects are built only
@@ -94,9 +95,7 @@ class FacetReport:
         }
 
 
-def _edge_tours(
-    instance: BipartiteInstance, edges: Sequence[Edge], cap: int
-) -> list[tuple[int, ...]]:
+def _edge_tours(instance: BipartiteInstance, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
     """Every tour as indices into `edges`, which is ``sorted(instance.edges)``,
     in the layout of `_kernels.hamiltonian_cycles`."""
     if not instance.tours_possible:
@@ -105,20 +104,18 @@ def _edge_tours(
         )
         return []
     n = instance.n1
-    if n > cap:
-        raise EnumerationCapError("tour enumeration", n, cap)
+    if n > DEFAULT_TOUR_CAP:
+        raise EnumerationCapError("tour enumeration", n, DEFAULT_TOUR_CAP)
     position = [[-1] * n for _ in range(n)]  # [a][b] -> index of edge a b
     for k, e in enumerate(edges):
         position[e.u.index][e.v.index] = k
     return _kernels.hamiltonian_cycles(n, position)
 
 
-def enumerate_tours(
-    instance: BipartiteInstance, cap: int = DEFAULT_TOUR_CAP
-) -> Iterator[Tour]:
+def enumerate_tours(instance: BipartiteInstance) -> Iterator[Tour]:
     """Every Hamiltonian tour of the instance, canonical form, once each."""
     edges = sorted(instance.edges)
-    for tour in _edge_tours(instance, edges, cap):
+    for tour in _edge_tours(instance, edges):
         yield Tour(
             tuple(v for k in tour[0::2] for v in edges[k].endpoints()),
             frozenset(edges[k] for k in tour),
@@ -203,19 +200,16 @@ def _polytope_bound(instance: BipartiteInstance) -> int:
     return len(instance.edges) - instance.num_vertices + 1
 
 
-def polytope_dimension(
-    instance: BipartiteInstance, cap: int = DEFAULT_TOUR_CAP
-) -> int:
+def polytope_dimension(instance: BipartiteInstance) -> int:
     """Affine dimension of the convex hull of the tour incidence vectors."""
     edges = sorted(instance.edges)
-    tours = _edge_tours(instance, edges, cap)
+    tours = _edge_tours(instance, edges)
     return _affine_rank(tours, len(edges), _polytope_bound(instance))
 
 
 def facet_test(
     instance: BipartiteInstance,
     ineq: LinearInequality,
-    cap: int = DEFAULT_TOUR_CAP,
     polytope_dim: int | None = None,
 ) -> FacetReport:
     """Validity on all tours, tight-face dimension, and the verdict.
@@ -225,7 +219,7 @@ def facet_test(
     `polytope_dimension` returns: the tight-face rank stops at it.
     """
     edges = sorted(instance.edges)
-    tours = _edge_tours(instance, edges, cap)
+    tours = _edge_tours(instance, edges)
     if not tours:
         raise NoToursError("instance has no Hamiltonian tour")
     if polytope_dim is None:

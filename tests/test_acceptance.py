@@ -30,7 +30,7 @@ from combcert import (
     verify,
 )
 from combcert.certificates import BUILDERS, parity_audit
-from combcert.lp import INFEASIBLE, OPTIMAL, LpProblem
+from combcert.lp import INFEASIBLE, OPTIMAL
 from combcert.search import sample_comb
 from combcert.tours import FacetVerdict
 from oracles import vertex_enumeration_max
@@ -286,11 +286,7 @@ def test_criterion_8_simplex_against_vertex_enumeration():
             )
         objective = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         solution = solve(
-            LpProblem(
-                instance,
-                {variables[j]: objective[j] for j in range(n) if objective[j]},
-                tuple(rows),
-            )
+            instance, {variables[j]: objective[j] for j in range(n) if objective[j]}, rows
         )
         expected = vertex_enumeration_max(n, triples, objective)
         solved += 1

@@ -1,0 +1,92 @@
+"""Fuzz of the CLI: every command ends in exit 0, 1 or 2, never a traceback.
+
+Each example writes an instance file and a comb file, one of them a valid
+document with one node replaced by an arbitrary JSON value (the root
+included, so a file may hold any JSON value), and runs one of the
+commands on them.  An exit 2 must leave exactly one JSON
+object on stderr.  Instances stay at K_{4,4} or smaller, so every
+command finishes in milliseconds.
+"""
+
+import contextlib
+import io
+import json
+import operator
+import random
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from combcert import BipartiteInstance, FractionalPoint
+from combcert.cli import main
+from combcert.jsonio import dump_comb, dump_instance
+from combcert.search import sample_comb
+from test_jsonio_fuzz import JSON, NEAR_TEXT, _paths, _replaced
+
+# Each command with the option sets a run may add to it.
+COMMANDS = {
+    "verify-point": ([], ["--mode", "eq"]),
+    "classify": ([],),
+    "certify": ([], ["--builder", "l1"], ["--builder", "t2"]),
+    "implied": ([], ["--direct"], ["--mode", "eq"]),
+    "facet": ([],),
+}
+
+
+@pytest.fixture(scope="module")
+def pairs(table1):
+    """(instance document, comb document): Table 1, and an L3 comb on K_{4,4}."""
+    instance, point, comb = table1
+    # K_{4,4} on the labels `NEAR_TEXT` draws, so that mutations often stay valid.
+    k44 = BipartiteInstance(tuple("abcd"), tuple("efgh"), BipartiteInstance.complete(4).edges)
+    l3 = sample_comb(random.Random(0), k44, "l3")
+    return [
+        {"instance": dump_instance(instance, point), "comb": dump_comb(comb, instance)},
+        {"instance": dump_instance(k44, FractionalPoint(k44, {})), "comb": dump_comb(l3, k44)},
+    ]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("cli-fuzz")
+    return {"instance": folder / "instance.json", "comb": folder / "comb.json"}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.integers(0, 1),
+    kind=st.sampled_from(["instance", "comb"]),
+    command=st.sampled_from(sorted(COMMANDS)),
+    fmt=st.sampled_from(["json", "text"]),
+    data=st.data(),
+)
+def test_cli_exits_0_1_or_2_on_any_document(pairs, files, pair, kind, command, fmt, data):
+    documents = dict(pairs[pair])
+    doc = documents[kind]
+    paths = list(_paths(doc))
+    if data.draw(st.booleans(), label="near"):  # a label or a weight for a label or a weight
+        paths = [p for p in paths if isinstance(reduce(operator.getitem, p, doc), str)]
+        value = NEAR_TEXT
+    else:
+        value = JSON
+    path = data.draw(st.sampled_from(paths), label="path")
+    documents[kind] = _replaced(doc, path, data.draw(value, label="value"))
+    for name, document in documents.items():
+        files[name].write_text(json.dumps(document))
+    options = data.draw(st.sampled_from(COMMANDS[command]), label="options")
+    argv = [command, "--instance", str(files["instance"])]
+    if command != "verify-point":
+        argv += ["--comb", str(files["comb"])]
+    code, err = _run(argv + options + ["--format", fmt])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert isinstance(json.loads(err), dict), err

@@ -17,6 +17,7 @@ from combcert.jsonio import (
     load_instance,
     write_json,
 )
+from combcert import search
 from combcert.search import ExperimentConfig, run_search
 
 
@@ -430,14 +431,22 @@ def test_cli_search_writes_its_findings(tmp_path, capsys):
     assert printed == run_search(ExperimentConfig(seed=2, size=4, comb_count=12))
 
 
+def _refuse_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search sampled a comb")
+
+    monkeypatch.setattr(search, "sample_comb", refuse)
+
+
 @pytest.mark.parametrize("command", ["certify", "search"])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_cli_unwritable_output_exit_2(tmp_path, capsys, command, where):
+def test_cli_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, command, where):
     if command == "certify":
         _, ipath, cpath = _certifiable_pair(tmp_path)
         args = ["certify", "--instance", str(ipath), "--comb", str(cpath)]
     else:
         args = ["search", "--seed", "0", "--count", "2"]
+        _refuse_sampling(monkeypatch)  # the path is refused before the search
     target = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
     assert main(args + ["--output", str(target)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
@@ -459,6 +468,23 @@ def test_cli_prints_a_value_past_the_integer_string_limit(tmp_path, capsys, fmt)
         assert degree in values
     else:
         assert f"value {degree} vs rhs 2" in out
+
+
+def test_cli_search_refuses_wild_combs_past_the_vertex_cap(capsys, monkeypatch):
+    # The 6th comb is wild; on K_{13,13} the LP could not enumerate its rows.
+    _refuse_sampling(monkeypatch)
+    assert main(["search", "--seed", "0", "--size", "13", "--count", "120"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"] == "subtour enumeration: size 26 exceeds the enumeration cap 24"
+
+
+def test_search_past_the_vertex_cap_runs_without_wild_combs():
+    for config in (
+        ExperimentConfig(seed=0, size=13, comb_count=5),
+        ExperimentConfig(seed=0, size=13, comb_count=2, families=("l1", "t2")),
+    ):
+        findings = run_search(config)
+        assert len(findings["certified"]) == config.comb_count
 
 
 def test_search_certifies_all_l1_samples():

@@ -7,14 +7,14 @@ from combcert import (
     BipartiteInstance,
     ConstraintKind,
     LinearInequality,
-    LpProblem,
     comb_inequality,
     gen_degree,
     is_implied,
     solve,
 )
 from combcert.errors import CombcertError
-from combcert.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _audit_duality, effective_rows
+from combcert.graph import CLASS1, CLASS2, Edge, VertexId
+from combcert.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _audit_duality, _Tableau
 from combcert.search import sample_comb
 from combcert.certificates import BUILDERS
 from oracles import vertex_enumeration_max
@@ -37,31 +37,23 @@ def _row(variables, coeffs, rhs, is_eq=False, name="row"):
 def test_single_variable_bound():
     instance = BipartiteInstance.complete(1, 1)
     variables = _vars(instance)
-    problem = LpProblem(instance, {variables[0]: Fraction(1)}, ())
-    solution = solve(problem)
+    solution = solve(instance, {variables[0]: Fraction(1)}, ())
     assert solution.status == OPTIMAL
     assert solution.objective_value == 1
 
 
 def test_k22_degree_lp_max_total_weight():
     k22 = BipartiteInstance.complete(2)
-    problem = LpProblem(
-        k22,
-        {e: Fraction(1) for e in k22.edges},
-        tuple(gen_degree(k22)),
-    )
-    solution = solve(problem)
+    solution = solve(k22, {e: Fraction(1) for e in k22.edges}, gen_degree(k22))
     assert solution.objective_value == 4
     assert all(solution.point.weight(e) == 1 for e in k22.edges)
 
 
 def test_unbounded_without_box():
+    # `solve` always adds the box rows; the bare tableau has none.
     instance = BipartiteInstance.complete(1, 1)
     variables = _vars(instance)
-    problem = LpProblem(
-        instance, {variables[0]: Fraction(1)}, (), box=False
-    )
-    assert solve(problem).status == UNBOUNDED
+    assert _Tableau(variables, ()).run({variables[0]: Fraction(1)}) == UNBOUNDED
 
 
 def test_infeasible_detected():
@@ -70,8 +62,7 @@ def test_infeasible_detected():
     rows = (
         _row(variables, {0: 1, 1: 1}, -1, name="impossible"),
     )
-    problem = LpProblem(instance, {variables[0]: Fraction(1)}, rows)
-    assert solve(problem).status == INFEASIBLE
+    assert solve(instance, {variables[0]: Fraction(1)}, rows).status == INFEASIBLE
 
 
 def test_equality_rows_handled():
@@ -80,8 +71,7 @@ def test_equality_rows_handled():
     rows = (
         _row(variables, {0: 1, 1: 1}, Fraction(3, 2), is_eq=True, name="sum"),
     )
-    problem = LpProblem(instance, {variables[0]: Fraction(1)}, rows)
-    solution = solve(problem)
+    solution = solve(instance, {variables[0]: Fraction(1)}, rows)
     assert solution.status == OPTIMAL
     assert solution.objective_value == 1
     assert solution.point.weight(variables[1]) == Fraction(1, 2)
@@ -89,11 +79,10 @@ def test_equality_rows_handled():
 
 def test_dual_is_exposed_and_matches_objective():
     k22 = BipartiteInstance.complete(2)
-    problem = LpProblem(
-        k22, {e: Fraction(1) for e in k22.edges}, tuple(gen_degree(k22))
-    )
-    solution = solve(problem)
-    rows = effective_rows(problem)
+    solution = solve(k22, {e: Fraction(1) for e in k22.edges}, gen_degree(k22))
+    rows = solution.rows
+    assert rows[: k22.num_vertices] == tuple(gen_degree(k22))
+    assert [row.kind for row in rows[k22.num_vertices :]] == [ConstraintKind.UPPER_BOUND] * 4
     assert len(solution.dual) == len(rows)
     assert sum(y * r.rhs for y, r in zip(solution.dual, rows)) == 4
     assert all(y >= 0 for y in solution.dual)
@@ -103,10 +92,8 @@ def _audited_k22():
     """A solved problem and the arguments `solve` hands to the audit."""
     k22 = BipartiteInstance.complete(2)
     objective = {e: Fraction(1) for e in k22.edges}
-    problem = LpProblem(k22, objective, tuple(gen_degree(k22)))
-    solution = solve(problem)
-    rows = effective_rows(problem)
-    return rows, problem.variables, objective, solution.objective_value, list(solution.dual)
+    solution = solve(k22, objective, gen_degree(k22))
+    return solution.rows, _vars(k22), objective, solution.objective_value, list(solution.dual)
 
 
 def test_audit_accepts_the_dual_from_solve():
@@ -191,14 +178,11 @@ def test_value_invariant_under_row_permutation(k33):
     rng = random.Random(17)
     rows = tuple(gen_degree(k33))
     objective = {e: Fraction(rng.randint(1, 3)) for e in k33.edges}
-    base = solve(LpProblem(k33, objective, rows)).objective_value
+    base = solve(k33, objective, rows).objective_value
     for _ in range(4):
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        assert (
-            solve(LpProblem(k33, objective, tuple(shuffled))).objective_value
-            == base
-        )
+        assert solve(k33, objective, shuffled).objective_value == base
 
 
 def test_solve_matches_vertex_enumeration_oracle():
@@ -226,11 +210,7 @@ def test_solve_matches_vertex_enumeration_oracle():
             )
         objective = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         solution = solve(
-            LpProblem(
-                instance,
-                {variables[j]: objective[j] for j in range(n) if objective[j]},
-                tuple(rows),
-            )
+            instance, {variables[j]: objective[j] for j in range(n) if objective[j]}, rows
         )
         expected = vertex_enumeration_max(n, triples, objective)
         if expected is None:
@@ -238,3 +218,37 @@ def test_solve_matches_vertex_enumeration_oracle():
         else:
             assert solution.status == OPTIMAL
             assert solution.objective_value == expected
+
+
+def test_solve_refuses_an_edge_outside_the_instance():
+    instance = BipartiteInstance.complete(1, 2)
+    variables = _vars(instance)
+    foreign = Edge(VertexId(CLASS1, 0), VertexId(CLASS2, 2))
+    row = LinearInequality({foreign: 1}, 1, ConstraintKind.AGGREGATE, "foreign")
+    with pytest.raises(ValueError, match="row foreign names edge .* outside the instance"):
+        solve(instance, {variables[0]: Fraction(1)}, [row])
+    with pytest.raises(ValueError, match="objective names edge .* outside the instance"):
+        solve(instance, {foreign: Fraction(1)}, ())
+    with pytest.raises(ValueError, match="outside the instance"):
+        solve(instance, {variables[0]: Fraction(1)}, [row], lazy=True)
+
+
+def test_lazy_solve_lists_rows_given_then_cuts_then_box(table1):
+    instance, _, comb = table1
+    objective = comb_inequality(instance, comb).coeffs
+    degree = gen_degree(instance)
+    solution = solve(instance, objective, degree, lazy=True)
+    assert solution.status == OPTIMAL
+    cuts = solution.rows[len(degree) : len(solution.rows) - len(instance.edges)]
+    assert solution.rows[: len(degree)] == tuple(degree)
+    assert solution.rounds == len(cuts) + 1 > 1
+    assert all(row.kind is ConstraintKind.SUBTOUR_ELIM for row in cuts)
+    box = solution.rows[len(degree) + len(cuts) :]
+    assert all(row.kind is ConstraintKind.UPPER_BOUND for row in box)
+    # The cold run over the final rows is the reference for the warm rounds.
+    cold = solve(instance, objective, degree + list(cuts))
+    assert cold.rounds == 1
+    assert (cold.objective_value, cold.rows) == (solution.objective_value, solution.rows)
+    _audit_duality(
+        solution.rows, _vars(instance), objective, solution.objective_value, solution.dual
+    )

@@ -16,7 +16,6 @@ from combcert import (
     CombcertError,
     ConstraintKind,
     LinearInequality,
-    LpProblem,
     comb_inequality,
     gen_degree,
     is_implied,
@@ -24,7 +23,8 @@ from combcert import (
     solve,
 )
 from combcert import lp
-from combcert.lp import INFEASIBLE, OPTIMAL, _audit_duality, effective_rows
+from combcert.constraints import upper_bound
+from combcert.lp import INFEASIBLE, OPTIMAL, _audit_duality
 from combcert.search import FAMILIES, sample_comb
 
 
@@ -66,16 +66,15 @@ def test_warm_lazy_matches_cold_solve_on_final_rows(n, mode, monkeypatch):
         result, cuts = _lazy_run(instance, target, mode, monkeypatch)
         assert result.rounds == len(cuts) + 1
         warm_rounds += len(cuts)
-        problem = LpProblem(instance, dict(target.coeffs), tuple(gen_degree(instance, mode) + cuts))
-        cold = solve(problem)
+        cold = solve(instance, target.coeffs, gen_degree(instance, mode) + cuts)
         assert cold.status == OPTIMAL
         assert result.optimum == cold.objective_value
         assert result.implied == (cold.objective_value <= target.rhs)
-        rows = effective_rows(problem)
+        rows = cold.rows
         assert result.rows_used == len(rows)
         if not result.implied:
             continue
-        # Nonzero multipliers, in effective_rows order: degree, cuts, box.
+        # Nonzero multipliers, in `solve`'s row order: degree, cuts, box.
         support = [row for row, _ in result.dual_rows]
         position = {row.provenance: k for k, row in enumerate(rows)}
         assert len(position) == len(rows)
@@ -83,8 +82,8 @@ def test_warm_lazy_matches_cold_solve_on_final_rows(n, mode, monkeypatch):
         assert positions == sorted(positions)
         _audit_duality(
             support,
-            problem.variables,
-            problem.objective,
+            tuple(sorted(instance.edges)),
+            target.coeffs,
             result.optimum,
             tuple(y for _, y in result.dual_rows),
         )
@@ -133,8 +132,7 @@ def test_appended_rows_match_cold_solve_on_random_lps():
 
         objective = {e: Fraction(rng.randint(-2, 3)) for e in variables}
         base = [random_row(f"r{i}") for i in range(rng.randint(0, 3))]
-        problem = LpProblem(instance, objective, tuple(base))
-        rows = list(effective_rows(problem))
+        rows = base + [upper_bound(instance, e) for e in variables]
         tableau = _CheckedTableau(variables, rows)
         status = tableau.run(objective)
         for k in range(4):
@@ -143,11 +141,13 @@ def test_appended_rows_match_cold_solve_on_random_lps():
             cut = random_row(f"cut{k}")
             rows.append(cut)
             status = tableau.add_row(cut)
-            cold = solve(LpProblem(instance, objective, tuple(base + rows[len(base) + n :])))
+            cold = solve(instance, objective, base + rows[len(base) + n :])
             assert status == cold.status
             if status == OPTIMAL:
-                warm = lp._read_optimum(problem, rows, tableau)  # audits the dual
-                assert warm.objective_value == cold.objective_value
+                assignment = tableau.primal_values()
+                warm = sum(c * assignment.get(e, 0) for e, c in objective.items())
+                assert warm == cold.objective_value
+                _audit_duality(rows, variables, objective, warm, tableau.dual_values())
                 checked += 1
     assert checked > 50
 
@@ -155,9 +155,8 @@ def test_appended_rows_match_cold_solve_on_random_lps():
 def test_cut_that_empties_the_polytope_is_infeasible():
     instance = BipartiteInstance.complete(1, 2)
     variables = tuple(sorted(instance.edges))
-    problem = LpProblem(instance, {variables[0]: Fraction(1)}, ())
-    tableau = lp._Tableau(variables, effective_rows(problem))
-    assert tableau.run(problem.objective) == OPTIMAL
+    tableau = lp._Tableau(variables, [upper_bound(instance, e) for e in variables])
+    assert tableau.run({variables[0]: Fraction(1)}) == OPTIMAL
     assert tableau.add_row(_row(variables, {0: -1, 1: -1}, -3)) == INFEASIBLE
 
 
@@ -183,8 +182,7 @@ def test_tableau_entries_are_int_or_fraction_never_float(table1, monkeypatch):
                 assert _all_fractions(y for _, y in result.dual_rows)
             else:
                 assert _all_fractions(w for _, w in result.witness.items())
-        problem = LpProblem(inst, dict(target.coeffs), tuple(gen_degree(inst)))
-        solution = solve(problem)
+        solution = solve(inst, target.coeffs, gen_degree(inst))
         assert type(solution.objective_value) is Fraction
         assert _all_fractions(solution.dual)
         assert _all_fractions(w for _, w in solution.point.items())

@@ -21,7 +21,7 @@ from combcert.constraints import ConstraintKind, degree_constraint, lower_bound
 from combcert.graph import VertexId
 from combcert.search import FAMILIES, sample_comb
 from combcert.certificates import BUILDERS, verify
-from combcert.tours import DEFAULT_TOUR_CAP, FacetVerdict, Tour
+from combcert.tours import FacetVerdict, Tour
 from oracles import (
     facet_report_oracle,
     fraction_rank,
@@ -108,7 +108,7 @@ def test_edge_tours_match_nested_generator_oracle():
     )
     for instance in instances:
         edges = sorted(instance.edges)
-        got = tours_module._edge_tours(instance, edges, DEFAULT_TOUR_CAP)
+        got = tours_module._edge_tours(instance, edges)
         assert got == nested_generator_edge_tours(instance)
 
 
