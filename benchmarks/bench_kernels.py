@@ -2,17 +2,19 @@
 """Microbenchmark the kernels and the layers built on them.
 
 Five workloads:
-  * the exhaustive subtour subset scan (the hot loop behind the
-    feasibility checker), on a weighted K_{n,n} with every subset size
-    in play;
+  * `check_point`, the feasibility check behind `verify-point`, which
+    lists violated subtour sets by branching on min cuts: on the uniform
+    point x_e = 2/n of K_{8,8} and K_{12,12}, which must be feasible, and
+    on four disjoint weight-1 4-cycles covering K_{8,8}, which must
+    violate exactly the 14 subtour rows of their unions;
   * Hamiltonian tour enumeration on complete balanced instances: the
     single-frame `_kernels.hamiltonian_cycles` from a K_{n,n} position
     table to its list of edge-index tuples, which must hold all
     n! (n-1)! / 2 tours, and the peak RSS of the process after it;
-  * lazy subtour separation: the subset scan (`_kernels.sec_violations`
-    and the largest violation in its output) against the min cut that
-    `is_implied` uses, on the LP points its lazy loop visits for seeded
-    wild combs on K_{8,8}.  Both must find the same most violated amount;
+  * lazy subtour separation: the min cut that `is_implied` uses against
+    the largest violation among the rows `check_point` lists, on the LP
+    points its lazy loop visits for seeded wild combs on K_{8,8}.  Both
+    must find the same most violated amount;
   * the lazy LP itself on those same 20 queries: the time of each warm-
     started lazy query, against a cold `solve` over its final rows,
     which must reach the same optimum;
@@ -21,8 +23,7 @@ Five workloads:
     as the oracle path of the tests (`Tour.as_point`, `value_on` and a
     `Fraction` rank over all tours).
 
-Usage: python benchmarks/bench_kernels.py [--seed S] [--scan-vertices N]
-           [--tour-n N]
+Usage: python benchmarks/bench_kernels.py [--seed S] [--tour-n N]
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ from fractions import Fraction
 
 from combcert import (
     BipartiteInstance,
+    ConstraintKind,
+    Edge,
+    FractionalPoint,
     _kernels,
+    check_point,
     comb_inequality,
     enumerate_tours,
     expected_tour_count,
@@ -47,22 +52,10 @@ from combcert import (
     lp,
     solve,
 )
-from combcert.constraints import scan_inputs
 from combcert.search import FAMILIES, sample_comb
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from oracles import facet_report_oracle, tour_affine_rank  # noqa: E402
-
-
-def scan_case(num_vertices: int, seed: int):
-    rng = random.Random(seed)
-    half = num_vertices // 2
-    masks, weights = [], []
-    for i in range(half):
-        for j in range(half, num_vertices):
-            masks.append((1 << i) | (1 << j))
-            weights.append(rng.randint(0, 6))
-    return masks, weights
 
 
 def time_call(fn, *args, repeat=3):
@@ -76,14 +69,36 @@ def time_call(fn, *args, repeat=3):
     return best, result
 
 
-def bench_scan(num_vertices: int, seed: int):
-    masks, weights = scan_case(num_vertices, seed)
-    denom, lo, hi = 6, 3, num_vertices - 1
-    seconds, _ = time_call(
-        _kernels.sec_violations, num_vertices, masks, weights, denom, lo, hi
+def four_cycles_point(n: int) -> FractionalPoint:
+    """Weight 1 on n/2 disjoint 4-cycles covering K_{n,n}, n even."""
+    instance = BipartiteInstance.complete(n)
+    ones = [v for v in instance.vertices() if v.cls == 1]
+    twos = [v for v in instance.vertices() if v.cls == 2]
+    return FractionalPoint(
+        instance,
+        {
+            Edge(a, b): 1
+            for i in range(0, n, 2)
+            for a in ones[i : i + 2]
+            for b in twos[i : i + 2]
+        },
     )
-    line = f"subset scan  n={num_vertices:2d} ({1 << num_vertices} subsets)"
-    print(f"{line}  {seconds * 1e3:9.1f} ms")
+
+
+def bench_verify_point():
+    cases = []
+    for n in (8, 12):
+        instance = BipartiteInstance.complete(n)
+        point = FractionalPoint(instance, {e: Fraction(2, n) for e in instance.edges})
+        cases.append((f"uniform 2/{n}", point, 0))
+    cases.append(("four 4-cycles", four_cycles_point(8), 14))
+    for name, point, violated in cases:
+        instance = point.instance
+        seconds, report = time_call(check_point, instance, point)
+        assert report.feasible == (violated == 0)
+        assert len(report.violations) == violated
+        line = f"verify-point n={instance.num_vertices:2d} ({name}, {violated} violated)"
+        print(f"{line}  {seconds * 1e3:9.1f} ms")
 
 
 def bench_tours(n: int):
@@ -125,34 +140,35 @@ def lazy_runs(n: int, combs: int, seed: int):
     return instance, runs
 
 
-def largest_scanned_violation(instance, point):
-    """The largest subtour violation at `point` by the subset scan, or None."""
-    n = instance.num_vertices
-    masks, weights, denom = scan_inputs(instance, point)
-    violated = _kernels.sec_violations(n, masks, weights, denom, 3, n - 1)
-    amounts = (Fraction(v, denom) - (bin(mask).count("1") - 1) for mask, v in violated)
+def largest_listed_violation(instance, point):
+    """The largest subtour violation among the rows `check_point` lists, or None."""
+    report = check_point(instance, point)
+    amounts = (
+        value - row.rhs
+        for row, value in report.violations
+        if row.kind is ConstraintKind.SUBTOUR_ELIM
+    )
     return max(amounts, default=None)
 
 
 def bench_separation(instance, runs):
     points = [point for *_, rounds in runs for point, _ in rounds]
-    t_scan = t_cut = 0.0
+    t_list = t_cut = 0.0
     for point in points:
         t0 = time.perf_counter()
-        scan = largest_scanned_violation(instance, point)
+        listed = largest_listed_violation(instance, point)
         t1 = time.perf_counter()
         cut = lp._most_violated_sec(instance, point)
         t_cut += time.perf_counter() - t1
-        t_scan += t1 - t0
-        assert (scan is None) == (cut is None)
-        if scan is not None:
-            assert scan == cut.value_on(point) - cut.rhs
+        t_list += t1 - t0
+        assert (listed is None) == (cut is None)
+        if listed is not None:
+            assert listed == cut.value_on(point) - cut.rhs
     calls = len(points)
     line = f"separation   n={instance.num_vertices:2d} ({calls} LP points, {len(runs)} combs)"
     print(
-        f"{line}  scan {t_scan / calls * 1e3:9.2f} ms/call"
+        f"{line}  check_point {t_list / calls * 1e3:7.2f} ms/call"
         f"   min cut {t_cut / calls * 1e3:7.2f} ms/call"
-        f"   speedup {t_scan / t_cut:6.1f}x"
     )
 
 
@@ -204,12 +220,10 @@ def bench_facet(seed: int, combs: int = 24, checked: int = 4):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--scan-vertices", type=int, default=18)
     parser.add_argument("--tour-n", type=int, default=6)
     args = parser.parse_args()
     print(f"seed: {args.seed}")
-    for n in (12, 16, args.scan_vertices):
-        bench_scan(n, args.seed)
+    bench_verify_point()
     for n in (5, args.tour_n):
         bench_tours(n)
     instance, runs = lazy_runs(8, 20, args.seed)

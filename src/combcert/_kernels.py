@@ -1,50 +1,214 @@
-"""The two enumeration kernels of the package, on plain integers.
+"""The two kernels of the package, on plain integers: subtour cuts and tours.
 
-`sec_violations` is the subset sweep behind the feasibility checker
-(lazy SEC separation is a min cut, in `combcert.lp`).
-`hamiltonian_cycles` enumerates the tours of a balanced bipartite graph,
-from an (a, b) -> edge index table straight to tuples of edge indices.
+Subtour cuts.  A point's support arrives as `constraints.scan_inputs`
+gives it: per edge of nonzero weight, its vertex bitmask and its weight
+times D, the common denominator.  With d_v the weighted degree of v,
+
+    f(S) = sum over v in S of (2D - D d_v)  +  D x(delta(S))
+         = 2D (|S| - x(E(S))),
+
+so S violates its subtour row exactly when f(S) < 2D.  f(S) is, up to
+one constant, the capacity of the cut around S in the network
+`_network` builds: each support edge carries D x_e both ways, and each
+vertex v has an arc of capacity 2D - D d_v to a sink t, or, where that
+is negative (degree above 2), an arc of the excess from a source s.
+The source arcs add their total to every cut, the shift.  One max-flow
+routine, `_min_cut`, serves both cut kernels:
+
+  `most_violated_set`  lazy separation: a set of least f, by 2(N-1) flows
+  `violated_sets`      every set with f(S) < 2D, by branching on min cuts
+
+Tours.  `hamiltonian_cycles` enumerates the tours of a balanced
+bipartite graph, from an (a, b) -> edge index table straight to tuples
+of edge indices.
+
 Inputs are plain ints, so results are exact at any precision.  Callers
-reach both as attributes of this module, which is where layer tracing
-wraps them.
+reach the kernels as attributes of this module, which is where layer
+tracing wraps them.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from .errors import CombcertError
 
 
-def sec_violations(
+def _network(
+    num_vertices: int, edge_masks: list[int], weights: list[int], denom: int
+) -> tuple:
+    """The cut network of f for the weights clipped at 0, built once per point.
+
+    Returns (adjacent, to_sink, from_source, excess): `adjacent[u][v]` is
+    the capacity of edge uv in each direction, `to_sink[v]` and
+    `from_source[v]` the capacities of v's arcs to t and from s (at most
+    one is nonzero), and `excess` the vertices with a source arc.  The cut
+    around S has capacity f(S) plus the shift, sum(from_source).
+    """
+    terms = [2 * denom] * num_vertices
+    adjacent: list[dict[int, int]] = [{} for _ in range(num_vertices)]
+    for mask, w in zip(edge_masks, weights):
+        if w > 0:
+            u, v = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+            terms[u] -= w
+            terms[v] -= w
+            adjacent[u][v] = adjacent[v][u] = w
+    to_sink = [c if c > 0 else 0 for c in terms]
+    from_source = [-c if c < 0 else 0 for c in terms]
+    excess = [v for v, c in enumerate(from_source) if c]
+    return adjacent, to_sink, from_source, excess
+
+
+def _min_cut(
+    network: tuple, sources: int, sinks: int, limit: int
+) -> tuple[int, int] | None:
+    """Minimum cut between s merged with the vertices in `sources` and t
+    merged with the vertices in `sinks`.
+
+    Edmonds-Karp on integer capacities.  Returns (cut capacity, mask of
+    the vertices reachable from s in the final residual graph), which is
+    the least source side of a minimum cut, or None as soon as the flow
+    reaches `limit`.
+    """
+    adjacent, to_sink, from_source, excess = network
+    residual = [dict(arcs) for arcs in adjacent]
+    sink_arc = list(to_sink)
+    source_arc = list(from_source) if excess else from_source  # read-only if none
+    roots = []
+    rest = sources
+    while rest:
+        low = rest & -rest
+        roots.append(low.bit_length() - 1)
+        rest ^= low
+    parent = [-1] * len(adjacent)  # -1: entered from s
+    flow = 0
+    while True:
+        reached = sources
+        queue = list(roots)
+        tail = -1  # last vertex of an augmenting path
+        for v in excess:
+            if source_arc[v] and not reached >> v & 1:
+                reached |= 1 << v
+                parent[v] = -1
+                if sinks >> v & 1:
+                    tail = v
+                    break
+                queue.append(v)
+        if tail < 0:
+            for u in queue:
+                if sink_arc[u]:
+                    tail = u
+                    break
+                for v, cap in residual[u].items():
+                    if cap and not reached >> v & 1:
+                        reached |= 1 << v
+                        parent[v] = u
+                        if sinks >> v & 1:
+                            tail = v
+                            break
+                        queue.append(v)
+                if tail >= 0:
+                    break
+        if tail < 0:
+            return flow, reached
+        # A path ending in a `sinks` vertex reaches t by an uncapacitated
+        # arc, and one starting at a `sources` vertex leaves s by one.
+        push = None if sinks >> tail & 1 else sink_arc[tail]
+        v, u = tail, parent[tail]
+        while u >= 0:
+            if push is None or residual[u][v] < push:
+                push = residual[u][v]
+            v, u = u, parent[u]
+        head = v
+        if not sources >> head & 1:
+            if push is None or source_arc[head] < push:
+                push = source_arc[head]
+            source_arc[head] -= push
+        if not sinks >> tail & 1:
+            sink_arc[tail] -= push
+        v = tail
+        while v != head:
+            u = parent[v]
+            residual[u][v] -= push
+            residual[v][u] += push
+            v = u
+        flow += push
+        if flow >= limit:
+            return None
+
+
+def most_violated_set(
+    num_vertices: int, edge_masks: list[int], weights: list[int], denom: int
+) -> int | None:
+    """Vertex mask of a most violated subtour set, or None if none is violated.
+
+    The point must lie in the unit box and within the degree rows, so the
+    network has no source arcs and the cut around S is f(S) itself.  Each
+    max flow forces one vertex into S and one or more out of it: vertex 0
+    in and k out, then k in and 0..k-1 out, for k = 1..N-1.  These 2(N-1)
+    flows cover every S other than the empty set and V.  The first strict
+    minimum below 2D in that order wins; within a flow, S is the least
+    source side.  Sets of one or two vertices are never violated inside
+    the unit box, so a violated S has 3 <= |S| <= N - 1, the default
+    window of the subtour family.
+    """
+    if weights and (min(weights) < 0 or max(weights) > denom):
+        raise CombcertError("min-cut separation needs a point inside the unit box")
+    network = _network(num_vertices, edge_masks, weights, denom)
+    if network[3]:  # a vertex of degree above 2 has a source arc
+        raise CombcertError("min-cut separation needs a point within the degree rows")
+    best, best_mask = 2 * denom, None
+    for k in range(1, num_vertices):
+        for sources, sinks in ((1, 1 << k), (1 << k, (1 << k) - 1)):
+            found = _min_cut(network, sources, sinks, best)
+            if found is not None:
+                best, best_mask = found
+    return best_mask
+
+
+def violated_sets(
     num_vertices: int,
     edge_masks: list[int],
     weights: list[int],
     denom: int,
-    lo: int,
-    hi: int,
-) -> list[tuple[int, int]]:
-    """Scan all vertex subsets S with lo <= |S| <= hi.
+    budget: int,
+) -> list[int]:
+    """Vertex masks of every set S with f(S) < 2D, for the weights clipped at 0.
 
-    Edge e (vertex bitmask `edge_masks[i]`, scaled integer weight
-    `weights[i]`) counts toward S when both endpoints lie in S.  A subset
-    violates its subtour bound when the scaled internal weight exceeds
-    denom * (|S| - 1).  Returns the (subset_mask, scaled_weight) pairs of
-    the violated subsets, sorted by (popcount, mask).
+    A negative weight counts as 0 here.  That only raises x(E(S)), so every
+    set that the weights themselves violate is listed, and the caller
+    re-checks each listed set against them.  Sets of any size are listed,
+    V and pairs with a weight above 1 included; a single vertex never is.
+
+    The sets are split by their lowest vertex k: root branch k forces k in
+    and 0..k-1 out.  A branch runs one flow and is pruned when its cut
+    reaches 2D plus the shift; otherwise its least minimum cut S is listed,
+    and the rest of the branch splits over its free vertices u_1 < u_2 < ...:
+    branch i agrees with S on u_1..u_{i-1} and disagrees on u_i.  Each
+    listed set thus costs at most N flows (Vazirani & Yannakakis,
+    "Suboptimal cuts", 1992).  The search stops once `budget` + 1 sets are
+    listed, so it runs at most (budget + 1) N flows.
     """
-    pairs = [(m, w) for m, w in zip(edge_masks, weights) if w]
-    out = []
-    for size in range(lo, hi + 1):
-        limit = denom * (size - 1)
-        for combo in combinations(range(num_vertices), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            total = 0
-            for m, w in pairs:
-                if m & mask == m:
-                    total += w
-            if total > limit:
-                out.append((mask, total))
-    out.sort(key=lambda item: (bin(item[0]).count("1"), item[0]))
+    network = _network(num_vertices, edge_masks, weights, denom)
+    limit = 2 * denom + sum(network[2])  # 2D plus the shift
+    full = (1 << num_vertices) - 1
+    branches = [(1 << k, (1 << k) - 1) for k in range(num_vertices)]
+    out: list[int] = []
+    while branches and len(out) <= budget:
+        sources, sinks = branches.pop()
+        found = _min_cut(network, sources, sinks, limit)
+        if found is None:
+            continue
+        cut = found[1]
+        out.append(cut)
+        free = full & ~(sources | sinks)
+        while free:
+            low = free & -free
+            free ^= low
+            if cut & low:
+                branches.append((sources, sinks | low))
+                sources |= low
+            else:
+                branches.append((sources | low, sinks))
+                sinks |= low
     return out
 
 

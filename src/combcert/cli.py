@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .certificates import BUILDERS, verify
 from .combs import CLASSES, classify, comb_inequality
-from .constraints import DEFAULT_ENUMERATION_CAP, check_point
+from .constraints import check_point
 from .errors import CombcertError, FormatError, HypothesisNotMetError, InvalidCombError
 from .jsonio import dump_certificate, load_comb, load_instance, write_json
 from .lp import is_implied
@@ -72,7 +72,7 @@ def _load_pair(args):
 
 def _cmd_verify_point(args) -> int:
     instance, point = load_instance(args.instance)
-    report = check_point(instance, point, mode=args.mode, cap=args.max_vertices)
+    report = check_point(instance, point, mode=args.mode)
     document = {
         "feasible": report.feasible,
         "violations": [
@@ -206,6 +206,10 @@ def _cmd_paper_tables(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.size < 3:
+        raise FormatError("size", f"must be at least 3, got {args.size}")
+    if args.count < 0:
+        raise FormatError("count", f"must not be negative, got {args.count}")
     families = FAMILIES
     if args.families is not None:
         families = tuple(args.families.split(","))
@@ -254,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-point", help="check a point against the relaxation")
     common(p, comb=False)
     p.add_argument("--mode", choices=("le", "eq"), default="le")
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.set_defaults(func=_cmd_verify_point)
 
     p = sub.add_parser("classify", help="which hypothesis classes a comb matches")

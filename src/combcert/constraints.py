@@ -11,11 +11,12 @@ All proofs in this package use the <= form of the degree constraints; the
 subtour family on purpose: the x <= 1 bound already covers them, and the
 feasibility checker relies on the bounds for that case.
 
-Subtour enumeration is exhaustive by design (desk scale) and refuses to
-run above a configurable vertex cap.  The subset sweep itself is delegated
-to `combcert._kernels`; it serves `check_point` only.  Lazy separation is
-an exact min cut instead (see `combcert.lp`).  `scan_inputs` turns a
-point into the integer data that the scan and the min cut read.
+Materializing the subtour family (`gen_secs`, for direct-mode LPs) is
+exhaustive and refuses to run above a vertex cap.  `check_point` does not
+enumerate subsets: it lists the violated subtour sets by branching on
+min cuts (`_kernels.violated_sets`), so its work grows with the number of
+violated sets, which `VIOLATED_SET_BUDGET` bounds.  `scan_inputs` turns a
+point into the integer data that the cut kernels read.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
 from .rational import common_denominator
 
 DEFAULT_ENUMERATION_CAP = 24
+
+# Most subtour sets `check_point` lists before it refuses a point.  A point
+# on 12 or fewer vertices never reaches it, since it has 2^12 vertex sets at
+# most; a larger one can have exponentially many violated sets (k disjoint
+# 4-cycles of weight 1 give 2^k - 2).
+VIOLATED_SET_BUDGET = 4096
 
 DegreeMode = Literal["le", "eq"]
 
@@ -178,7 +185,7 @@ def gen_secs(
 def scan_inputs(
     instance: BipartiteInstance, point: FractionalPoint
 ) -> tuple[list[int], list[int], int]:
-    """A point's support as integer data for the subset kernels.
+    """A point's support as integer data for the cut kernels.
 
     Returns, for every edge of nonzero weight, its vertex bitmask (bits at
     the endpoints' global indices) and its weight times D, plus D itself,
@@ -198,18 +205,19 @@ def check_point(
     instance: BipartiteInstance,
     point: FractionalPoint,
     mode: DegreeMode = "le",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> FeasibilityReport:
     """Evaluate every degree row, every subtour row, and the bounds.
 
-    Arithmetic is exact; the subset sweep runs on integer-scaled weights via
-    `_kernels.sec_violations` and only the violated subsets are materialized.
+    Arithmetic is exact.  The subtour rows are not enumerated:
+    `_kernels.violated_sets` lists the candidate sets on integer-scaled
+    weights, and each one in the subtour window is re-checked against the
+    point's own weights; only the violated rows are materialized.  Raises
+    `EnumerationCapError` when more than `VIOLATED_SET_BUDGET` sets are
+    listed, which takes at most (budget + 1) N max flows.
     """
     if point.instance != instance:
         raise ValueError("point does not belong to this instance")
     n = instance.num_vertices
-    if n > cap:
-        raise EnumerationCapError("subtour enumeration", n, cap)
 
     violations: list[tuple[LinearInequality, Fraction]] = []
 
@@ -225,9 +233,18 @@ def check_point(
             violations.append((lower_bound(instance, e), -w))
 
     masks, scaled, denom = scan_inputs(instance, point)
-    for mask, value in _kernels.sec_violations(n, masks, scaled, denom, 3, n - 1):
-        row = sec_constraint(instance, instance.vertices_in(mask))
-        violations.append((row, Fraction(value, denom)))
+    budget = VIOLATED_SET_BUDGET
+    listed = _kernels.violated_sets(n, masks, scaled, denom, budget)
+    if len(listed) > budget:
+        raise EnumerationCapError("violated subtour sets", len(listed), budget)
+    for subset in listed:
+        size = subset.bit_count()
+        if not 3 <= size <= n - 1:
+            continue
+        value = sum(w for m, w in zip(masks, scaled) if m & subset == m)
+        if value > denom * (size - 1):
+            row = sec_constraint(instance, instance.vertices_in(subset))
+            violations.append((row, Fraction(value, denom)))
 
     violations.sort(key=lambda item: item[0].provenance)
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))

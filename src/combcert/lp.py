@@ -19,8 +19,9 @@ until none is violated.  Each added row is appended to the optimal
 tableau with a new slack column, reduced against the basis, and made
 feasible again by the dual simplex (Lemke, 1954), so a round costs a few
 pivots rather than a fresh solve.  Lazy separation is an exact integer
-min cut (Padberg & Wolsey, "Trees and cuts", 1983), so its cost is
-polynomial in the number of vertices.  Every optimum read, cold or warm,
+min cut (Padberg & Wolsey, "Trees and cuts", 1983), run by
+`_kernels.most_violated_set`, so its cost is polynomial in the number of
+vertices.  Every optimum read, cold or warm,
 yields its dual vector, which is re-checked against the original rows by
 `_audit_duality` (dual feasibility plus equal objective).  The cold run
 over the final rows is the reference that warm rounds are tested
@@ -40,6 +41,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
+from . import _kernels
 from .constraints import (
     DEFAULT_ENUMERATION_CAP,
     DegreeMode,
@@ -386,111 +388,13 @@ def _most_violated_sec(
     instance: BipartiteInstance, point: FractionalPoint
 ) -> LinearInequality | None:
     """A subtour row of largest violation at `point`, or None; exact, by
-    `_min_cut_sec`."""
-    best_mask = _min_cut_sec(instance.num_vertices, *scan_inputs(instance, point))
+    the min cuts of `_kernels.most_violated_set`."""
+    best_mask = _kernels.most_violated_set(
+        instance.num_vertices, *scan_inputs(instance, point)
+    )
     if best_mask is None:
         return None
     return sec_constraint(instance, instance.vertices_in(best_mask))
-
-
-def _min_cut_sec(
-    num_vertices: int, edge_masks: list[int], weights: list[int], denom: int
-) -> int | None:
-    """Vertex mask of a most violated subtour set, or None if none is violated.
-
-    Inputs are those of `scan_inputs`: weights are the point's x_e times D.
-    With d_v the weighted degree of v, the violation of a set S is
-    1 - f(S) / (2D), where
-
-        f(S) = sum over v in S of (2D - D d_v)  +  D x(delta(S)).
-
-    f(S) is the capacity of the cut around S in the graph where each
-    vertex v has an arc of capacity 2D - D d_v to a sink t and each
-    support edge carries D x_e both ways.  Each max flow forces one vertex
-    into S and one or more out of it: vertex 0 in and k out, then k in and
-    0..k-1 out, for k = 1..N-1.  These 2(N-1) flows cover every S other
-    than the empty set and V.  The first strict minimum below 2D in that
-    order wins; within a flow, S is the source side reachable in the
-    residual graph.  Sets of one or two vertices are never violated inside
-    the unit box, so a violated S has 3 <= |S| <= N - 1, the default
-    window of the subtour family.
-    """
-    to_sink = [2 * denom] * num_vertices
-    adjacent: list[dict[int, int]] = [{} for _ in range(num_vertices)]
-    for mask, w in zip(edge_masks, weights):
-        if not 0 <= w <= denom:
-            raise CombcertError("min-cut separation needs a point inside the unit box")
-        u, v = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
-        to_sink[u] -= w
-        to_sink[v] -= w
-        adjacent[u][v] = adjacent[v][u] = w
-    if any(c < 0 for c in to_sink):
-        raise CombcertError("min-cut separation needs a point within the degree rows")
-    best, best_mask = 2 * denom, None
-    for k in range(1, num_vertices):
-        for source, sinks in ((0, 1 << k), (k, (1 << k) - 1)):
-            found = _min_cut(adjacent, to_sink, source, sinks, best)
-            if found is not None:
-                best, best_mask = found
-    return best_mask
-
-
-def _min_cut(
-    adjacent: list[dict[int, int]],
-    to_sink: list[int],
-    source: int,
-    sinks: int,
-    limit: int,
-) -> tuple[int, int] | None:
-    """Minimum cut between `source` and t merged with the vertices in `sinks`.
-
-    Edmonds-Karp on integer capacities.  Returns (cut capacity, mask of the
-    vertices reachable from `source` in the final residual graph), or None
-    as soon as the flow reaches `limit`.
-    """
-    residual = [dict(arcs) for arcs in adjacent]
-    sink_arc = list(to_sink)
-    parent = [0] * len(adjacent)
-    flow = 0
-    while True:
-        reached = 1 << source
-        queue = [source]
-        tail = -1  # last vertex of an augmenting path
-        for u in queue:
-            if sink_arc[u]:
-                tail = u
-                break
-            for v, cap in residual[u].items():
-                if cap and not reached >> v & 1:
-                    reached |= 1 << v
-                    parent[v] = u
-                    if sinks >> v & 1:
-                        tail = v
-                        break
-                    queue.append(v)
-            if tail >= 0:
-                break
-        if tail < 0:
-            return flow, reached
-        # A path ending in a `sinks` vertex reaches t by an uncapacitated arc.
-        push = None if sinks >> tail & 1 else sink_arc[tail]
-        v = tail
-        while v != source:
-            u = parent[v]
-            if push is None or residual[u][v] < push:
-                push = residual[u][v]
-            v = u
-        if not sinks >> tail & 1:
-            sink_arc[tail] -= push
-        v = tail
-        while v != source:
-            u = parent[v]
-            residual[u][v] -= push
-            residual[v][u] += push
-            v = u
-        flow += push
-        if flow >= limit:
-            return None
 
 
 def is_implied(

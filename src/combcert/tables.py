@@ -9,8 +9,9 @@ sizes), left side 17/2 against 8.
 The published weight list for Table 2 does not actually reach the stated
 hand value of 7/2 (it gives 5/2); adding the missing edge b-e at weight 1
 reproduces every published number and stays feasible, which the runner
-re-verifies by brute force each time.  Both variants ship: "corrected"
-(the default) and "printed" (kept as documentation of the discrepancy).
+re-verifies each time with `check_point`, whose cut search lists every
+violated subtour row.  Both variants ship: "corrected" (the default) and
+"printed" (kept as documentation of the discrepancy).
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def _check(checks, name, expected, actual) -> None:
 
 
 def reproduce_tables(variant: str = "corrected") -> TableReport:
-    """Re-verify both tables: feasibility by brute force, the comb row's
-    two sides, the violation margin, and the hypothesis classification."""
+    """Re-verify both tables: exact feasibility by `check_point`, the comb
+    row's two sides, the violation margin, and the hypothesis classification."""
     checks: list[TableCheck] = []
     notes = [
         "table 2 uses the corrected weight list (edge b-e added at weight 1); "

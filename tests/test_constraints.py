@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from combcert import (
     BipartiteInstance,
     ConstraintKind,
+    Edge,
     EnumerationCapError,
     FractionalPoint,
     check_point,
@@ -15,6 +18,7 @@ from combcert import (
     gen_secs,
     sec_constraint,
 )
+from combcert import constraints
 from oracles import naive_sec_violations, subset_count
 
 HALF = Fraction(1, 2)
@@ -98,6 +102,91 @@ def test_check_point_agrees_with_naive_subset_scan(table1):
         if r.kind is ConstraintKind.SUBTOUR_ELIM
     }
     assert sec_provs == naive_provs
+
+
+def _subtour_violations(report):
+    return {
+        row.provenance: value
+        for row, value in report.violations
+        if row.kind is ConstraintKind.SUBTOUR_ELIM
+    }
+
+
+def _naive_subtour_violations(instance, point):
+    naive = naive_sec_violations(instance, point, 3, instance.num_vertices - 1)
+    return {"sec{" + ",".join(instance.labels_of(s)) + "}": v for s, v in naive}
+
+
+def test_check_point_matches_the_subset_oracle_on_random_points():
+    # Negative weights, weights above 1 and points off the degree rows:
+    # the cut search clips and shifts for these, and must still list every
+    # violated set, each with its exact value.
+    rng = random.Random(2024)
+    pool = [Fraction(k, 4) for k in range(-4, 10)] + [Fraction(1, 3), Fraction(2, 3)]
+    shapes = [(n, n) for n in (2, 3, 4, 5)] + [(1, 4), (2, 5), (3, 2), (4, 5), (5, 3)]
+    seen = {"negative": 0, "above_one": 0, "off_degree": 0, "violated_sets": 0}
+    for k in range(400):
+        instance = BipartiteInstance.complete(*shapes[k % len(shapes)])
+        density = rng.choice((0.3, 0.6, 1.0))
+        weights = {e: rng.choice(pool) for e in instance.edges if rng.random() < density}
+        point = FractionalPoint(instance, weights)
+        got = _subtour_violations(check_point(instance, point))
+        expected = _naive_subtour_violations(instance, point)
+        assert got == expected
+        seen["negative"] += any(w < 0 for w in weights.values())
+        seen["above_one"] += any(w > 1 for w in weights.values())
+        seen["off_degree"] += not all(
+            evaluate(row, point)[1] for row in gen_degree(instance)
+        )
+        seen["violated_sets"] += len(expected)
+    assert min(seen.values()) >= 100, seen
+
+
+def _four_cycles_k88():
+    """Four disjoint 4-cycles of weight 1 covering K_{8,8}, and the cycles."""
+    k88 = BipartiteInstance.complete(8)
+    ones = [v for v in k88.vertices() if v.cls == 1]
+    twos = [v for v in k88.vertices() if v.cls == 2]
+    weights, cycles = {}, []
+    for i in range(0, 8, 2):
+        cycles.append(frozenset(ones[i : i + 2] + twos[i : i + 2]))
+        for a in ones[i : i + 2]:
+            for b in twos[i : i + 2]:
+                weights[Edge(a, b)] = 1
+    return k88, FractionalPoint(k88, weights), cycles
+
+
+def test_check_point_lists_every_union_of_disjoint_four_cycles():
+    instance, point, cycles = _four_cycles_k88()
+    report = check_point(instance, point)
+    assert not report.feasible
+    # A union of j < 4 cycles has 4j vertices and weight 4j > 4j - 1.
+    unions = [
+        frozenset().union(*chosen)
+        for j in (1, 2, 3)
+        for chosen in combinations(cycles, j)
+    ]
+    expected = {
+        "sec{" + ",".join(instance.labels_of(s)) + "}": len(s) for s in unions
+    }
+    assert len(expected) == 14
+    assert _subtour_violations(report) == expected
+
+
+def test_check_point_refuses_more_violated_sets_than_the_budget(monkeypatch):
+    instance, point, _ = _four_cycles_k88()
+    monkeypatch.setattr(constraints, "VIOLATED_SET_BUDGET", 5)
+    with pytest.raises(EnumerationCapError, match="violated subtour sets"):
+        check_point(instance, point)
+    monkeypatch.setattr(constraints, "VIOLATED_SET_BUDGET", 15)  # 14 unions and V
+    assert len(check_point(instance, point).violations) == 14
+
+
+def test_check_point_runs_past_the_subtour_vertex_cap():
+    # K_{13,13} has 26 vertices, above the cap that `gen_secs` keeps.
+    instance = BipartiteInstance.complete(13)
+    uniform = FractionalPoint(instance, {e: Fraction(2, 13) for e in instance.edges})
+    assert check_point(instance, uniform, mode="eq").feasible
 
 
 def test_check_point_upper_bound_violation(table1):

@@ -17,7 +17,7 @@ from combcert.jsonio import (
     load_instance,
     write_json,
 )
-from combcert import search
+from combcert import constraints, search
 from combcert.search import ExperimentConfig, run_search
 
 
@@ -511,3 +511,40 @@ def test_cli_search_unknown_family_exit_2(families, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["field"] == "families"
     assert "unknown" in error["reason"]
+
+
+@pytest.mark.parametrize(
+    "option,value,field",
+    [("--size", "2", "size"), ("--size", "-1", "size"), ("--count", "-3", "count")],
+)
+def test_cli_search_refuses_impossible_sizes_and_counts(
+    option, value, field, capsys, monkeypatch
+):
+    _refuse_sampling(monkeypatch)
+    assert main(["search", "--seed", "0", option, value]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["field"] == field
+    assert value in error["reason"]
+
+
+def test_cli_verify_point_past_the_violated_set_budget_exit_2(
+    tmp_path, capsys, monkeypatch
+):
+    # Two disjoint 4-cycles of weight 1: unions {C1}, {C2} and V are listed.
+    doc = {
+        "class1": ["a", "b", "c", "d"],
+        "class2": ["e", "f", "g", "h"],
+        "weights": {
+            edge: "1" for edge in ("a-e", "a-f", "b-e", "b-f", "c-g", "c-h", "d-g", "d-h")
+        },
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-point", "--instance", str(path)]) == 1
+    capsys.readouterr()
+    monkeypatch.setattr(constraints, "VIOLATED_SET_BUDGET", 2)
+    assert main(["verify-point", "--instance", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["message"] == "violated subtour sets: size 3 exceeds the enumeration cap 2"

@@ -1,47 +1,42 @@
-"""The enumeration kernels and the boundary through which callers reach them."""
+"""The cut and tour kernels and the boundary through which callers reach them."""
 
 import random
+from fractions import Fraction
 
 import combcert
 from combcert import (
     BipartiteInstance,
+    ConstraintKind,
+    Edge,
     FractionalPoint,
     _kernels,
     check_point,
     comb_inequality,
     expected_tour_count,
     facet_test,
+    is_implied,
 )
 from combcert.search import sample_comb
-
-
-def _random_scan_case(rng):
-    nv = rng.randint(2, 11)
-    edges = []
-    for _ in range(rng.randint(0, min(24, nv * nv))):
-        i, j = rng.sample(range(nv), 2)
-        edges.append(((1 << i) | (1 << j), rng.randint(-4, 9)))
-    lo = rng.randint(1, nv - 1)
-    hi = rng.randint(lo, nv - 1)
-    denom = rng.randint(1, 8)
-    return nv, [m for m, _ in edges], [w for _, w in edges], denom, lo, hi
 
 
 def test_oversized_weights_stay_exact():
     # Weights beyond int64 must still give exact answers.
     huge = 1 << 70
-    nv = 4
-    masks = [0b0011, 0b1100]
-    out = _kernels.sec_violations(nv, masks, [huge, huge], 1, 2, 3)
-    assert (0b0011, huge) in out
-
-
-def test_scan_output_is_sorted():
-    rng = random.Random(303)
-    nv, masks, weights, denom, lo, hi = _random_scan_case(rng)
-    out = _kernels.sec_violations(nv, masks, weights, denom, lo, hi)
-    keys = [(bin(m).count("1"), m) for m, _ in out]
-    assert keys == sorted(keys)
+    k22 = BipartiteInstance.complete(2)
+    u0, u1, v0, v1 = k22.vertices()
+    weights = {Edge(u0, v0): huge, Edge(u1, v1): huge + Fraction(1, 3)}
+    report = check_point(k22, FractionalPoint(k22, weights))
+    secs = {
+        row.provenance: value
+        for row, value in report.violations
+        if row.kind is ConstraintKind.SUBTOUR_ELIM
+    }
+    assert secs == {
+        "sec{u0,u1,v0}": huge,
+        "sec{u0,v0,v1}": huge,
+        "sec{u0,u1,v1}": huge + Fraction(1, 3),
+        "sec{u1,v0,v1}": huge + Fraction(1, 3),
+    }
 
 
 def test_tour_kernel_returns_a_list_of_every_tour():
@@ -68,7 +63,7 @@ def test_callers_reach_kernels_through_module_attributes(monkeypatch):
 
         return wrapper
 
-    for name in ("sec_violations", "hamiltonian_cycles"):
+    for name in ("violated_sets", "most_violated_set", "hamiltonian_cycles"):
         monkeypatch.setattr(_kernels, name, recording(name))
 
     instance = BipartiteInstance.complete(3)
@@ -77,7 +72,10 @@ def test_callers_reach_kernels_through_module_attributes(monkeypatch):
     assert calls == ["hamiltonian_cycles"]
 
     check_point(instance, FractionalPoint(instance, {e: 1 for e in instance.edges}))
-    assert calls == ["hamiltonian_cycles", "sec_violations"]
+    assert calls == ["hamiltonian_cycles", "violated_sets"]
+
+    is_implied(instance, row)
+    assert calls[2:] and set(calls[2:]) == {"most_violated_set"}
 
 
 def test_kernel_backend_is_pure():
