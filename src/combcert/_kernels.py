@@ -219,7 +219,7 @@ def hamiltonian_cycles(
 
     `position[a][b]` is the index of the edge between class-1 vertex a and
     class-2 vertex b, or -1 when they are not joined; the caller passes the
-    indices into ``sorted(instance.edges)``.  A cycle (a_0 = 0, b_0, a_1,
+    indices into `BipartiteInstance.sorted_edges`.  A cycle (a_0 = 0, b_0, a_1,
     b_1, ..., a_{n-1}, b_{n-1}) is returned as the tuple of its 2n edge
     indices in tour order: entry 2k is the edge a_k b_k and entry 2k + 1
     the edge b_k a_{k+1}, the last one closing back to a_0.  Each

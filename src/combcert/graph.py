@@ -155,9 +155,18 @@ class BipartiteInstance:
         return table
 
     @cached_property
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        """The edges in ascending order: the one edge order of an instance.
+
+        LP variables, tour edge indices, incidence lists and instance
+        documents all follow it.
+        """
+        return tuple(sorted(self.edges))
+
+    @cached_property
     def _incidence(self) -> dict[VertexId, tuple[Edge, ...]]:
         table: dict[VertexId, list[Edge]] = {v: [] for v in self.vertices()}
-        for e in sorted(self.edges):
+        for e in self.sorted_edges:
             table[e.u].append(e)
             table[e.v].append(e)
         return {v: tuple(es) for v, es in table.items()}

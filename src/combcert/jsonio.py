@@ -112,7 +112,7 @@ def dump_instance(instance: BipartiteInstance, point: FractionalPoint) -> dict:
     """One weights entry per instance edge; edges off the point get "0"."""
     weights = {
         instance.edge_label(e): format_rational(point.weight(e))
-        for e in sorted(instance.edges)
+        for e in instance.sorted_edges
     }
     return {
         "class1": list(instance.class1_labels),

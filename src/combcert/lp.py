@@ -12,8 +12,11 @@ the dual a plain vector over rows: the multiplier of every row, box rows
 included, is read off the reduced cost of that row's slack (or
 artificial) column.
 
-`solve` is the one driver.  It adds the box rows, runs the tableau
-cold, phase 1 then phase 2, and reads the optimum.  With `lazy` it then
+`solve` is the one driver.  Its rows, with a box row per edge added,
+and the starting tableau over them form a `_Relaxation`, which does not
+depend on the objective: the tableau has run phase 1 already, since
+phase 1 reads no objective.  `solve` copies that tableau, prices out the
+objective, runs phase 2 and reads the optimum.  With `lazy` it then
 repeatedly appends the most violated subtour row at the current optimum
 until none is violated.  Each added row is appended to the optimal
 tableau with a new slack column, reduced against the basis, and made
@@ -29,15 +32,20 @@ against: both end at the same exact optimum.
 
 `is_implied` maximizes a row's left-hand side over the relaxation
 polytope.  Direct mode hands `solve` every subtour row up front; lazy
-mode hands it the degree rows only and separates the rest.  Either way
-an "implied" verdict carries an independently checkable nonnegative
-combination of relaxation rows.
+mode hands it the degree rows only and separates the rest.  It prepares
+those rows and their starting tableau once per instance, degree mode and
+driver, keeps the last `RELAXATIONS_KEPT` of them, and hands `solve` the
+prepared relaxation, so a query builds no row that does not depend on
+its target.  Every optimum is still audited against the rows themselves,
+and an "implied" verdict carries an independently checkable nonnegative
+combination of relaxation rows, in either mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -59,6 +67,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+# Relaxations `is_implied` keeps prepared: one instance's two degree modes
+# under both drivers.
+RELAXATIONS_KEPT = 4
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -70,39 +82,67 @@ class LpSolution:
     rounds: int  # optima read: 1 per cold solve, +1 per cut
 
 
+class _Relaxation:
+    """The part of an LP that does not depend on the objective, prepared once.
+
+    Holds the variable order (`instance.sorted_edges`), the rows (the
+    given rows, each checked to name only instance edges, then one
+    x_e <= 1 box row per edge) and the starting tableau over them.
+    Phase 1 does not depend on the objective, so the starting tableau has
+    run it already, and an infeasible outcome is kept with it.  `solve`
+    reads a relaxation and copies its tableau; nothing writes to either
+    after construction, so one relaxation serves any number of queries.
+    """
+
+    def __init__(self, instance: BipartiteInstance, rows: Iterable[LinearInequality]):
+        given = list(rows)
+        for row in given:
+            for e in row.coeffs:
+                if e not in instance.edges:
+                    raise ValueError(f"row {row.provenance} names edge {e} outside the instance")
+        self.variables = instance.sorted_edges
+        self.given = len(given)
+        self.rows = tuple(given + [upper_bound(instance, e) for e in self.variables])
+        self.tableau = _Tableau(self.variables, self.rows)
+        self.tableau.phase_one()
+
+
 def solve(
     instance: BipartiteInstance,
     objective: Mapping[Edge, Fraction],
-    rows: Iterable[LinearInequality],
+    rows: Iterable[LinearInequality] | _Relaxation,
     lazy: bool = False,
 ) -> LpSolution:
     """Maximize `objective` over `rows` and the unit box, x >= 0.
 
-    The variables are the instance's edges.  The tableau holds the given
-    rows, then one x_e <= 1 row per edge, and is run cold.  With `lazy`,
-    the most violated subtour row at each optimum is appended and the
-    tableau re-optimized by the dual simplex, until separation finds
-    none; a separated row that the optimum already satisfies raises
-    `CombcertError`, since adding it again would loop forever.  Every
-    optimum read has its dual audited against the tableau's rows.
+    The variables are the instance's edges.  `rows` is either the given
+    rows, which are prepared here for this one call, or a `_Relaxation`
+    prepared from them before.  The tableau holds the given rows, then
+    one x_e <= 1 row per edge; a copy of a prepared relaxation's starting
+    tableau (or the tableau itself, when prepared for this call) runs
+    phase 2.  With `lazy`, the most violated subtour row at each
+    optimum is appended and the tableau re-optimized by the dual simplex,
+    until separation finds none; a separated row that the optimum already
+    satisfies raises `CombcertError`, since adding it again would loop
+    forever.  Every optimum read has its dual audited against the
+    tableau's rows.
     """
-    variables = tuple(sorted(instance.edges))
-    rows = list(rows)
     for e in objective:
         if e not in instance.edges:
             raise ValueError(f"objective names edge {e} outside the instance")
-    for row in rows:
-        for e in row.coeffs:
-            if e not in instance.edges:
-                raise ValueError(f"row {row.provenance} names edge {e} outside the instance")
+    if isinstance(rows, _Relaxation):
+        relaxation, tableau = rows, _Tableau.copy_of(rows.tableau)
+    else:  # prepared for this call only: its tableau needs no copy
+        relaxation = _Relaxation(instance, rows)
+        tableau = relaxation.tableau
+    variables = relaxation.variables
     # Tableau order: given rows, box rows, then each cut as it is added.
-    tableau_rows = rows + [upper_bound(instance, e) for e in variables]
-    boxes = slice(len(rows), len(tableau_rows))
+    tableau_rows = list(relaxation.rows)
+    boxes = slice(relaxation.given, len(tableau_rows))
 
     def given_cuts_box(seq: Sequence) -> tuple:
         return (*seq[: boxes.start], *seq[boxes.stop :], *seq[boxes])
 
-    tableau = _Tableau(variables, tableau_rows)
     status = tableau.run(objective)
     rounds = 0
     while status == OPTIMAL:
@@ -184,7 +224,9 @@ class _Tableau:
     negated for its negative rhs).  Artificials form a set and never enter
     the basis, so a slack appended later is eligible like any other.
 
-    `run` solves cold, phase 1 then phase 2, by Bland's rule.  `add_row`
+    `run` solves by Bland's rule: phase 1 (`phase_one`, run once and kept,
+    so a copy made by `copy_of` after it goes straight to phase 2), then
+    phase 2 for the objective.  `add_row`
     appends a <= row with a fresh slack column, reduces it against the
     current basis and restores primal feasibility by the dual simplex
     (Lemke, 1954) under Bland's rule: the leaving row is the negative-rhs
@@ -207,6 +249,7 @@ class _Tableau:
         self.unit: list[tuple[int, int]] = []  # per original row: (column, sign)
         self.artificial: set[int] = set()
         self.cbar: dict = {}
+        self.feasible: bool | None = None  # phase 1 not run yet
         col = len(self.variables)
         slacks = []
         for row in rows:
@@ -234,15 +277,43 @@ class _Tableau:
             self.unit.append((unit, sign))
         self.next_column = col
 
+    @classmethod
+    def copy_of(cls, start: _Tableau) -> _Tableau:
+        """A tableau in the state of `start` that shares nothing it changes."""
+        tableau = cls.__new__(cls)
+        tableau.variables, tableau.column = start.variables, start.column
+        tableau.rows = [dict(row) for row in start.rows]
+        tableau.rhs = list(start.rhs)
+        tableau.basis = list(start.basis)
+        tableau.unit = list(start.unit)
+        tableau.artificial = set(start.artificial)
+        tableau.cbar = dict(start.cbar)
+        tableau.next_column = start.next_column
+        tableau.feasible = start.feasible
+        return tableau
+
+    def phase_one(self) -> bool:
+        """Drive the artificials to 0 and out of the basis, once.
+
+        Returns whether the rows are feasible.  The outcome is kept, and
+        copies inherit it, since phase 1 does not read the objective.
+        """
+        if self.feasible is None:
+            self.feasible = True
+            if self.artificial:
+                self._price_out({col: -1 for col in self.artificial})
+                status = self._primal()
+                self.feasible = status == OPTIMAL and not any(
+                    self.rhs[i] for i, col in enumerate(self.basis) if col in self.artificial
+                )
+                if self.feasible:
+                    self._expel_artificials()
+        return self.feasible
+
     def run(self, objective: Mapping[Edge, Fraction]) -> str:
-        if self.artificial:
-            self._price_out({col: -1 for col in self.artificial})
-            status = self._primal()
-            if status != OPTIMAL or any(
-                self.rhs[i] for i, col in enumerate(self.basis) if col in self.artificial
-            ):
-                return INFEASIBLE
-            self._expel_artificials()
+        """Phase 1 unless done already, then phase 2 for `objective`."""
+        if not self.phase_one():
+            return INFEASIBLE
         self._price_out(
             {self.column[e]: _exact(Fraction(c)) for e, c in objective.items() if c}
         )
@@ -397,6 +468,19 @@ def _most_violated_sec(
     return sec_constraint(instance, instance.vertices_in(best_mask))
 
 
+@lru_cache(maxsize=RELAXATIONS_KEPT)
+def _prepared(instance: BipartiteInstance, mode: DegreeMode, lazy: bool) -> _Relaxation:
+    """The relaxation of `is_implied`, prepared on its first query.
+
+    Equal instances share it.  The subtour rows of direct mode are built
+    without a cap: `is_implied` has checked its own cap before asking.
+    """
+    rows = gen_degree(instance, mode)
+    if not lazy:
+        rows.extend(gen_secs(instance, cap=instance.num_vertices))
+    return _Relaxation(instance, rows)
+
+
 def is_implied(
     instance: BipartiteInstance,
     target: LinearInequality,
@@ -409,14 +493,14 @@ def is_implied(
     Implied iff the optimum is <= the target's rhs; otherwise the optimal
     point is returned as a violation witness.  The rows are the degree
     rows, plus every subtour row unless `lazy`, in which case `solve`
-    separates subtour rows at each optimum instead.
+    separates subtour rows at each optimum instead.  They and the
+    starting tableau are prepared once per instance, mode and driver.
     """
     if instance.num_vertices > cap:
         raise EnumerationCapError("subtour enumeration", instance.num_vertices, cap)
-    rows = gen_degree(instance, mode)
-    if not lazy:
-        rows.extend(gen_secs(instance, cap=cap))
-    solution = solve(instance, target.coeffs, rows, lazy)
+    if mode not in ("le", "eq"):
+        raise ValueError(f"mode must be 'le' or 'eq', got {mode!r}")
+    solution = solve(instance, target.coeffs, _prepared(instance, mode, bool(lazy)), lazy)
     if solution.status != OPTIMAL:
         raise CombcertError(f"relaxation LP ended {solution.status}")
     implied = solution.objective_value <= target.rhs

@@ -8,8 +8,8 @@ of that vertex's two tour neighbours, which kills both rotations and
 reflection.
 
 Inside this module a tour is a tuple of indices into
-``sorted(instance.edges)``, in tour order; `Tour` objects are built only
-for callers of `enumerate_tours`.  `_edge_tours` fills the table of those
+`BipartiteInstance.sorted_edges`, in tour order; `Tour` objects are built
+only for callers of `enumerate_tours`.  `_edge_tours` fills the table of those
 indices by (class-1, class-2) vertex pair and hands it to
 `_kernels.hamiltonian_cycles`, which returns the tuples themselves: entry
 2k is the edge a_k b_k and entry 2k + 1 the edge b_k a_{k+1}, for the
@@ -95,9 +95,9 @@ class FacetReport:
         }
 
 
-def _edge_tours(instance: BipartiteInstance, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
-    """Every tour as indices into `edges`, which is ``sorted(instance.edges)``,
-    in the layout of `_kernels.hamiltonian_cycles`."""
+def _edge_tours(instance: BipartiteInstance) -> list[tuple[int, ...]]:
+    """Every tour as indices into `instance.sorted_edges`, in the layout
+    of `_kernels.hamiltonian_cycles`."""
     if not instance.tours_possible:
         log.info(
             "no tours: class sizes differ (%d vs %d)", instance.n1, instance.n2
@@ -107,15 +107,15 @@ def _edge_tours(instance: BipartiteInstance, edges: Sequence[Edge]) -> list[tupl
     if n > DEFAULT_TOUR_CAP:
         raise EnumerationCapError("tour enumeration", n, DEFAULT_TOUR_CAP)
     position = [[-1] * n for _ in range(n)]  # [a][b] -> index of edge a b
-    for k, e in enumerate(edges):
+    for k, e in enumerate(instance.sorted_edges):
         position[e.u.index][e.v.index] = k
     return _kernels.hamiltonian_cycles(n, position)
 
 
 def enumerate_tours(instance: BipartiteInstance) -> Iterator[Tour]:
     """Every Hamiltonian tour of the instance, canonical form, once each."""
-    edges = sorted(instance.edges)
-    for tour in _edge_tours(instance, edges):
+    edges = instance.sorted_edges
+    for tour in _edge_tours(instance):
         yield Tour(
             tuple(v for k in tour[0::2] for v in edges[k].endpoints()),
             frozenset(edges[k] for k in tour),
@@ -202,9 +202,8 @@ def _polytope_bound(instance: BipartiteInstance) -> int:
 
 def polytope_dimension(instance: BipartiteInstance) -> int:
     """Affine dimension of the convex hull of the tour incidence vectors."""
-    edges = sorted(instance.edges)
-    tours = _edge_tours(instance, edges)
-    return _affine_rank(tours, len(edges), _polytope_bound(instance))
+    tours = _edge_tours(instance)
+    return _affine_rank(tours, len(instance.edges), _polytope_bound(instance))
 
 
 def facet_test(
@@ -218,8 +217,8 @@ def facet_test(
     across many inequalities of the same instance.  It must be the value
     `polytope_dimension` returns: the tight-face rank stops at it.
     """
-    edges = sorted(instance.edges)
-    tours = _edge_tours(instance, edges)
+    edges = instance.sorted_edges
+    tours = _edge_tours(instance)
     if not tours:
         raise NoToursError("instance has no Hamiltonian tour")
     if polytope_dim is None:

@@ -1,11 +1,15 @@
 """Fuzz of the CLI: every command ends in exit 0, 1 or 2, never a traceback.
 
-Each example writes an instance file and a comb file, one of them a valid
-document with one node replaced by an arbitrary JSON value (the root
-included, so a file may hold any JSON value), and runs one of the
-commands on them.  An exit 2 must leave exactly one JSON
-object on stderr.  Instances stay at K_{4,4} or smaller, so every
-command finishes in milliseconds.
+Each example of the file commands writes an instance file and a comb
+file, one of them a valid document with one node replaced by an
+arbitrary JSON value (the root included, so a file may hold any JSON
+value), and runs one of the commands on them.  `search` gets arbitrary
+seeds, small sizes and counts, family lists with unknown names and
+`--output` paths that may not be writable; `paper-tables` runs in both
+variants and both formats.  An exit 2 must leave exactly one JSON object
+on stderr.  Instances stay at K_{6,6} or smaller, except K_{13,13},
+past the vertex cap, where `search` refuses wild combs before it samples
+and certifies the others; so every command finishes in milliseconds.
 """
 
 import contextlib
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 from combcert import BipartiteInstance, FractionalPoint
 from combcert.cli import main
 from combcert.jsonio import dump_comb, dump_instance
-from combcert.search import sample_comb
+from combcert.search import FAMILIES, sample_comb
 from test_jsonio_fuzz import JSON, NEAR_TEXT, _paths, _replaced
 
 # Each command with the option sets a run may add to it.
@@ -61,6 +65,12 @@ def _run(argv):
     return code, err.getvalue()
 
 
+def _check_exit(code, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert isinstance(json.loads(err), dict), err
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     pair=st.integers(0, 1),
@@ -86,7 +96,35 @@ def test_cli_exits_0_1_or_2_on_any_document(pairs, files, pair, kind, command, f
     argv = [command, "--instance", str(files["instance"])]
     if command != "verify-point":
         argv += ["--comb", str(files["comb"])]
-    code, err = _run(argv + options + ["--format", fmt])
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert isinstance(json.loads(err), dict), err
+    _check_exit(*_run(argv + options + ["--format", fmt]))
+
+
+FAMILY_NAMES = st.sampled_from(FAMILIES) | st.sampled_from(["", "L1", "foo", "l1 "])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(),
+    size=st.sampled_from([-1, 0, 2, 3, 4, 5, 6, 13]),
+    count=st.integers(-2, 3),
+    families=st.none() | st.lists(FAMILY_NAMES, min_size=1, max_size=3).map(",".join),
+    policy=st.sampled_from(["random", "fixed"]),
+    output=st.sampled_from([None, "findings.json", "missing/findings.json"]),
+    fmt=st.sampled_from(["json", "text"]),
+)
+def test_cli_search_exits_0_1_or_2(files, seed, size, count, families, policy, output, fmt):
+    argv = ["search", "--seed", str(seed), "--size", str(size), "--count", str(count)]
+    argv += ["--policy", policy, "--format", fmt]
+    if families is not None:
+        argv += ["--families", families]
+    if output is not None:
+        argv += ["--output", str(files["instance"].parent / output)]
+    _check_exit(*_run(argv))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+def test_cli_paper_tables_exits_0_1_or_2(variant, fmt):
+    code, err = _run(["paper-tables", "--variant", variant, "--format", fmt])
+    _check_exit(code, err)
+    assert code == 0  # each variant reproduces the numbers it documents

@@ -164,29 +164,51 @@ def _all_fractions(values):
     return all(type(v) is Fraction for v in values)
 
 
+def _checked_queries(cases, monkeypatch):
+    """Every query of `cases` with `lp._Tableau` checked; returns the
+    number of checks and the number of optima the queries read."""
+    optima = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_Tableau", _CheckedTableau)
+        patch.setattr(_CheckedTableau, "checks", 0)
+        for inst, target, modes in cases:
+            for mode in modes:
+                result = is_implied(inst, target, mode=mode)
+                optima += result.rounds
+                assert type(result.optimum) is Fraction
+                if result.implied:
+                    assert _all_fractions(y for _, y in result.dual_rows)
+                else:
+                    assert _all_fractions(w for _, w in result.witness.items())
+            solution = solve(inst, target.coeffs, gen_degree(inst))
+            optima += solution.rounds
+            assert type(solution.objective_value) is Fraction
+            assert _all_fractions(solution.dual)
+            assert _all_fractions(w for _, w in solution.point.items())
+        return _CheckedTableau.checks, optima
+
+
 def test_tableau_entries_are_int_or_fraction_never_float(table1, monkeypatch):
-    monkeypatch.setattr(lp, "_Tableau", _CheckedTableau)
-    monkeypatch.setattr(_CheckedTableau, "checks", 0)
     instance, _, table_comb = table1
     k55 = BipartiteInstance.complete(5)
     rng = random.Random(5)
     cases = [(instance, comb_inequality(instance, table_comb), ("le",))] + [
         (k55, comb_inequality(k55, sample_comb(rng, k55, "wild")), ("le", "eq"))
         for _ in range(6)
-    ]
-    for inst, target, modes in cases:  # the Table 1 instance has no tour
-        for mode in modes:
-            result = is_implied(inst, target, mode=mode)
-            assert type(result.optimum) is Fraction
-            if result.implied:
-                assert _all_fractions(y for _, y in result.dual_rows)
-            else:
-                assert _all_fractions(w for _, w in result.witness.items())
-        solution = solve(inst, target.coeffs, gen_degree(inst))
-        assert type(solution.objective_value) is Fraction
-        assert _all_fractions(solution.dual)
-        assert _all_fractions(w for _, w in solution.point.items())
-    assert _CheckedTableau.checks > 3 * len(cases)  # warm rounds were checked
+    ]  # the Table 1 instance has no tour
+    # `is_implied` copies a prepared starting tableau per query.  Every run
+    # and every warm round goes through the checked class whether the
+    # start was prepared under it (cold cache) or before it (warm cache).
+    lp._prepared.cache_clear()
+    for warm in (False, True):
+        if warm:
+            lp._prepared.cache_clear()
+            for inst, target, modes in cases:
+                for mode in modes:
+                    is_implied(inst, target, mode=mode)
+        checks, optima = _checked_queries(cases, monkeypatch)
+        assert checks > 3 * len(cases)  # warm rounds were checked
+        assert checks == optima  # one check per optimum read: none was missed
 
 
 def test_separated_row_that_is_not_violated_stops_the_loop(k44, monkeypatch):
