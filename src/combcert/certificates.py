@@ -62,6 +62,7 @@ from typing import Callable, Mapping
 from .combs import (
     CLASSES,
     Comb,
+    CombClass,
     IntersectionPattern,
     classify,
     comb_inequality,
@@ -158,16 +159,24 @@ def aggregation_members(
     return tuple(members), agg_rhs
 
 
-def _build(name: str, instance: BipartiteInstance, comb: Comb) -> Certificate:
+def _build(
+    name: str,
+    instance: BipartiteInstance,
+    comb: Comb,
+    *,
+    _classified: CombClass | None = None,
+) -> Certificate:
     """The certificate of class `name`, by the one rule of the module docstring.
 
     `classify` validates the comb and supplies both patterns, which the
-    class's `combs.CLASSES` entry admits or refuses.  Pattern filters run
+    class's `combs.CLASSES` entry admits or refuses.  A caller that holds
+    `classify(instance, comb)` already (`search.run_search`) passes it as
+    `_classified` instead of having it computed again.  Pattern filters run
     before any member is built, and only the classes that filter by
     domination compute the comb row's rhs.
     """
     cls = CLASSES[name]
-    pats = classify(instance, comb).patterns
+    pats = (classify(instance, comb) if _classified is None else _classified).patterns
     if not cls.admits(pats):
         raise HypothesisNotMetError(f"{name} needs a {cls.flag} comb")
     target = None if cls.fits else comb_rhs(comb)
@@ -183,7 +192,8 @@ def _build(name: str, instance: BipartiteInstance, comb: Comb) -> Certificate:
     return Certificate(name, comb, best[0], best[2])
 
 
-# One builder per class, each called as builder(instance, comb).
+# One builder per class, each called as builder(instance, comb); `run_search`
+# also hands over the `classify` result it holds, as `_classified`.
 BUILDERS: dict[str, Callable[[BipartiteInstance, Comb], Certificate]] = {
     name: partial(_build, name) for name in CLASSES
 }

@@ -5,6 +5,14 @@ to class 2 and is stored in that order, so ``Edge(u, v) == Edge(v, u)``.
 Instances carry string labels for I/O while all combinatorial work runs
 on dense ``(cls, index)`` pairs.
 
+`VertexId` and `Edge` are immutable tuple value types: named-tuple
+subclasses whose ``__new__`` validates (and, for an edge, orders the
+endpoints), so hashing, equality and ordering run in C.  They hash,
+compare and sort as the ``(cls, index)`` and ``(u, v)`` tuples they hold,
+which fixes the iteration order of every set of them.  Unlike a frozen
+dataclass, an identity also compares equal to a plain tuple with the
+same contents: ``VertexId(1, 0) == (1, 0)``.
+
 A weighting (`FractionalPoint`) is a candidate point of the relaxation:
 a sparse map from existing edges to rationals, absent edges fixed to 0.
 Weights are normally in [0, 1] but the constructor does not enforce it;
@@ -15,7 +23,8 @@ All types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -26,32 +35,30 @@ CLASS1 = 1
 CLASS2 = 2
 
 
-@dataclass(frozen=True, order=True)
-class VertexId:
-    cls: int
-    index: int
+class VertexId(namedtuple("_VertexFields", "cls index")):
+    """A vertex: its class (1 or 2) and its index within that class."""
 
-    def __post_init__(self):
-        if self.cls not in (CLASS1, CLASS2):
-            raise ValueError(f"vertex class must be 1 or 2, got {self.cls}")
-        if self.index < 0:
-            raise ValueError(f"vertex index must be nonnegative, got {self.index}")
+    __slots__ = ()
+
+    def __new__(_cls, cls: int, index: int):
+        if cls not in (CLASS1, CLASS2):
+            raise ValueError(f"vertex class must be 1 or 2, got {cls}")
+        if index < 0:
+            raise ValueError(f"vertex index must be nonnegative, got {index}")
+        return tuple.__new__(_cls, (cls, index))
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(namedtuple("_EdgeFields", "u v")):
     """Unordered bipartite edge; `u` is the class-1 endpoint after normalization."""
 
-    u: VertexId
-    v: VertexId
+    __slots__ = ()
 
-    def __post_init__(self):
-        u, v = self.u, self.v
+    def __new__(_cls, u: VertexId, v: VertexId):
         if u.cls == CLASS2 and v.cls == CLASS1:
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
+            u, v = v, u
         elif u.cls == v.cls:
             raise ValueError(f"edge endpoints must lie in opposite classes: {u}, {v}")
+        return tuple.__new__(_cls, (u, v))
 
     def endpoints(self) -> tuple[VertexId, VertexId]:
         return (self.u, self.v)

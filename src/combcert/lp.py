@@ -66,6 +66,7 @@ from .graph import BipartiteInstance, Edge, FractionalPoint
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+_ZERO = Fraction(0)
 
 # Relaxations `is_implied` keeps prepared: one instance's two degree modes
 # under both drivers.
@@ -437,7 +438,11 @@ class _Tableau:
     def dual_values(self) -> tuple[Fraction, ...]:
         """Original-row multipliers, in the order the rows were added."""
         # cbar[col] = c_col - z_col and c_col = 0, so z_col = -cbar[col].
-        return tuple(Fraction(-sign * self.cbar.get(col, 0)) for col, sign in self.unit)
+        # `cbar` holds nonzeros only; every absent column shares one zero.
+        cbar = self.cbar
+        return tuple(
+            Fraction(-sign * cbar[col]) if col in cbar else _ZERO for col, sign in self.unit
+        )
 
 
 @dataclass(frozen=True)

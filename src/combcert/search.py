@@ -257,7 +257,7 @@ def run_search(config: ExperimentConfig) -> dict:
         builders = flags.builder_names()
         if builders:
             name = builders[0]
-            cert = BUILDERS[name](instance, comb)
+            cert = BUILDERS[name](instance, comb, _classified=flags)
             report = verify(instance, cert)
             entry["builder"] = name
             entry["dominates"] = report.dominates

@@ -3,13 +3,53 @@
 Everything here is deliberately naive and shares no code path with the
 implementation: subset scans use Python sets, ranks use Fraction-based
 Gaussian elimination, and LP optima come from enumerating candidate
-vertices of the constraint system.
+vertices of the constraint system.  `VertexId` and `Edge` are the frozen
+dataclass identities that `combcert.graph`'s tuple types replaced, kept
+unchanged as their reference.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+
+CLASS1 = 1
+CLASS2 = 2
+
+
+@dataclass(frozen=True, order=True)
+class VertexId:
+    cls: int
+    index: int
+
+    def __post_init__(self):
+        if self.cls not in (CLASS1, CLASS2):
+            raise ValueError(f"vertex class must be 1 or 2, got {self.cls}")
+        if self.index < 0:
+            raise ValueError(f"vertex index must be nonnegative, got {self.index}")
+
+
+@dataclass(frozen=True, order=True)
+class Edge:
+    """Unordered bipartite edge; `u` is the class-1 endpoint after normalization."""
+
+    u: VertexId
+    v: VertexId
+
+    def __post_init__(self):
+        u, v = self.u, self.v
+        if u.cls == CLASS2 and v.cls == CLASS1:
+            object.__setattr__(self, "u", v)
+            object.__setattr__(self, "v", u)
+        elif u.cls == v.cls:
+            raise ValueError(f"edge endpoints must lie in opposite classes: {u}, {v}")
+
+    def endpoints(self) -> tuple[VertexId, VertexId]:
+        return (self.u, self.v)
+
+    def touches(self, vertex: VertexId) -> bool:
+        return self.u == vertex or self.v == vertex
 
 
 def naive_sec_violations(instance, point, lo, hi):

@@ -29,7 +29,8 @@ from combcert.certificates import (
     member_inequality,
     parity_audit,
 )
-from combcert.search import sample_comb
+from combcert import certificates
+from combcert.search import ExperimentConfig, run_search, sample_comb
 
 
 def _labels(instance, *names):
@@ -383,3 +384,26 @@ def test_certified_combs_hold_on_sampled_feasible_points(k33):
         for point in feasible:
             _, ok = evaluate(row, point)
             assert ok
+
+
+def test_builders_given_the_classification_build_the_same_certificate():
+    instance = BipartiteInstance.complete(6)
+    rng = random.Random(5)
+    for k in range(40):
+        name = list(BUILDERS)[k % len(BUILDERS)]
+        comb = sample_comb(rng, instance, name.lower())
+        flags = classify(instance, comb)
+        assert BUILDERS[name](instance, comb, _classified=flags) == BUILDERS[name](instance, comb)
+
+
+def test_run_search_hands_its_classification_to_the_builder(monkeypatch):
+    """The builders never classify a comb that `run_search` classified."""
+
+    def refuse(instance, comb):
+        raise AssertionError("the builder classified the comb again")
+
+    monkeypatch.setattr(certificates, "classify", refuse)
+    families = tuple(name.lower() for name in BUILDERS)
+    config = ExperimentConfig(seed=0, size=6, comb_count=len(families), families=families)
+    findings = run_search(config)
+    assert len(findings["certified"]) == len(families) and not findings["failures"]

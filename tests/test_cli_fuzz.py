@@ -3,11 +3,12 @@
 Each example of the file commands writes an instance file and a comb
 file, one of them a valid document with one node replaced by an
 arbitrary JSON value (the root included, so a file may hold any JSON
-value), and runs one of the commands on them.  `search` gets arbitrary
-seeds, small sizes and counts, family lists with unknown names and
-`--output` paths that may not be writable; `paper-tables` runs in both
-variants and both formats.  An exit 2 must leave exactly one JSON object
-on stderr.  Instances stay at K_{6,6} or smaller, except K_{13,13},
+value), and runs one of the commands on them.  `certify` also writes
+its certificate to a writable path, an unwritable one, a directory or
+none.  `search` gets arbitrary seeds, small sizes and counts, family
+lists with unknown names and `--output` paths that may not be
+writable; `paper-tables` runs in both variants and both formats.  An
+exit 2 must leave exactly one JSON object on stderr.  Instances stay at K_{6,6} or smaller, except K_{13,13},
 past the vertex cap, where `search` refuses wild combs before it samples
 and certifies the others; so every command finishes in milliseconds.
 """
@@ -71,16 +72,9 @@ def _check_exit(code, err):
         assert isinstance(json.loads(err), dict), err
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    pair=st.integers(0, 1),
-    kind=st.sampled_from(["instance", "comb"]),
-    command=st.sampled_from(sorted(COMMANDS)),
-    fmt=st.sampled_from(["json", "text"]),
-    data=st.data(),
-)
-def test_cli_exits_0_1_or_2_on_any_document(pairs, files, pair, kind, command, fmt, data):
-    documents = dict(pairs[pair])
+def _write_mutated(pair, kind, files, data):
+    """Write the pair's two documents, the `kind` one with one node replaced."""
+    documents = dict(pair)
     doc = documents[kind]
     paths = list(_paths(doc))
     if data.draw(st.booleans(), label="near"):  # a label or a weight for a label or a weight
@@ -92,11 +86,52 @@ def test_cli_exits_0_1_or_2_on_any_document(pairs, files, pair, kind, command, f
     documents[kind] = _replaced(doc, path, data.draw(value, label="value"))
     for name, document in documents.items():
         files[name].write_text(json.dumps(document))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.integers(0, 1),
+    kind=st.sampled_from(["instance", "comb"]),
+    command=st.sampled_from(sorted(COMMANDS)),
+    fmt=st.sampled_from(["json", "text"]),
+    data=st.data(),
+)
+def test_cli_exits_0_1_or_2_on_any_document(pairs, files, pair, kind, command, fmt, data):
+    _write_mutated(pairs[pair], kind, files, data)
     options = data.draw(st.sampled_from(COMMANDS[command]), label="options")
     argv = [command, "--instance", str(files["instance"])]
     if command != "verify-point":
         argv += ["--comb", str(files["comb"])]
     _check_exit(*_run(argv + options + ["--format", fmt]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.integers(0, 1),
+    mutate=st.sampled_from([None, "instance", "comb"]),
+    builder=st.sampled_from(["auto", "l1", "l3", "t2"]),
+    output=st.sampled_from([None, "certificate.json", "missing/certificate.json", "."]),
+    fmt=st.sampled_from(["json", "text"]),
+    data=st.data(),
+)
+def test_cli_certify_output_exits_0_1_or_2(pairs, files, pair, mutate, builder, output, fmt, data):
+    if mutate is None:
+        for name, document in pairs[pair].items():
+            files[name].write_text(json.dumps(document))
+    else:
+        _write_mutated(pairs[pair], mutate, files, data)
+    argv = ["certify", "--instance", str(files["instance"]), "--comb", str(files["comb"])]
+    argv += ["--builder", builder, "--format", fmt]
+    target = None if output is None else files["instance"].parent / output
+    if target is not None:
+        argv += ["--output", str(target)]
+        if target.is_file():
+            target.unlink()
+    code, err = _run(argv)
+    _check_exit(code, err)
+    if code == 0 and target is not None:  # only a writable path gets here
+        assert json.loads(target.read_text())["verified"] is True
+    assert code != 0 or output in (None, "certificate.json")
 
 
 FAMILY_NAMES = st.sampled_from(FAMILIES) | st.sampled_from(["", "L1", "foo", "l1 "])

@@ -101,6 +101,15 @@ def test_reproduce_tables_both_variants():
     assert reproduce_tables("printed").ok
 
 
+def test_reproduce_tables_notes_name_the_list_checked():
+    corrected, printed = reproduce_tables("corrected"), reproduce_tables("printed")
+    assert corrected.notes == (
+        "table 2 uses the corrected weight list (edge b-e added at weight 1); "
+        "the printed list gives hand value 5/2 instead of the published 7/2",
+    )
+    assert printed.notes == ("printed variant does not violate the comb row (15/2 <= 8)",)
+
+
 def test_cli_paper_tables(capsys):
     assert main(["paper-tables", "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
