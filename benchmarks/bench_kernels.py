@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Microbenchmark the kernels and the layers built on them.
 
-Five workloads:
+Six workloads:
   * `check_point`, the feasibility check behind `verify-point`, which
     lists violated subtour sets by branching on min cuts: on the uniform
     point x_e = 2/n of K_{8,8} and K_{12,12}, which must be feasible, and
@@ -22,7 +22,10 @@ Five workloads:
   * `facet_test` on K_{5,5} (1,440 tours) over 24 seeded combs of every
     family: the time per query, and for the first 4 combs the same report
     as the oracle path of the tests (`Tour.as_point`, `value_on` and a
-    `Fraction` rank over all tours).
+    `Fraction` rank over all tours);
+  * `certificates.verify` on K_{10,10} over 40 seeded combs of the five
+    certified families, each with the certificate of its family's class:
+    the time per call, every report dominating.
 
 Usage: python benchmarks/bench_kernels.py [--seed S] [--tour-n N]
 """
@@ -53,6 +56,7 @@ from combcert import (
     lp,
     solve,
 )
+from combcert.certificates import BUILDERS, verify
 from combcert.search import FAMILIES, sample_comb
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
@@ -223,6 +227,22 @@ def bench_facet(seed: int, combs: int = 24, checked: int = 4):
     )
 
 
+def bench_verify(seed: int, combs: int = 40, repeat: int = 5):
+    """`verify` per call on K_{10,10}, on certificates of every class."""
+    instance = BipartiteInstance.complete(10)
+    rng = random.Random(seed)
+    names = list(BUILDERS)
+    certs = []
+    for k in range(combs):
+        name = names[k % len(names)]
+        certs.append(BUILDERS[name](instance, sample_comb(rng, instance, name.lower())))
+    seconds, reports = time_call(lambda: [verify(instance, cert) for cert in certs], repeat=repeat)
+    assert all(report.dominates for report in reports)
+    members = sum(len(cert.members) for cert in certs)
+    line = f"certificate verify n={instance.num_vertices:2d} ({combs} combs, {members} members)"
+    print(f"{line}  {seconds / combs * 1e3:9.3f} ms/call")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
@@ -236,6 +256,7 @@ def main():
     bench_separation(instance, runs)
     bench_lp(instance, runs)
     bench_facet(args.seed)
+    bench_verify(args.seed)
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ from .combs import (
 )
 from .constraints import ConstraintKind, LinearInequality, sec_constraint
 from .errors import CertificateInvariantError, HypothesisNotMetError
-from .graph import BipartiteInstance, Edge, VertexId
+from .graph import CLASS1, CLASS2, BipartiteInstance, Edge, VertexId
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,10 @@ def _degree_member(
     return CertificateMember(kind="degree", vertex=vertex, support=support)
 
 
-def member_rhs(member: CertificateMember) -> Fraction:
+def member_rhs(member: CertificateMember) -> int:
     if member.kind == "degree":
-        return Fraction(2)
-    return Fraction(len(member.vertex_set) - 1)
+        return 2
+    return len(member.vertex_set) - 1
 
 
 def member_inequality(
@@ -128,8 +128,8 @@ def member_inequality(
     if member.kind == "degree":
         label = instance.label(member.vertex)
         return LinearInequality(
-            {e: Fraction(1) for e in member.support},
-            Fraction(2),
+            {e: 1 for e in member.support},
+            2,
             ConstraintKind.DEGREE_LE2,
             f"deg[{label}]",
         )
@@ -138,7 +138,7 @@ def member_inequality(
 
 def aggregation_members(
     instance: BipartiteInstance, comb: Comb, pattern: IntersectionPattern
-) -> tuple[tuple[CertificateMember, ...], Fraction]:
+) -> tuple[tuple[CertificateMember, ...], int]:
     """The member recipe for one orientation, plus its aggregate rhs."""
     h1, h2 = pattern.h1, pattern.h2
     toothed = comb.toothed()
@@ -155,7 +155,7 @@ def aggregation_members(
             members.append(CertificateMember(kind="sec", vertex_set=tooth))
     for a in sorted(h1 - toothed):
         members.append(_degree_member(instance, a, h2))
-    agg_rhs = sum((member_rhs(m) for m in members), Fraction(0))
+    agg_rhs = sum(member_rhs(m) for m in members)
     return tuple(members), agg_rhs
 
 
@@ -228,49 +228,64 @@ def _validate_member(
     return problems
 
 
+def _sec_edges(instance: BipartiteInstance, vertex_set) -> list[Edge]:
+    """The instance edges inside a set: its class-1 x class-2 pairs."""
+    ones = [v for v in vertex_set if v.cls == CLASS1]
+    twos = [v for v in vertex_set if v.cls == CLASS2]
+    edges = instance.edges
+    return [e for a in ones for b in twos if (e := Edge(a, b)) in edges]
+
+
 def verify(instance: BipartiteInstance, certificate: Certificate) -> CertificateReport:
     """Recompute everything from scratch and check domination.
 
-    Nothing builder-side is trusted: member rows are re-derived from their
-    structural identity, the per-edge sums and aggregate rhs are recomputed,
-    and the target comb row is rebuilt (and the comb validated) from the comb.
+    Nothing builder-side is trusted.  Each member's edges and rhs are
+    re-derived from its structural identity: a degree member covers its
+    `support` with rhs 2, a sec member the instance edges inside its set
+    with rhs |S| - 1.  The per-edge sums and the aggregate rhs are
+    recomputed in ints, and the target comb row is rebuilt (and the comb
+    validated) from the comb.  The report's slack and surplus values are
+    `Fraction`s.
     """
     target = comb_inequality(instance, certificate.comb)
 
     problems: list[str] = []
-    agg_coeffs: dict[Edge, Fraction] = {}
-    agg_rhs = Fraction(0)
+    agg_coeffs: dict[Edge, int] = {}
+    agg_rhs = 0
     for idx, member in enumerate(certificate.members):
         member_problems = _validate_member(instance, idx, member)
         problems.extend(member_problems)
         if member_problems:
             continue
-        row = member_inequality(instance, member)
-        agg_rhs += row.rhs
-        for e, c in row.coeffs.items():
-            agg_coeffs[e] = agg_coeffs.get(e, Fraction(0)) + c
+        if member.kind == "degree":
+            agg_rhs += 2
+            edges = member.support
+        else:
+            agg_rhs += len(member.vertex_set) - 1
+            edges = _sec_edges(instance, member.vertex_set)
+        for e in edges:
+            agg_coeffs[e] = agg_coeffs.get(e, 0) + 1
 
-    surplus: dict[Edge, Fraction] = {}
-    for e in sorted(set(agg_coeffs) | set(target.coeffs)):
-        surplus[e] = agg_coeffs.get(e, Fraction(0)) - target.coeffs.get(
-            e, Fraction(0)
-        )
+    target_coeffs = target.coeffs
+    surplus = {
+        e: agg_coeffs.get(e, 0) - target_coeffs.get(e, 0)
+        for e in sorted(agg_coeffs.keys() | target_coeffs.keys())
+    }
     slack = target.rhs - agg_rhs
 
     for e, gap in surplus.items():
         if gap < 0:
             problems.append(
                 f"edge {instance.edge_label(e)} under-covered: "
-                f"aggregate {agg_coeffs.get(e, 0)} < target {target.coeffs[e]}"
+                f"aggregate {agg_coeffs.get(e, 0)} < target {target_coeffs[e]}"
             )
     if slack < 0:
         problems.append(f"aggregate rhs exceeds target rhs by {-slack}")
 
-    dominates = not problems
     return CertificateReport(
-        dominates=dominates,
-        slack=slack,
-        edge_surplus=surplus,
+        dominates=not problems,
+        slack=Fraction(slack),
+        edge_surplus={e: Fraction(gap) for e, gap in surplus.items()},
         problems=tuple(problems),
     )
 
@@ -299,9 +314,9 @@ def parity_audit(instance: BipartiteInstance, comb: Comb) -> ParityAudit:
     pats = classify(instance, comb).patterns
     if not CLASSES["T2"].admits(pats):
         raise HypothesisNotMetError("parity audit needs one-class-per-tooth combs")
-    target = comb_rhs(comb)
+    target = Fraction(comb_rhs(comb))
     aggs = tuple(
-        aggregation_members(instance, comb, pat)[1] for pat in pats
+        Fraction(aggregation_members(instance, comb, pat)[1]) for pat in pats
     )
     slacks = tuple(target - agg for agg in aggs)
     expected = Fraction(sum(pats[0].s) + pats[0].trailing_r_sum() - 1)

@@ -118,22 +118,20 @@ def comb_inequality(instance: BipartiteInstance, comb: Comb) -> LinearInequality
             if e.u in tooth and e.v in tooth:
                 c += 1
         if c:
-            coeffs[e] = Fraction(c)
+            coeffs[e] = c
     hand_labels = ",".join(instance.labels_of(comb.hand))
     return LinearInequality(
         coeffs, comb_rhs(comb), ConstraintKind.COMB, f"comb{{{hand_labels}}}"
     )
 
 
-def comb_rhs(comb: Comb) -> Fraction:
-    """The comb row's right-hand side |H| + sum|T_i| - (3t+1)/2.
+def comb_rhs(comb: Comb) -> int:
+    """The comb row's right-hand side |H| + sum|T_i| - (3t+1)/2, an int.
 
     The comb is taken as valid (t odd), so the value is integral; callers
     that need only the rhs of a classified comb skip building the row.
     """
-    return Fraction(
-        len(comb.hand) + sum(len(t) for t in comb.teeth) - (3 * comb.t + 1) // 2
-    )
+    return len(comb.hand) + sum(len(t) for t in comb.teeth) - (3 * comb.t + 1) // 2
 
 
 @dataclass(frozen=True)

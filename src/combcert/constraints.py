@@ -53,24 +53,46 @@ class ConstraintKind(Enum):
     AGGREGATE = "aggregate"
 
 
+def _row_value(value, where: str) -> int | Fraction:
+    """`value` as an int when it is integral, else as the Fraction it is.
+
+    Only an int or a Fraction is taken: a float, a bool, a string or None
+    raises `TypeError` naming `where`, although `Fraction()` itself would
+    read most of them.
+    """
+    if value.__class__ is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"{where}: a row value must be an int or a Fraction, got {value!r}")
+
+
 @dataclass(frozen=True, eq=True)
 class LinearInequality:
     """Sparse row ``coeffs . x (<=|==) rhs`` over an instance's edges.
 
     The relation is <= for every kind except DEGREE_EQ2 (equality); lower
     bounds are stored negated (-x_e <= 0) so the relation never flips.
+    Zero coefficients are dropped.  Each coefficient and the rhs is stored
+    as a plain int when it is integral and as a `Fraction` otherwise, the
+    rule the LP tableau follows too, so the degree, subtour, bound and comb
+    rows hold ints only.  Anything but an int or a Fraction raises
+    `TypeError`.
     """
 
-    coeffs: Mapping[Edge, Fraction]
-    rhs: Fraction
+    coeffs: Mapping[Edge, int | Fraction]
+    rhs: int | Fraction
     kind: ConstraintKind
     provenance: str
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", {e: Fraction(c) for e, c in self.coeffs.items() if c != 0}
-        )
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        coeffs = {}
+        for e, c in self.coeffs.items():
+            c = _row_value(c, f"coefficient of edge {e}")
+            if c:
+                coeffs[e] = c
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rhs", _row_value(self.rhs, "rhs"))
 
     @property
     def is_equality(self) -> bool:
@@ -106,8 +128,8 @@ def degree_constraint(
 ) -> LinearInequality:
     kind = ConstraintKind.DEGREE_LE2 if mode == "le" else ConstraintKind.DEGREE_EQ2
     return LinearInequality(
-        {e: Fraction(1) for e in instance.incident(vertex)},
-        Fraction(2),
+        {e: 1 for e in instance.incident(vertex)},
+        2,
         kind,
         f"degree({instance.label(vertex)})",
     )
@@ -137,12 +159,10 @@ def sec_constraint(
     vset = frozenset(subset)
     for v in vset:
         instance.require_vertex(v)
-    coeffs = {
-        e: Fraction(1) for e in instance.edges if e.u in vset and e.v in vset
-    }
+    coeffs = {e: 1 for e in instance.edges if e.u in vset and e.v in vset}
     return LinearInequality(
         coeffs,
-        Fraction(len(vset) - 1),
+        len(vset) - 1,
         ConstraintKind.SUBTOUR_ELIM,
         _set_provenance(instance, vset),
     )
@@ -150,8 +170,8 @@ def sec_constraint(
 
 def upper_bound(instance: BipartiteInstance, edge: Edge) -> LinearInequality:
     return LinearInequality(
-        {edge: Fraction(1)},
-        Fraction(1),
+        {edge: 1},
+        1,
         ConstraintKind.UPPER_BOUND,
         f"ub({instance.edge_label(edge)})",
     )
@@ -159,8 +179,8 @@ def upper_bound(instance: BipartiteInstance, edge: Edge) -> LinearInequality:
 
 def lower_bound(instance: BipartiteInstance, edge: Edge) -> LinearInequality:
     return LinearInequality(
-        {edge: Fraction(-1)},
-        Fraction(0),
+        {edge: -1},
+        0,
         ConstraintKind.LOWER_BOUND,
         f"lb({instance.edge_label(edge)})",
     )

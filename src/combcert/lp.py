@@ -2,7 +2,8 @@
 
 One sparse simplex tableau over exact rationals (`_Tableau`).  Each row,
 and the reduced-cost row, is a {column: value} dict holding only its
-nonzeros, built straight from the rows' sparse coefficients.  Integral
+nonzeros, built straight from the rows' sparse coefficients, which
+`LinearInequality` already holds as ints when integral.  Integral
 entries are plain Python ints and all others `fractions.Fraction`; every
 division goes through `Fraction`, so no float ever appears, and most
 pivot arithmetic stays on ints.  Pivoting is by Bland's rule
@@ -218,8 +219,10 @@ class _Tableau:
 
     Each row, and the reduced-cost row `cbar`, is a {column: value} dict
     of its nonzeros.  A value is an int when it is integral and a
-    Fraction otherwise; pivots divide through `Fraction` only, so no float
-    ever appears.  Columns are the structurals 0..n-1 (the problem's
+    Fraction otherwise, the rule `LinearInequality` stores its
+    coefficients and rhs by, so a row's values enter the tableau as they
+    are; pivots divide through `Fraction` only, so no float ever appears.
+    Columns are the structurals 0..n-1 (the problem's
     variables), then one slack per inequality row, then one artificial per
     row that starts without an identity column (an equality, or a row
     negated for its negative rhs).  Artificials form a set and never enter
@@ -261,7 +264,7 @@ class _Tableau:
                 col += 1
         for row, slack in zip(rows, slacks):
             sign = -1 if row.rhs < 0 else 1
-            entries = {self.column[e]: _exact(c) for e, c in row.coeffs.items()}
+            entries = {self.column[e]: c for e, c in row.coeffs.items()}
             if sign < 0:
                 entries = {j: -v for j, v in entries.items()}
             unit = slack
@@ -273,7 +276,7 @@ class _Tableau:
                 self.artificial.add(col)
                 col += 1
             self.rows.append(entries)
-            self.rhs.append(sign * _exact(row.rhs))
+            self.rhs.append(sign * row.rhs)
             self.basis.append(unit)
             self.unit.append((unit, sign))
         self.next_column = col
@@ -322,8 +325,8 @@ class _Tableau:
 
     def add_row(self, row: LinearInequality) -> str:
         """Append a <= row to an optimal tableau and re-optimize."""
-        entries = {self.column[e]: _exact(c) for e, c in row.coeffs.items()}
-        rhs = _exact(row.rhs)
+        entries = {self.column[e]: c for e, c in row.coeffs.items()}
+        rhs = row.rhs
         for i, col in enumerate(self.basis):
             factor = entries.get(col)
             if factor:
@@ -512,7 +515,7 @@ def is_implied(
     return ImplicationResult(
         status="implied" if implied else "violated",
         optimum=solution.objective_value,
-        target_rhs=target.rhs,
+        target_rhs=Fraction(target.rhs),
         witness=None if implied else solution.point,
         dual_rows=tuple(compress(zip(solution.rows, solution.dual), solution.dual))
         if implied

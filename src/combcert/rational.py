@@ -1,7 +1,8 @@
 """Exact rational scalars and their wire format.
 
-All quantities in this package are `fractions.Fraction`; nothing is ever
-a float.  Counterexample margins in this problem family are exact halves,
+All quantities in this package are exact: a `fractions.Fraction`, or a
+plain int where the value is integral (row coefficients and right-hand
+sides, tableau entries); nothing is ever a float.  Counterexample margins in this problem family are exact halves,
 so any rounding would be fatal.  On the wire a rational is the string
 "[+-]digits" or "[+-]digits/digits" (`format_rational` writes "p/q"
 reduced with q > 0, or a plain integer), or a JSON integer.

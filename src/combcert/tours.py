@@ -16,9 +16,11 @@ indices by (class-1, class-2) vertex pair and hands it to
 tour a_0 = 0, b_0, a_1, ..., b_{n-1} with b_0 < b_{n-1}.  Its list order,
 lexicographic in those vertex sequences, is the canonical order that
 `_stride_order` reads.  `facet_test` evaluates a row on a tour
-as an integer sum: the row is scaled by D, the lcm of the denominators of
-its coefficients and rhs, so its value on a tour is the sum of the scaled
-coefficients at the tour's edge indices, compared exactly against rhs*D.
+as an integer sum.  A row holds ints when its values are integral, as
+every degree, subtour and comb row does, and then D = 1; otherwise the
+row is scaled by D, the lcm of the denominators of its coefficients and
+rhs.  Its value on a tour is the sum of the scaled coefficients at the
+tour's edge indices, compared exactly against rhs*D.
 Coefficients on edges outside the instance are ignored, as in `value_on`.
 
 Dimension work is affine: the polytope dimension is the rank of the

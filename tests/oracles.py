@@ -5,7 +5,9 @@ implementation: subset scans use Python sets, ranks use Fraction-based
 Gaussian elimination, and LP optima come from enumerating candidate
 vertices of the constraint system.  `VertexId` and `Edge` are the frozen
 dataclass identities that `combcert.graph`'s tuple types replaced, kept
-unchanged as their reference.
+unchanged as their reference.  `verify` is the certificate checker that
+`combcert.certificates.verify` replaced, kept unchanged with the member
+check it calls: it builds every member's row and sums in `Fraction`.
 """
 
 from __future__ import annotations
@@ -339,3 +341,79 @@ def facet_report_oracle(instance, ineq, tours, polytope_dim):
         "tight_face_dim": tight_dim,
         "verdict": "facet" if tight_dim == polytope_dim - 1 else "supporting_non_facet",
     }
+
+
+def _validate_member(instance, idx, member):
+    problems = []
+    if member.kind == "degree":
+        if member.vertex is None or not instance.contains(member.vertex):
+            problems.append(f"member {idx}: degree member without a valid vertex")
+            return problems
+        incident = set(instance.incident(member.vertex))
+        for e in sorted(member.support):
+            if e not in instance.edges:
+                problems.append(f"member {idx}: support edge {e} not in the instance")
+            elif e not in incident:
+                problems.append(
+                    f"member {idx}: support edge {e} not incident to "
+                    f"{instance.label(member.vertex)}"
+                )
+    elif member.kind == "sec":
+        if not member.vertex_set:
+            problems.append(f"member {idx}: empty vertex set")
+        for v in sorted(member.vertex_set):
+            if not instance.contains(v):
+                problems.append(f"member {idx}: unknown vertex {v}")
+    else:
+        problems.append(f"member {idx}: unknown member kind {member.kind!r}")
+    return problems
+
+
+def verify(instance, certificate):
+    """Recompute everything from scratch and check domination.
+
+    Nothing builder-side is trusted: member rows are re-derived from their
+    structural identity, the per-edge sums and aggregate rhs are recomputed,
+    and the target comb row is rebuilt (and the comb validated) from the comb.
+    """
+    from combcert.certificates import CertificateReport, member_inequality
+    from combcert.combs import comb_inequality
+
+    target = comb_inequality(instance, certificate.comb)
+
+    problems = []
+    agg_coeffs = {}
+    agg_rhs = Fraction(0)
+    for idx, member in enumerate(certificate.members):
+        member_problems = _validate_member(instance, idx, member)
+        problems.extend(member_problems)
+        if member_problems:
+            continue
+        row = member_inequality(instance, member)
+        agg_rhs += row.rhs
+        for e, c in row.coeffs.items():
+            agg_coeffs[e] = agg_coeffs.get(e, Fraction(0)) + c
+
+    surplus = {}
+    for e in sorted(set(agg_coeffs) | set(target.coeffs)):
+        surplus[e] = agg_coeffs.get(e, Fraction(0)) - target.coeffs.get(
+            e, Fraction(0)
+        )
+    slack = target.rhs - agg_rhs
+
+    for e, gap in surplus.items():
+        if gap < 0:
+            problems.append(
+                f"edge {instance.edge_label(e)} under-covered: "
+                f"aggregate {agg_coeffs.get(e, 0)} < target {target.coeffs[e]}"
+            )
+    if slack < 0:
+        problems.append(f"aggregate rhs exceeds target rhs by {-slack}")
+
+    dominates = not problems
+    return CertificateReport(
+        dominates=dominates,
+        slack=slack,
+        edge_surplus=surplus,
+        problems=tuple(problems),
+    )

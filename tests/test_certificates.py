@@ -30,7 +30,10 @@ from combcert.certificates import (
     parity_audit,
 )
 from combcert import certificates
-from combcert.search import ExperimentConfig, run_search, sample_comb
+from combcert.errors import InvalidCombError
+from combcert.graph import CLASS1, CLASS2, VertexId
+from combcert.search import FAMILIES, ExperimentConfig, run_search, sample_comb
+import oracles
 
 
 def _labels(instance, *names):
@@ -407,3 +410,70 @@ def test_run_search_hands_its_classification_to_the_builder(monkeypatch):
     config = ExperimentConfig(seed=0, size=6, comb_count=len(families), families=families)
     findings = run_search(config)
     assert len(findings["certified"]) == len(families) and not findings["failures"]
+
+
+def _mutants(instance, cert, rng):
+    """Broken copies of a certificate: a dropped member, a foreign vertex,
+    a non-incident support edge, an empty vertex set and an unknown kind."""
+    n = instance.n1
+    members = cert.members
+    drop = rng.randrange(len(members))
+    foreign = VertexId(CLASS2, n)
+    hand_vertex = min(cert.comb.hand)
+    far_edge = next(e for e in instance.sorted_edges if not e.touches(hand_vertex))
+    replace = rng.randrange(len(members))
+    extra = [
+        CertificateMember(kind="sec", vertex_set=frozenset({hand_vertex, foreign})),
+        CertificateMember(kind="degree", vertex=VertexId(CLASS1, n)),
+        CertificateMember(
+            kind="degree",
+            vertex=hand_vertex,
+            support=frozenset(instance.incident(hand_vertex)[:1]) | {far_edge},
+        ),
+        CertificateMember(kind="sec"),
+        CertificateMember(kind="cycle", vertex_set=cert.comb.teeth[0]),
+    ]
+    lists = [members[:drop] + members[drop + 1 :]]
+    lists += [members + (m,) for m in extra]
+    lists += [members[:replace] + (m,) + members[replace + 1 :] for m in extra]
+    return [Certificate(cert.builder, cert.comb, tuple(ms), cert.orientation) for ms in lists]
+
+
+def _assert_same_report(instance, cert):
+    report, reference = verify(instance, cert), oracles.verify(instance, cert)
+    assert report.dominates == reference.dominates
+    assert type(report.slack) is Fraction and report.slack == reference.slack
+    assert list(report.edge_surplus.items()) == list(reference.edge_surplus.items())
+    assert all(type(v) is Fraction for v in report.edge_surplus.values())
+    assert report.problems == reference.problems
+    return report
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_verify_matches_the_fraction_oracle(n):
+    """`verify` gives the report of the Fraction-based checker it replaced,
+    on builder output of every class and on broken certificates."""
+    instance = BipartiteInstance.complete(n)
+    rng = random.Random(1400 + n)
+    built = broken = 0
+    for family in FAMILIES:
+        comb = sample_comb(rng, instance, family)
+        for name in classify(instance, comb).builder_names():
+            cert = BUILDERS[name](instance, comb)
+            assert _assert_same_report(instance, cert).dominates
+            built += 1
+            for mutant in _mutants(instance, cert, rng):
+                broken += not _assert_same_report(instance, mutant).dominates
+    assert built >= 5
+    assert broken >= 10 * built
+
+
+def test_verify_and_the_oracle_refuse_the_same_invalid_comb(k44):
+    comb = _smallest_l1_comb(k44)
+    cert = build_l1(k44, comb)
+    bad = Certificate(cert.builder, Comb(comb.hand, comb.teeth[:2]), cert.members, 1)
+    with pytest.raises(InvalidCombError) as new:
+        verify(k44, bad)
+    with pytest.raises(InvalidCombError) as old:
+        oracles.verify(k44, bad)
+    assert str(new.value) == str(old.value)

@@ -10,6 +10,7 @@ from combcert import (
     Edge,
     EnumerationCapError,
     FractionalPoint,
+    LinearInequality,
     check_point,
     comb_inequality,
     enumerate_tours,
@@ -19,6 +20,10 @@ from combcert import (
     sec_constraint,
 )
 from combcert import constraints
+from combcert.certificates import BUILDERS, member_inequality
+from combcert.combs import classify
+from combcert.constraints import lower_bound, upper_bound
+from combcert.search import FAMILIES, sample_comb
 from oracles import naive_sec_violations, subset_count
 
 HALF = Fraction(1, 2)
@@ -282,3 +287,76 @@ def test_every_tour_satisfies_generated_constraints(n):
         for row in rows:
             _, ok = evaluate(row, point)
             assert ok
+
+
+def _generated_rows(instance, rng):
+    """Every row family the package builds, on one instance."""
+    rows = gen_degree(instance, "le") + gen_degree(instance, "eq") + list(gen_secs(instance))
+    rows += [upper_bound(instance, e) for e in instance.sorted_edges]
+    rows += [lower_bound(instance, e) for e in instance.sorted_edges]
+    for family in FAMILIES:
+        comb = sample_comb(rng, instance, family)
+        rows.append(comb_inequality(instance, comb))
+        for name in classify(instance, comb).builder_names():
+            cert = BUILDERS[name](instance, comb)
+            rows += [member_inequality(instance, m) for m in cert.members]
+    return rows
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_generated_rows_hold_ints(n):
+    instance = BipartiteInstance.complete(n)
+    rows = _generated_rows(instance, random.Random(90 + n))
+    kinds = {row.kind for row in rows}
+    assert kinds >= {
+        ConstraintKind.DEGREE_LE2,
+        ConstraintKind.DEGREE_EQ2,
+        ConstraintKind.UPPER_BOUND,
+        ConstraintKind.LOWER_BOUND,
+        ConstraintKind.COMB,
+    }
+    assert ConstraintKind.SUBTOUR_ELIM in kinds or n == 3
+    for row in rows:
+        assert type(row.rhs) is int, row
+        assert all(type(c) is int for c in row.coeffs.values()), row
+        from_fractions = LinearInequality(
+            {e: Fraction(c) for e, c in row.coeffs.items()},
+            Fraction(row.rhs),
+            row.kind,
+            row.provenance,
+        )
+        assert from_fractions == row
+        assert type(from_fractions.rhs) is int
+
+
+def test_row_values_are_ints_when_integral():
+    e, f = sorted(BipartiteInstance.complete(2).edges)[:2]
+    row = LinearInequality(
+        {e: Fraction(4, 2), f: Fraction(1, 2)}, Fraction(6, 3), ConstraintKind.AGGREGATE, "r"
+    )
+    assert type(row.coeffs[e]) is int and row.coeffs[e] == 2
+    assert type(row.coeffs[f]) is Fraction and row.coeffs[f] == HALF
+    assert type(row.rhs) is int and row.rhs == 2
+    half_rhs = LinearInequality({e: 1}, HALF, ConstraintKind.AGGREGATE, "r")
+    assert type(half_rhs.rhs) is Fraction and half_rhs.rhs == HALF
+    zeros = LinearInequality({e: 0, f: Fraction(0)}, 0, ConstraintKind.AGGREGATE, "r")
+    assert zeros.coeffs == {}
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, 0.0, True, False, "1/2", "1", None])
+def test_row_refuses_a_coefficient_that_is_not_int_or_fraction(bad):
+    e, f = sorted(BipartiteInstance.complete(2).edges)[:2]
+    with pytest.raises(TypeError) as refused:
+        LinearInequality({f: 1, e: bad}, 1, ConstraintKind.AGGREGATE, "r")
+    message = str(refused.value)
+    assert message.startswith(f"coefficient of edge {e}: ")
+    assert message.endswith(f"got {bad!r}")
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1/2", None])
+def test_row_refuses_an_rhs_that_is_not_int_or_fraction(bad):
+    e = min(BipartiteInstance.complete(2).edges)
+    with pytest.raises(TypeError) as refused:
+        LinearInequality({e: 1}, bad, ConstraintKind.AGGREGATE, "r")
+    assert str(refused.value).startswith("rhs: ")
+    assert str(refused.value).endswith(f"got {bad!r}")
