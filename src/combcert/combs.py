@@ -25,7 +25,8 @@ Admission reads orientation 1 unless it says "some orientation":
   L2  single               every s_i and r_i is 0: every |H n T_i| = 1
   L3  sorted_minority      w = y = 0 and p < q in some orientation
   T1  counted_slack        w <= y + (q - (p+1))/2 + sum_{i>p} r_i in some
-                           orientation, compared as an exact rational
+                           orientation, compared doubled in ints
+                           (`twice_toothless_bound`)
   T2  one_class_per_tooth  r_i = 0 for every i <= p: each tooth meets the
                            hand inside a single class
 
@@ -46,7 +47,7 @@ from typing import Callable, NamedTuple
 
 from .constraints import ConstraintKind, LinearInequality
 from .errors import InvalidCombError
-from .graph import CLASS1, CLASS2, BipartiteInstance, FractionalPoint, VertexId
+from .graph import CLASS1, CLASS2, BipartiteInstance, FractionalPoint, VertexId, set_weight
 from .rational import format_rational
 
 
@@ -105,20 +106,15 @@ def comb_inequality(instance: BipartiteInstance, comb: Comb) -> LinearInequality
     """The comb row over the instance's existing edges.
 
     Edge coefficient = [both endpoints in the hand] + [both in one tooth],
-    so coefficient 2 happens exactly for edges inside some H n T_i.  The
+    so coefficient 2 happens exactly for edges inside some H n T_i; the row
+    counts `BipartiteInstance.edges_within` of the hand and each tooth.  The
     right-hand side |H| + sum|T_i| - (3t+1)/2 is integral because t is odd.
     """
     require_valid(instance, comb)
     coeffs: dict = {}
-    for e in instance.edges:
-        c = 0
-        if e.u in comb.hand and e.v in comb.hand:
-            c += 1
-        for tooth in comb.teeth:
-            if e.u in tooth and e.v in tooth:
-                c += 1
-        if c:
-            coeffs[e] = c
+    for part in (comb.hand, *comb.teeth):
+        for e in instance.edges_within(part):
+            coeffs[e] = coeffs.get(e, 0) + 1
     hand_labels = ",".join(instance.labels_of(comb.hand))
     return LinearInequality(
         coeffs, comb_rhs(comb), ConstraintKind.COMB, f"comb{{{hand_labels}}}"
@@ -132,6 +128,12 @@ def comb_rhs(comb: Comb) -> int:
     that need only the rhs of a classified comb skip building the row.
     """
     return len(comb.hand) + sum(len(t) for t in comb.teeth) - (3 * comb.t + 1) // 2
+
+
+def twice_toothless_bound(y: int, p: int, q: int, trailing_r: int) -> int:
+    """Twice the toothless-vertex bound y + (q - (p+1))/2 + sum_{i>p} r_i, an
+    int.  It can be negative when p >= q."""
+    return 2 * y + q - (p + 1) + 2 * trailing_r
 
 
 @dataclass(frozen=True)
@@ -173,14 +175,14 @@ class IntersectionPattern:
 
     def condition_bound(self) -> Fraction:
         """Right side of the toothless-vertex condition, kept as a rational."""
-        return (
-            Fraction(self.y)
-            + Fraction(self.q - (self.p + 1), 2)
-            + self.trailing_r_sum()
-        )
+        twice = twice_toothless_bound(self.y, self.p, self.q, self.trailing_r_sum())
+        return Fraction(twice, 2)
 
     def condition_holds(self) -> bool:
-        return Fraction(self.w) <= self.condition_bound()
+        """w <= `condition_bound`, compared doubled, in ints."""
+        return 2 * self.w <= twice_toothless_bound(
+            self.y, self.p, self.q, self.trailing_r_sum()
+        )
 
     def minority(self) -> bool:
         """No toothless hand vertex, and fewer teeth meet H^1 than miss it."""
@@ -302,8 +304,6 @@ def comb_value(
     point: FractionalPoint, comb: Comb
 ) -> Fraction:
     """x(H) + sum_i x(T_i) at the point (left side of the comb row)."""
-    from .graph import set_weight
-
     total = set_weight(point, comb.hand)
     for tooth in comb.teeth:
         total += set_weight(point, tooth)

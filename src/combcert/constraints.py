@@ -157,11 +157,8 @@ def sec_constraint(
     generated family respects the window.
     """
     vset = frozenset(subset)
-    for v in vset:
-        instance.require_vertex(v)
-    coeffs = {e: 1 for e in instance.edges if e.u in vset and e.v in vset}
     return LinearInequality(
-        coeffs,
+        dict.fromkeys(instance.edges_within(vset), 1),
         len(vset) - 1,
         ConstraintKind.SUBTOUR_ELIM,
         _set_provenance(instance, vset),
@@ -186,16 +183,16 @@ def lower_bound(instance: BipartiteInstance, edge: Edge) -> LinearInequality:
     )
 
 
-def gen_secs(
-    instance: BipartiteInstance, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[LinearInequality]:
+def gen_secs(instance: BipartiteInstance) -> Iterator[LinearInequality]:
     """Stream every subtour row, 3 <= |S| <= N - 1, smallest sets first.
 
-    The window is empty on instances too small to have any subtour row.
+    Raises `EnumerationCapError` on the first row when N is above
+    `DEFAULT_ENUMERATION_CAP`.  The window is empty on instances too small
+    to have any subtour row.
     """
     n = instance.num_vertices
-    if n > cap:
-        raise EnumerationCapError("subtour enumeration", n, cap)
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError("subtour enumeration", n, DEFAULT_ENUMERATION_CAP)
     order = list(instance.vertices())
     for size in range(3, n):
         for combo in combinations(order, size):

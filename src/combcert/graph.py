@@ -3,7 +3,9 @@
 Every vertex belongs to one of two classes; an edge always joins class 1
 to class 2 and is stored in that order, so ``Edge(u, v) == Edge(v, u)``.
 Instances carry string labels for I/O while all combinatorial work runs
-on dense ``(cls, index)`` pairs.
+on dense ``(cls, index)`` pairs.  `BipartiteInstance.edges_within` is the
+one reading of "the edges inside a vertex set", x(E(S)), that subtour
+rows, comb rows and `set_weight` share.
 
 `VertexId` and `Edge` are immutable tuple value types: named-tuple
 subclasses whose ``__new__`` validates (and, for an edge, orders the
@@ -178,6 +180,21 @@ class BipartiteInstance:
             table[e.v].append(e)
         return {v: tuple(es) for v, es in table.items()}
 
+    def edges_within(self, vertices: Iterable[VertexId]) -> list[Edge]:
+        """The edges with both endpoints in `vertices`, ascending; every
+        vertex must be in the instance.  They are read off the incidence
+        lists of the set's class-1 vertices, so no edge is built."""
+        vset = frozenset(vertices)
+        incidence = self._incidence  # keyed by every vertex of the instance
+        for v in vset.difference(incidence):
+            self.require_vertex(v)  # raises: v is not in the instance
+        return [
+            e
+            for u in sorted(v for v in vset if v.cls == CLASS1)
+            for e in incidence[u]
+            if e.v in vset
+        ]
+
     def incident(self, vertex: VertexId) -> tuple[Edge, ...]:
         self.require_vertex(vertex)
         return self._incidence[vertex]
@@ -242,9 +259,7 @@ class FractionalPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FractionalPoint):
             return NotImplemented
-        return self.instance == other.instance and dict(
-            (e, w) for e, w in self._weights.items()
-        ) == dict((e, w) for e, w in other._weights.items())
+        return self.instance == other.instance and self._weights == other._weights
 
     def __repr__(self) -> str:
         return f"FractionalPoint({len(self._weights)} weighted edges)"
@@ -266,12 +281,6 @@ def degree(point: FractionalPoint, vertex: VertexId) -> Fraction:
 
 
 def set_weight(point: FractionalPoint, vertices: Iterable[VertexId]) -> Fraction:
-    """Total weight of the edges with both endpoints in `vertices`."""
-    vset = frozenset(vertices)
-    for v in vset:
-        point.instance.require_vertex(v)
-    total = Fraction(0)
-    for e, w in point.items():
-        if e.u in vset and e.v in vset:
-            total += w
-    return total
+    """Total weight of the edges with both endpoints in `vertices`, read
+    off `BipartiteInstance.edges_within`."""
+    return sum(map(point.weight, point.instance.edges_within(vertices)), Fraction(0))

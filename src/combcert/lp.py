@@ -480,12 +480,11 @@ def _most_violated_sec(
 def _prepared(instance: BipartiteInstance, mode: DegreeMode, lazy: bool) -> _Relaxation:
     """The relaxation of `is_implied`, prepared on its first query.
 
-    Equal instances share it.  The subtour rows of direct mode are built
-    without a cap: `is_implied` has checked its own cap before asking.
+    Equal instances share it.
     """
     rows = gen_degree(instance, mode)
     if not lazy:
-        rows.extend(gen_secs(instance, cap=instance.num_vertices))
+        rows.extend(gen_secs(instance))
     return _Relaxation(instance, rows)
 
 
@@ -494,7 +493,6 @@ def is_implied(
     target: LinearInequality,
     mode: DegreeMode = "le",
     lazy: bool = True,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ImplicationResult:
     """Maximize the target's left side over the relaxation.
 
@@ -503,9 +501,12 @@ def is_implied(
     rows, plus every subtour row unless `lazy`, in which case `solve`
     separates subtour rows at each optimum instead.  They and the
     starting tableau are prepared once per instance, mode and driver.
+    Both modes refuse an instance of more than
+    `DEFAULT_ENUMERATION_CAP` vertices before it looks for a prepared one.
     """
-    if instance.num_vertices > cap:
-        raise EnumerationCapError("subtour enumeration", instance.num_vertices, cap)
+    n = instance.num_vertices
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError("subtour enumeration", n, DEFAULT_ENUMERATION_CAP)
     if mode not in ("le", "eq"):
         raise ValueError(f"mode must be 'le' or 'eq', got {mode!r}")
     solution = solve(instance, target.coeffs, _prepared(instance, mode, bool(lazy)), lazy)

@@ -14,11 +14,10 @@ bit-reproducible for a fixed config.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .certificates import BUILDERS, verify
-from .combs import Comb, classify, comb_inequality, validate_comb
+from .combs import Comb, classify, comb_inequality, twice_toothless_bound, validate_comb
 from .constraints import DEFAULT_ENUMERATION_CAP
 from .errors import CombcertError, EnumerationCapError
 from .graph import CLASS1, CLASS2, BipartiteInstance, VertexId
@@ -29,6 +28,9 @@ from .rational import format_rational
 # One family per certificate class, plus "wild" (no pattern restriction).
 FAMILIES = tuple(name.lower() for name in BUILDERS) + ("wild",)
 _ATTEMPTS = 200
+# Least and greatest tooth size a sampled comb aims for; the run config
+# records it, so a findings file states the sizes it was drawn with.
+TOOTH_SIZE_RANGE = (2, 4)
 
 
 class _Pools:
@@ -90,16 +92,15 @@ def sample_comb(
     rng: random.Random,
     instance: BipartiteInstance,
     family: str,
-    tooth_size_range: tuple[int, int] = (2, 4),
     orientation_policy: str = "random",
 ) -> Comb:
-    """A random comb of the requested family; raises after `_ATTEMPTS` misses."""
+    """A random comb of the requested family, its teeth sized within
+    `TOOTH_SIZE_RANGE`; raises after `_ATTEMPTS` misses."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    lo, hi = tooth_size_range
     for _ in range(_ATTEMPTS):
         flip = orientation_policy == "random" and rng.random() < 0.5
-        comb = _attempt(rng, instance, family, lo, hi, flip)
+        comb = _attempt(rng, instance, family, flip)
         if comb is None:
             continue
         if validate_comb(instance, comb):
@@ -123,7 +124,8 @@ def _feasible_teeth(instance, lo) -> list[int]:
     return counts or [3]
 
 
-def _attempt(rng, instance, family, lo, hi, flip) -> Comb | None:
+def _attempt(rng, instance, family, flip) -> Comb | None:
+    lo, hi = TOOTH_SIZE_RANGE
     pools = _Pools(instance, rng, flip)
     t = rng.choice(_feasible_teeth(instance, lo))
     hand: list[VertexId] = []
@@ -172,12 +174,11 @@ def _attempt(rng, instance, family, lo, hi, flip) -> Comb | None:
             y = rng.randint(0, 2)
             drawn_y = [v for v in (pools.take(2) for _ in range(y)) if v is not None]
             hand.extend(drawn_y)
-            q = t - p
-            bound = len(drawn_y) + Fraction(q - (p + 1), 2) + trailing_r
+            twice_bound = twice_toothless_bound(len(drawn_y), p, t - p, trailing_r)
             if family == "t2":
                 w_cap = 2  # no counting condition; the parity argument covers it
             else:
-                w_cap = int(bound) if bound >= 0 else -1
+                w_cap = twice_bound // 2 if twice_bound >= 0 else -1
             if w_cap >= 0:
                 w = rng.randint(0, min(w_cap, 2))
                 hand.extend(
@@ -207,7 +208,6 @@ class ExperimentConfig:
     seed: int
     size: int = 4
     comb_count: int = 60
-    tooth_size_range: tuple[int, int] = (2, 4)
     families: tuple[str, ...] = FAMILIES
     orientation_policy: str = "random"
 
@@ -216,7 +216,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "size": self.size,
             "comb_count": self.comb_count,
-            "tooth_size_range": list(self.tooth_size_range),
+            "tooth_size_range": list(TOOTH_SIZE_RANGE),
             "families": list(self.families),
             "orientation_policy": self.orientation_policy,
         }
@@ -245,13 +245,7 @@ def run_search(config: ExperimentConfig) -> dict:
     }
     for k in range(config.comb_count):
         family = config.families[k % len(config.families)]
-        comb = sample_comb(
-            rng,
-            instance,
-            family,
-            config.tooth_size_range,
-            config.orientation_policy,
-        )
+        comb = sample_comb(rng, instance, family, config.orientation_policy)
         flags = classify(instance, comb)
         entry = {"index": k, "family": family, "comb": dump_comb(comb, instance)}
         builders = flags.builder_names()

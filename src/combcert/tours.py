@@ -49,7 +49,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 from typing import Iterator, Sequence
 
 from . import _kernels
@@ -208,23 +208,17 @@ def polytope_dimension(instance: BipartiteInstance) -> int:
     return _affine_rank(tours, len(instance.edges), _polytope_bound(instance))
 
 
-def facet_test(
-    instance: BipartiteInstance,
-    ineq: LinearInequality,
-    polytope_dim: int | None = None,
-) -> FacetReport:
+def facet_test(instance: BipartiteInstance, ineq: LinearInequality) -> FacetReport:
     """Validity on all tours, tight-face dimension, and the verdict.
 
-    `polytope_dim` can be supplied to amortize the full-rank computation
-    across many inequalities of the same instance.  It must be the value
-    `polytope_dimension` returns: the tight-face rank stops at it.
+    The polytope is ranked on every call: the tight-face rank stops at its
+    dimension, so a wrong dimension would give a wrong verdict.
     """
     edges = instance.sorted_edges
     tours = _edge_tours(instance)
     if not tours:
         raise NoToursError("instance has no Hamiltonian tour")
-    if polytope_dim is None:
-        polytope_dim = _affine_rank(tours, len(edges), _polytope_bound(instance))
+    polytope_dim = _affine_rank(tours, len(edges), _polytope_bound(instance))
 
     scale = common_denominator([*ineq.coeffs.values(), ineq.rhs])
     coef = [(ineq.coeffs.get(e, 0) * scale).numerator for e in edges]
@@ -252,8 +246,6 @@ def facet_test(
 
 def expected_tour_count(n: int) -> int:
     """n! (n-1)! / 2 undirected tours on the complete K_{n,n} (n >= 2)."""
-    from math import factorial
-
     if n < 2:
         return 0
     return factorial(n) * factorial(n - 1) // 2

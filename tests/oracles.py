@@ -8,6 +8,10 @@ dataclass identities that `combcert.graph`'s tuple types replaced, kept
 unchanged as their reference.  `verify` is the certificate checker that
 `combcert.certificates.verify` replaced, kept unchanged with the member
 check it calls: it builds every member's row and sums in `Fraction`.
+`scan_sec_coeffs`, `scan_comb_coeffs` and `scan_set_weight` are the
+vertex-set rules that `BipartiteInstance.edges_within` replaced, and
+`fraction_condition_bound` the toothless-vertex bound that
+`combs.twice_toothless_bound` replaced, each kept unchanged.
 """
 
 from __future__ import annotations
@@ -86,6 +90,46 @@ def naive_comb_lhs(point, comb):
                 coeff += 1
         total += coeff * w
     return total
+
+
+def scan_sec_coeffs(instance, subset):
+    """A subtour row's coefficients: every instance edge tested against the set."""
+    vset = frozenset(subset)
+    for v in vset:
+        instance.require_vertex(v)
+    return {e: 1 for e in instance.edges if e.u in vset and e.v in vset}
+
+
+def scan_comb_coeffs(instance, comb):
+    """A comb row's coefficients: every instance edge tested against every part."""
+    coeffs: dict = {}
+    for e in instance.edges:
+        c = 0
+        if e.u in comb.hand and e.v in comb.hand:
+            c += 1
+        for tooth in comb.teeth:
+            if e.u in tooth and e.v in tooth:
+                c += 1
+        if c:
+            coeffs[e] = c
+    return coeffs
+
+
+def scan_set_weight(point, vertices):
+    """Total weight of the edges with both endpoints in `vertices`."""
+    vset = frozenset(vertices)
+    for v in vset:
+        point.instance.require_vertex(v)
+    total = Fraction(0)
+    for e, w in point.items():
+        if e.u in vset and e.v in vset:
+            total += w
+    return total
+
+
+def fraction_condition_bound(y, p, q, trailing_r):
+    """Right side of the toothless-vertex condition, kept as a rational."""
+    return Fraction(y) + Fraction(q - (p + 1), 2) + trailing_r
 
 
 def set_based_flags(comb):

@@ -235,9 +235,7 @@ def test_criterion_7_certified_combs_not_facet_defining():
         if not verify(instance, cert).dominates:
             bad += 1
             continue
-        report = facet_test(
-            instance, comb_inequality(instance, comb), polytope_dim=dim
-        )
+        report = facet_test(instance, comb_inequality(instance, comb))
         total += 1
         if report.verdict is FacetVerdict.FACET:
             bad += 1

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -15,8 +16,9 @@ from combcert import (
     extract_pattern,
     validate_comb,
 )
+from combcert.combs import twice_toothless_bound
 from combcert.search import FAMILIES, sample_comb
-from oracles import naive_comb_lhs, set_based_flags
+from oracles import fraction_condition_bound, naive_comb_lhs, set_based_flags
 
 
 def _labels(instance, *names):
@@ -263,6 +265,31 @@ def test_flags_match_the_set_based_oracle():
         assert {flag: document[flag] for flag in expected} == expected
         seen.add(tuple(expected.values()))
     assert len(seen) == 7  # every combination that the hierarchy allows
+
+
+def test_toothless_condition_matches_the_fraction_formula():
+    seen = set()
+    for instance, comb in _oracle_pool():
+        for pat in classify(instance, comb).patterns:
+            bound = fraction_condition_bound(pat.y, pat.p, pat.q, sum(pat.r[pat.p:]))
+            assert pat.condition_bound() == bound
+            assert isinstance(pat.condition_bound(), Fraction)
+            assert pat.condition_holds() == (pat.w <= bound)
+            seen.add((pat.p >= pat.q, bound < 0, pat.condition_holds()))
+    assert (True, True, False) in seen  # p >= q with a negative bound
+    assert (False, False, True) in seen
+
+
+def test_the_sampler_weight_cap_is_the_rational_bound_truncated():
+    # `search._attempt` caps w at twice // 2, which must be int(bound) for the
+    # sampler's draws (pinned by the golden files) to stay the same.
+    for y, p, q, trailing_r in itertools.product(range(3), range(1, 4), range(1, 6), range(4)):
+        bound = fraction_condition_bound(y, p, q, trailing_r)
+        twice = twice_toothless_bound(y, p, q, trailing_r)
+        assert twice == 2 * bound
+        assert (twice >= 0) == (bound >= 0)
+        if twice >= 0:
+            assert twice // 2 == int(bound)
 
 
 def test_combs_imports_nothing_from_certificates():

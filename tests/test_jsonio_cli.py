@@ -438,6 +438,7 @@ def test_cli_search_writes_its_findings(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert json.loads(out.read_text()) == printed
     assert printed == run_search(ExperimentConfig(seed=2, size=4, comb_count=12))
+    assert printed["config"]["tooth_size_range"] == [2, 4]
 
 
 def _refuse_sampling(monkeypatch):

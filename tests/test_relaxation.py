@@ -188,11 +188,12 @@ def test_a_bad_mode_is_refused_on_every_call(k33):
                     is_implied(k33, target, mode=mode)
 
 
-def test_the_vertex_cap_is_checked_before_the_cache(k44):
+def test_the_vertex_cap_is_checked_before_the_cache(k44, monkeypatch):
     target = upper_bound(k44, k44.sorted_edges[0])
     is_implied(k44, target, lazy=False)  # prepared under the default cap
+    monkeypatch.setattr(lp, "DEFAULT_ENUMERATION_CAP", 7)
     with pytest.raises(EnumerationCapError, match="subtour enumeration"):
-        is_implied(k44, target, lazy=False, cap=7)
+        is_implied(k44, target, lazy=False)
 
 
 def test_sorted_edges_is_the_edge_order_computed_once(k44):

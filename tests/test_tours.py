@@ -198,9 +198,7 @@ def test_certified_combs_never_facet_on_k44(k44):
         comb = sample_comb(rng, k44, family)
         cert = BUILDERS[family.upper()](k44, comb)
         assert verify(k44, cert).dominates
-        report = facet_test(
-            k44, comb_inequality(k44, comb), polytope_dim=dim
-        )
+        report = facet_test(k44, comb_inequality(k44, comb))
         assert report.verdict is not FacetVerdict.FACET
         assert report.tight_tour_count == 0 or report.tight_face_dim < dim - 1
 
@@ -228,7 +226,6 @@ def _assert_reports_match_oracle(instance, rows, oracle_dim):
     for row in rows:
         expected = facet_report_oracle(instance, row, tours, dim)
         assert facet_test(instance, row).as_dict() == expected, row
-        assert facet_test(instance, row, polytope_dim=dim).as_dict() == expected, row
 
 
 def test_facet_reports_match_oracle_on_criterion_7_corpus(k44, oracle_dim):
