@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Microbenchmark the kernels and the layers built on them.
 
-Six workloads:
+Seven workloads:
   * `check_point`, the feasibility check behind `verify-point`, which
     lists violated subtour sets by branching on min cuts: on the uniform
     point x_e = 2/n of K_{8,8} and K_{12,12}, which must be feasible, and
@@ -19,6 +19,10 @@ Six workloads:
     lazy query, which prepares the relaxation's rows and starting tableau,
     and of the other 19, which reuse them, against a cold `solve` over
     each query's final rows, which must reach the same optimum;
+  * warm lazy `solve` on K_{30,30}, past the vertex cap of `is_implied`:
+    8 seeded wild combs over one prepared `lp._Relaxation` of the degree
+    rows, every one optimal, and the share of that time spent in the
+    duality audit;
   * `facet_test` on K_{5,5} (1,440 tours) over 24 seeded combs of every
     family: the time per query, and for the first 4 combs the same report
     as the oracle path of the tests (`Tour.as_point`, `value_on` and a
@@ -202,6 +206,51 @@ def bench_lp(instance, runs):
     )
 
 
+def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int = 3):
+    """Warm lazy `solve` per query on K_{n,n}, and its duality audit's share.
+
+    `is_implied` refuses an instance over `DEFAULT_ENUMERATION_CAP`
+    vertices, so the queries go through `solve` over a relaxation of the
+    degree rows prepared once, as `is_implied` prepares its own.  The best
+    of `repeat` passes over the same queries is reported.
+    """
+    instance = BipartiteInstance.complete(n)
+    rng = random.Random(seed)
+    targets = [comb_inequality(instance, sample_comb(rng, instance, "wild")) for _ in range(combs)]
+    t0 = time.perf_counter()
+    relaxation = lp._Relaxation(instance, gen_degree(instance))
+    t_prepare = time.perf_counter() - t0
+    audit = lp._audit_duality
+    audit_seconds = 0.0
+
+    def timed_audit(*args):
+        nonlocal audit_seconds
+        t0 = time.perf_counter()
+        audit(*args)
+        audit_seconds += time.perf_counter() - t0
+
+    best = None
+    lp._audit_duality = timed_audit
+    try:
+        for _ in range(repeat):
+            audit_seconds = 0.0
+            t0 = time.perf_counter()
+            solutions = [solve(instance, t.coeffs, relaxation, lazy=True) for t in targets]
+            seconds = time.perf_counter() - t0
+            if best is None or seconds < best[0]:
+                best = seconds, audit_seconds
+    finally:
+        lp._audit_duality = audit
+    assert all(solution.status == lp.OPTIMAL for solution in solutions)
+    rounds = sum(solution.rounds for solution in solutions)
+    seconds, audit_seconds = best
+    line = f"lazy LP      n={instance.num_vertices:2d} ({combs} combs, {rounds} rounds)"
+    print(
+        f"{line}  prepare {t_prepare * 1e3:6.1f} ms, then {seconds / combs * 1e3:6.2f} ms/query"
+        f"   of which the audit {audit_seconds / combs * 1e3:5.2f} ms/query"
+    )
+
+
 def bench_facet(seed: int, combs: int = 24, checked: int = 4):
     """`facet_test` per query on K_{5,5}; the first `checked` reports must
     equal the oracle's."""
@@ -255,6 +304,7 @@ def main():
     instance, runs = lazy_runs(8, 20, args.seed)
     bench_separation(instance, runs)
     bench_lp(instance, runs)
+    bench_lazy_past_the_cap(args.seed)
     bench_facet(args.seed)
     bench_verify(args.seed)
 

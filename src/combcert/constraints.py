@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Literal, Mapping
 from . import _kernels
 from .errors import EnumerationCapError
 from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
-from .rational import common_denominator
+from .rational import common_denominator, exact_value
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -51,20 +51,6 @@ class ConstraintKind(Enum):
     LOWER_BOUND = "lower_bound"
     COMB = "comb"
     AGGREGATE = "aggregate"
-
-
-def _row_value(value, where: str) -> int | Fraction:
-    """`value` as an int when it is integral, else as the Fraction it is.
-
-    Only an int or a Fraction is taken: a float, a bool, a string or None
-    raises `TypeError` naming `where`, although `Fraction()` itself would
-    read most of them.
-    """
-    if value.__class__ is int:
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"{where}: a row value must be an int or a Fraction, got {value!r}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -88,11 +74,11 @@ class LinearInequality:
     def __post_init__(self):
         coeffs = {}
         for e, c in self.coeffs.items():
-            c = _row_value(c, f"coefficient of edge {e}")
+            c = exact_value(c, f"coefficient of edge {e}")
             if c:
                 coeffs[e] = c
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", _row_value(self.rhs, "rhs"))
+        object.__setattr__(self, "rhs", exact_value(self.rhs, "rhs"))
 
     @property
     def is_equality(self) -> bool:

@@ -27,9 +27,15 @@ min cut (Padberg & Wolsey, "Trees and cuts", 1983), run by
 `_kernels.most_violated_set`, so its cost is polynomial in the number of
 vertices.  Every optimum read, cold or warm,
 yields its dual vector, which is re-checked against the original rows by
-`_audit_duality` (dual feasibility plus equal objective).  The cold run
-over the final rows is the reference that warm rounds are tested
-against: both end at the same exact optimum.
+`_audit_duality` (dual feasibility plus equal objective).  The optimum
+and the dual are read as the tableau stores them, ints where integral,
+and the audit checks them in integers: it scales the dual by the lcm of
+its denominators, so on the integral degree, subtour and box rows every
+product and sum it forms is a plain int, and it compares them with the
+scaled objective and optimum.  The `LpSolution` a call returns converts
+its optimum and dual to `Fraction`s once.  The cold run over the final
+rows is the reference that warm rounds are tested against: both end at
+the same exact optimum.
 
 `is_implied` maximizes a row's left-hand side over the relaxation
 polytope.  Direct mode hands `solve` every subtour row up front; lazy
@@ -63,6 +69,7 @@ from .constraints import (
 )
 from .errors import CombcertError, EnumerationCapError
 from .graph import BipartiteInstance, Edge, FractionalPoint
+from .rational import common_denominator, exact_value
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -76,12 +83,22 @@ RELAXATIONS_KEPT = 4
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A `solve` outcome; the optimum and the dual are `Fraction`s, each
+    converted once here from the int-or-Fraction values the tableau holds."""
+
     status: str
     objective_value: Fraction | None
     point: FractionalPoint | None
     dual: tuple[Fraction, ...] | None  # aligned with `rows`
     rows: tuple[LinearInequality, ...]  # given rows, then cuts, then box rows
     rounds: int  # optima read: 1 per cold solve, +1 per cut
+
+    def __post_init__(self):
+        if self.objective_value is not None:
+            object.__setattr__(self, "objective_value", Fraction(self.objective_value))
+        if self.dual is not None:
+            dual = tuple(Fraction(y) if y else _ZERO for y in self.dual)
+            object.__setattr__(self, "dual", dual)
 
 
 class _Relaxation:
@@ -111,13 +128,15 @@ class _Relaxation:
 
 def solve(
     instance: BipartiteInstance,
-    objective: Mapping[Edge, Fraction],
+    objective: Mapping[Edge, int | Fraction],
     rows: Iterable[LinearInequality] | _Relaxation,
     lazy: bool = False,
 ) -> LpSolution:
     """Maximize `objective` over `rows` and the unit box, x >= 0.
 
-    The variables are the instance's edges.  `rows` is either the given
+    The variables are the instance's edges.  Each objective value must be
+    an int or a `Fraction`; anything else raises `TypeError` naming its
+    edge, before any tableau work.  `rows` is either the given
     rows, which are prepared here for this one call, or a `_Relaxation`
     prepared from them before.  The tableau holds the given rows, then
     one x_e <= 1 row per edge; a copy of a prepared relaxation's starting
@@ -129,9 +148,13 @@ def solve(
     forever.  Every optimum read has its dual audited against the
     tableau's rows.
     """
-    for e in objective:
+    costs = {}
+    for e, c in objective.items():
         if e not in instance.edges:
             raise ValueError(f"objective names edge {e} outside the instance")
+        c = exact_value(c, f"objective coefficient of edge {e}")
+        if c:
+            costs[e] = c
     if isinstance(rows, _Relaxation):
         relaxation, tableau = rows, _Tableau.copy_of(rows.tableau)
     else:  # prepared for this call only: its tableau needs no copy
@@ -145,15 +168,13 @@ def solve(
     def given_cuts_box(seq: Sequence) -> tuple:
         return (*seq[: boxes.start], *seq[boxes.stop :], *seq[boxes])
 
-    status = tableau.run(objective)
+    status = tableau.run(costs)
     rounds = 0
     while status == OPTIMAL:
         assignment = tableau.primal_values()
-        value = sum(
-            (Fraction(c) * assignment.get(e, 0) for e, c in objective.items()), Fraction(0)
-        )
+        value = sum(costs.get(e, 0) * x for e, x in assignment.items())
         dual = tableau.dual_values()
-        _audit_duality(tableau_rows, variables, objective, value, dual)
+        _audit_duality(tableau_rows, variables, costs, value, dual)
         point = FractionalPoint(instance, assignment)
         rounds += 1
         cut = _most_violated_sec(instance, point) if lazy else None
@@ -172,26 +193,38 @@ def solve(
 def _audit_duality(rows, variables, objective, optimum, dual) -> None:
     """Strong-duality audit from scratch; failure means a solver bug.
 
-    Reads only the original rows, the dual and the objective.  Work is
-    proportional to the nonzeros of the rows with a nonzero multiplier,
-    plus one comparison per variable.
+    Reads only the original rows, the dual, the objective and the
+    optimum, never the tableau; every value is an int or a `Fraction`.
+    The check is integer-scaled.  With D > 0 the lcm of the denominators
+    of the multipliers y_i, each y_i becomes the integer D y_i, and the
+    audit requires sum_i D y_i a_ie >= D c_e at every variable e (dual
+    feasibility) and sum_i D y_i b_i == D * optimum (equal objective),
+    which hold exactly when the unscaled conditions do.  On integral rows
+    every product and sum is a plain int; a non-integral row value still
+    enters exactly, as a `Fraction`.  Work is proportional to the
+    nonzeros of the rows with a nonzero multiplier, plus one comparison
+    per variable.
     """
     if len(dual) != len(rows):
         raise CombcertError("dual vector length mismatch")
-    combined: dict[Edge, Fraction] = {}
-    total = Fraction(0)
+    support = []
     for y, row in zip(dual, rows):
-        if not y:
-            continue
-        if not row.is_equality and y < 0:
-            raise CombcertError(f"negative dual multiplier on {row.provenance}")
+        if y:
+            if y < 0 and not row.is_equality:
+                raise CombcertError(f"negative dual multiplier on {row.provenance}")
+            support.append((y, row))
+    scale = common_denominator(y for y, _ in support)
+    combined: dict[Edge, int | Fraction] = {}
+    total = 0
+    for y, row in support:
+        multiplier = y.numerator * (scale // y.denominator)
         for e, c in row.coeffs.items():
-            combined[e] = combined.get(e, 0) + y * c
-        total += y * row.rhs
+            combined[e] = combined.get(e, 0) + multiplier * c
+        total += multiplier * row.rhs
     for e in variables:
-        if combined.get(e, 0) < Fraction(objective.get(e, 0)):
+        if combined.get(e, 0) < scale * objective.get(e, 0):
             raise CombcertError(f"dual infeasible at variable {e}")
-    if total != optimum:
+    if total != scale * optimum:
         raise CombcertError("dual objective does not match the optimum")
 
 
@@ -314,13 +347,11 @@ class _Tableau:
                     self._expel_artificials()
         return self.feasible
 
-    def run(self, objective: Mapping[Edge, Fraction]) -> str:
+    def run(self, objective: Mapping[Edge, int | Fraction]) -> str:
         """Phase 1 unless done already, then phase 2 for `objective`."""
         if not self.phase_one():
             return INFEASIBLE
-        self._price_out(
-            {self.column[e]: _exact(Fraction(c)) for e, c in objective.items() if c}
-        )
+        self._price_out({self.column[e]: _exact(c) for e, c in objective.items() if c})
         return self._primal()
 
     def add_row(self, row: LinearInequality) -> str:
@@ -429,23 +460,21 @@ class _Tableau:
             else:
                 i += 1
 
-    def primal_values(self) -> dict[Edge, Fraction]:
-        """The nonzero variables of the current basic solution."""
+    def primal_values(self) -> dict[Edge, int | Fraction]:
+        """The nonzero variables of the current basic solution, as stored."""
         n = len(self.variables)
         return {
-            self.variables[col]: Fraction(self.rhs[i])
+            self.variables[col]: self.rhs[i]
             for i, col in enumerate(self.basis)
             if col < n and self.rhs[i]
         }
 
-    def dual_values(self) -> tuple[Fraction, ...]:
-        """Original-row multipliers, in the order the rows were added."""
+    def dual_values(self) -> tuple[int | Fraction, ...]:
+        """Original-row multipliers, in the order the rows were added, as stored."""
         # cbar[col] = c_col - z_col and c_col = 0, so z_col = -cbar[col].
-        # `cbar` holds nonzeros only; every absent column shares one zero.
+        # `cbar` holds nonzeros only; an absent column reads 0.
         cbar = self.cbar
-        return tuple(
-            Fraction(-sign * cbar[col]) if col in cbar else _ZERO for col, sign in self.unit
-        )
+        return tuple(-sign * cbar[col] if col in cbar else 0 for col, sign in self.unit)
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,23 @@ def format_rational(value: Fraction) -> str:
     return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
+def exact_value(value, where: str) -> int | Fraction:
+    """`value` as an int when it is integral, else as the Fraction it is.
+
+    Only an int or a Fraction is taken: a float, a bool, a string or None
+    raises `TypeError` naming `where`, although `Fraction()` itself would
+    read most of them.
+    """
+    if value.__class__ is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"{where}: expected an int or a Fraction, got {value!r}")
+
+
 def common_denominator(values) -> int:
-    """lcm of the denominators; 1 for an empty collection."""
+    """lcm of the denominators of ints and Fractions; 1 for an empty collection."""
     result = 1
     for v in values:
-        result = lcm(result, Fraction(v).denominator)
+        result = lcm(result, v.denominator)
     return result

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .certificates import BUILDERS, verify
 from .combs import Comb, classify, comb_inequality, twice_toothless_bound, validate_comb
@@ -222,6 +223,16 @@ class ExperimentConfig:
         }
 
 
+@lru_cache(maxsize=4)
+def _complete(size: int) -> BipartiteInstance:
+    """K_{size,size}, shared by the runs of the last four sizes used.
+
+    An instance is immutable, so sharing it changes no result; it keeps
+    its sorted edges and incidence table from run to run.
+    """
+    return BipartiteInstance.complete(size)
+
+
 def run_search(config: ExperimentConfig) -> dict:
     """Generate combs; certify the classified ones, LP-hunt the rest.
 
@@ -229,7 +240,7 @@ def run_search(config: ExperimentConfig) -> dict:
     vertex cap, so a run that samples wild combs on K_{n,n} with 2n over
     the cap is refused before any comb is drawn.
     """
-    instance = BipartiteInstance.complete(config.size)
+    instance = _complete(config.size)
     wild = "wild" in config.families[: config.comb_count]
     if wild and instance.num_vertices > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(

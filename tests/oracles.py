@@ -12,6 +12,8 @@ check it calls: it builds every member's row and sums in `Fraction`.
 vertex-set rules that `BipartiteInstance.edges_within` replaced, and
 `fraction_condition_bound` the toothless-vertex bound that
 `combs.twice_toothless_bound` replaced, each kept unchanged.
+`fraction_audit_duality` is the `Fraction` duality audit that the
+integer-scaled `combcert.lp._audit_duality` replaced, kept unchanged.
 """
 
 from __future__ import annotations
@@ -461,3 +463,31 @@ def verify(instance, certificate):
         edge_surplus=surplus,
         problems=tuple(problems),
     )
+
+
+def fraction_audit_duality(rows, variables, objective, optimum, dual) -> None:
+    """Strong-duality audit from scratch; failure means a solver bug.
+
+    Reads only the original rows, the dual and the objective.  Work is
+    proportional to the nonzeros of the rows with a nonzero multiplier,
+    plus one comparison per variable.
+    """
+    from combcert.errors import CombcertError
+
+    if len(dual) != len(rows):
+        raise CombcertError("dual vector length mismatch")
+    combined = {}
+    total = Fraction(0)
+    for y, row in zip(dual, rows):
+        if not y:
+            continue
+        if not row.is_equality and y < 0:
+            raise CombcertError(f"negative dual multiplier on {row.provenance}")
+        for e, c in row.coeffs.items():
+            combined[e] = combined.get(e, 0) + y * c
+        total += y * row.rhs
+    for e in variables:
+        if combined.get(e, 0) < Fraction(objective.get(e, 0)):
+            raise CombcertError(f"dual infeasible at variable {e}")
+    if total != optimum:
+        raise CombcertError("dual objective does not match the optimum")

@@ -4,7 +4,14 @@ from importlib import resources
 
 import pytest
 
-from combcert import FormatError, comb_inequality, is_implied, reproduce_tables, verify
+from combcert import (
+    BipartiteInstance,
+    FormatError,
+    comb_inequality,
+    is_implied,
+    reproduce_tables,
+    verify,
+)
 from combcert.certificates import build_l3
 from combcert.cli import main
 from combcert.combs import Comb
@@ -429,6 +436,18 @@ def test_cli_repeated_label_exit_2(tmp_path, capsys):
 def test_search_is_deterministic():
     config = ExperimentConfig(seed=2, size=4, comb_count=30)
     assert run_search(config) == run_search(config)
+
+
+def test_search_runs_of_one_size_share_the_instance():
+    config = ExperimentConfig(seed=4, size=5, comb_count=18)
+    search._complete.cache_clear()
+    fresh = run_search(config)
+    search._complete.cache_clear()
+    first, second = run_search(config), run_search(ExperimentConfig(seed=5, size=5))
+    assert search._complete.cache_info()[:2] == (1, 1)  # one hit, one miss
+    assert search._complete(5) == BipartiteInstance.complete(5)
+    assert json.dumps(first) == json.dumps(fresh)
+    assert second["config"]["seed"] == 5
 
 
 def test_cli_search_writes_its_findings(tmp_path, capsys):
