@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Microbenchmark the kernels and the layers built on them.
 
-Seven workloads:
+Eight workloads:
   * `check_point`, the feasibility check behind `verify-point`, which
     lists violated subtour sets by branching on min cuts: on the uniform
     point x_e = 2/n of K_{8,8} and K_{12,12}, which must be feasible, and
@@ -24,9 +24,13 @@ Seven workloads:
     rows, every one optimal, and the share of that time spent in the
     duality audit;
   * `facet_test` on K_{5,5} (1,440 tours) over 24 seeded combs of every
-    family: the time per query, and for the first 4 combs the same report
-    as the oracle path of the tests (`Tour.as_point`, `value_on` and a
-    `Fraction` rank over all tours);
+    family: the time of the first query, which enumerates the tours, and
+    per query of the other 23, which read the kept tour set, and for the
+    first 4 combs the same report as the oracle path of the tests
+    (`Tour.as_point`, `value_on` and a `Fraction` rank over all tours);
+  * `facet_test` on K_{6,6} (43,200 tours) over 6 seeded combs, first
+    and then per query, the same reports on a second pass, and the size
+    of the kept tour set and the peak RSS with it kept;
   * `certificates.verify` on K_{10,10} over 40 seeded combs of the five
     certified families, each with the certificate of its family's class:
     the time per call, every report dominating.
@@ -59,6 +63,7 @@ from combcert import (
     is_implied,
     lp,
     solve,
+    tours,
 )
 from combcert.certificates import BUILDERS, verify
 from combcert.search import FAMILIES, sample_comb
@@ -251,28 +256,62 @@ def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int 
     )
 
 
-def bench_facet(seed: int, combs: int = 24, checked: int = 4):
-    """`facet_test` per query on K_{5,5}; the first `checked` reports must
-    equal the oracle's."""
-    instance = BipartiteInstance.complete(5)
+def facet_queries(seed: int, n: int, combs: int):
+    """K_{n,n} and the rows of `combs` seeded combs, cycling through the families."""
+    instance = BipartiteInstance.complete(n)
     rng = random.Random(seed)
     rows = [
         comb_inequality(instance, sample_comb(rng, instance, FAMILIES[k % len(FAMILIES)]))
         for k in range(combs)
     ]
+    return instance, rows
+
+
+def timed_facet_tests(instance, rows):
+    """Reports, the first query's seconds (it enumerates the tours), and
+    the mean seconds of the others (they read the kept set)."""
+    tours._tour_set.cache_clear()
     t0 = time.perf_counter()
-    reports = [facet_test(instance, row) for row in rows]
-    seconds = time.perf_counter() - t0
-    tours = list(enumerate_tours(instance))
+    reports = [facet_test(instance, rows[0])]
+    t1 = time.perf_counter()
+    reports += [facet_test(instance, row) for row in rows[1:]]
+    t2 = time.perf_counter()
+    return reports, t1 - t0, (t2 - t1) / (len(rows) - 1)
+
+
+def bench_facet(seed: int, combs: int = 24, checked: int = 4):
+    """`facet_test` per query on K_{5,5}, cold and warm; the first
+    `checked` reports must equal the oracle's."""
+    instance, rows = facet_queries(seed, 5, combs)
+    reports, first, warm = timed_facet_tests(instance, rows)
+    tour_list = list(enumerate_tours(instance))
     t0 = time.perf_counter()
-    dim = tour_affine_rank(instance, tours)
+    dim = tour_affine_rank(instance, tour_list)
     for row, report in zip(rows[:checked], reports):
-        assert report.as_dict() == facet_report_oracle(instance, row, tours, dim)
+        assert report.as_dict() == facet_report_oracle(instance, row, tour_list, dim)
     t_oracle = time.perf_counter() - t0
-    line = f"facet test   n={instance.num_vertices:2d} ({len(tours)} tours, {combs} combs)"
+    line = f"facet test   n={instance.num_vertices:2d} ({len(tour_list)} tours, {combs} combs)"
     print(
-        f"{line}  {seconds / combs * 1e3:9.2f} ms/query"
+        f"{line}  first {first * 1e3:6.2f} ms, then {warm * 1e3:6.2f} ms/query"
         f"   oracle path {t_oracle:6.2f} s for the first {checked}, its full rank included"
+    )
+
+
+def bench_facet_kept(seed: int, n: int = 6, combs: int = 6):
+    """`facet_test` on K_{n,n}, cold and warm, then the size of the kept
+    tour set and the peak RSS with it kept.  Cold and warm reports must
+    agree."""
+    instance, rows = facet_queries(seed, n, combs)
+    reports, first, warm = timed_facet_tests(instance, rows)
+    assert [facet_test(instance, row) for row in rows] == reports
+    kept = tours._tour_set(instance)
+    assert len(kept) == expected_tour_count(n)
+    kept_bytes = sys.getsizeof(kept) + sum(map(sys.getsizeof, kept))
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    line = f"facet test   n={instance.num_vertices:2d} ({len(kept)} tours, {combs} combs)"
+    print(
+        f"{line}  first {first * 1e3:6.1f} ms, then {warm * 1e3:6.1f} ms/query"
+        f"   kept set {kept_bytes / 2**20:4.1f} MiB, peak RSS so far {peak:4.0f} MiB"
     )
 
 
@@ -306,6 +345,7 @@ def main():
     bench_lp(instance, runs)
     bench_lazy_past_the_cap(args.seed)
     bench_facet(args.seed)
+    bench_facet_kept(args.seed)
     bench_verify(args.seed)
 
 

@@ -15,13 +15,23 @@ indices by (class-1, class-2) vertex pair and hands it to
 2k is the edge a_k b_k and entry 2k + 1 the edge b_k a_{k+1}, for the
 tour a_0 = 0, b_0, a_1, ..., b_{n-1} with b_0 < b_{n-1}.  Its list order,
 lexicographic in those vertex sequences, is the canonical order that
-`_stride_order` reads.  `facet_test` evaluates a row on a tour
-as an integer sum.  A row holds ints when its values are integral, as
-every degree, subtour and comb row does, and then D = 1; otherwise the
-row is scaled by D, the lcm of the denominators of its coefficients and
-rhs.  Its value on a tour is the sum of the scaled coefficients at the
-tour's edge indices, compared exactly against rhs*D.
-Coefficients on edges outside the instance are ignored, as in `value_on`.
+`_stride_order` reads.
+
+Tours are enumerated once per instance: `facet_test`,
+`polytope_dimension` and `enumerate_tours` read the same tuple of those
+tuples, in that order, from `_tour_set`, which keeps the sets of the last
+`TOUR_SETS_KEPT` instances (equal instances share one; about 6 MiB each
+in the worst case, the 43,200 tours of K_{6,6}).  The cap check and the
+"no tours" log run on every call, before the kept set is read.  Only the
+tours are kept: the polytope is still ranked on every `facet_test` call.
+
+`facet_test` evaluates a row on a tour as an integer sum.  A row holds
+ints when its values are integral, as every degree, subtour and comb row
+does, and then D = 1; otherwise the row is scaled by D, the lcm of the
+denominators of its coefficients and rhs.  Its value on a tour is the sum
+of the scaled coefficients at the tour's edge indices, compared exactly
+against rhs*D.  Coefficients on edges outside the instance are ignored,
+as in `value_on`.
 
 Dimension work is affine: the polytope dimension is the rank of the
 difference vectors between tour incidence vectors, computed by exact
@@ -49,6 +59,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import factorial, gcd, isqrt
 from typing import Iterator, Sequence
 
@@ -61,6 +72,7 @@ from .rational import common_denominator
 log = logging.getLogger(__name__)
 
 DEFAULT_TOUR_CAP = 6
+TOUR_SETS_KEPT = 2
 
 
 @dataclass(frozen=True)
@@ -97,27 +109,50 @@ class FacetReport:
         }
 
 
-def _edge_tours(instance: BipartiteInstance) -> list[tuple[int, ...]]:
-    """Every tour as indices into `instance.sorted_edges`, in the layout
-    of `_kernels.hamiltonian_cycles`."""
+def _enumerable(instance: BipartiteInstance) -> bool:
+    """Whether the instance can have tours (logged when not); refuses an
+    instance past `DEFAULT_TOUR_CAP`."""
     if not instance.tours_possible:
         log.info(
             "no tours: class sizes differ (%d vs %d)", instance.n1, instance.n2
         )
+        return False
+    if instance.n1 > DEFAULT_TOUR_CAP:
+        raise EnumerationCapError("tour enumeration", instance.n1, DEFAULT_TOUR_CAP)
+    return True
+
+
+def _edge_tours(instance: BipartiteInstance) -> list[tuple[int, ...]]:
+    """Every tour as indices into `instance.sorted_edges`, in the layout
+    of `_kernels.hamiltonian_cycles`."""
+    if not _enumerable(instance):
         return []
     n = instance.n1
-    if n > DEFAULT_TOUR_CAP:
-        raise EnumerationCapError("tour enumeration", n, DEFAULT_TOUR_CAP)
     position = [[-1] * n for _ in range(n)]  # [a][b] -> index of edge a b
     for k, e in enumerate(instance.sorted_edges):
         position[e.u.index][e.v.index] = k
     return _kernels.hamiltonian_cycles(n, position)
 
 
+@lru_cache(maxsize=TOUR_SETS_KEPT)
+def _tour_set(instance: BipartiteInstance) -> tuple[tuple[int, ...], ...]:
+    """`_edge_tours`, kept for the last `TOUR_SETS_KEPT` instances.
+
+    Equal instances share it.  Callers go through `_tours`.
+    """
+    return tuple(_edge_tours(instance))
+
+
+def _tours(instance: BipartiteInstance) -> tuple[tuple[int, ...], ...]:
+    """The instance's tours, enumerated on its first call; the cap check
+    and the "no tours" log run on every call."""
+    return _tour_set(instance) if _enumerable(instance) else ()
+
+
 def enumerate_tours(instance: BipartiteInstance) -> Iterator[Tour]:
     """Every Hamiltonian tour of the instance, canonical form, once each."""
     edges = instance.sorted_edges
-    for tour in _edge_tours(instance):
+    for tour in _tours(instance):
         yield Tour(
             tuple(v for k in tour[0::2] for v in edges[k].endpoints()),
             frozenset(edges[k] for k in tour),
@@ -204,18 +239,19 @@ def _polytope_bound(instance: BipartiteInstance) -> int:
 
 def polytope_dimension(instance: BipartiteInstance) -> int:
     """Affine dimension of the convex hull of the tour incidence vectors."""
-    tours = _edge_tours(instance)
+    tours = _tours(instance)
     return _affine_rank(tours, len(instance.edges), _polytope_bound(instance))
 
 
 def facet_test(instance: BipartiteInstance, ineq: LinearInequality) -> FacetReport:
     """Validity on all tours, tight-face dimension, and the verdict.
 
-    The polytope is ranked on every call: the tight-face rank stops at its
-    dimension, so a wrong dimension would give a wrong verdict.
+    The polytope is ranked on every call, although its tours are kept: the
+    tight-face rank stops at its dimension, so a wrong dimension would
+    give a wrong verdict.
     """
     edges = instance.sorted_edges
-    tours = _edge_tours(instance)
+    tours = _tours(instance)
     if not tours:
         raise NoToursError("instance has no Hamiltonian tour")
     polytope_dim = _affine_rank(tours, len(edges), _polytope_bound(instance))

@@ -15,6 +15,7 @@ from combcert import (
     expected_tour_count,
     facet_test,
     is_implied,
+    tours,
 )
 from combcert.search import sample_comb
 
@@ -68,7 +69,11 @@ def test_callers_reach_kernels_through_module_attributes(monkeypatch):
 
     instance = BipartiteInstance.complete(3)
     row = comb_inequality(instance, sample_comb(random.Random(1), instance, "l1"))
+    tours._tour_set.cache_clear()  # so that the first query enumerates
     facet_test(instance, row)
+    assert calls == ["hamiltonian_cycles"]
+    # An equal instance, built apart, reads the kept tour set.
+    facet_test(BipartiteInstance.complete(3), row)
     assert calls == ["hamiltonian_cycles"]
 
     check_point(instance, FractionalPoint(instance, {e: 1 for e in instance.edges}))

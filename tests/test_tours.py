@@ -46,16 +46,39 @@ def test_tours_are_distinct_and_valid(k44):
         assert len(t.edges) == k44.num_vertices
 
 
-def test_unequal_classes_yield_no_tours():
+def test_unequal_classes_yield_no_tours(caplog):
+    # Every call refuses and logs, not only the first.
     instance = BipartiteInstance.complete(3, 2)
-    assert list(enumerate_tours(instance)) == []
-    with pytest.raises(NoToursError):
-        polytope_dimension(instance)
+    row = LinearInequality({}, Fraction(1), ConstraintKind.AGGREGATE, "0<=1")
+    caplog.set_level("INFO", logger=tours_module.log.name)
+    for _ in range(2):
+        caplog.clear()
+        assert list(enumerate_tours(instance)) == []
+        with pytest.raises(NoToursError):
+            polytope_dimension(instance)
+        with pytest.raises(NoToursError):
+            facet_test(instance, row)
+        assert [r.getMessage() for r in caplog.records] == [
+            "no tours: class sizes differ (3 vs 2)"
+        ] * 3
 
 
-def test_tour_cap():
-    with pytest.raises(EnumerationCapError):
-        list(enumerate_tours(BipartiteInstance.complete(7)))
+def test_tour_cap(monkeypatch):
+    # Every call refuses before the tour kernel is reached.
+    calls = []
+    monkeypatch.setattr(
+        tours_module._kernels, "hamiltonian_cycles", lambda *args: calls.append(args)
+    )
+    k77 = BipartiteInstance.complete(7)
+    row = comb_inequality(k77, sample_comb(random.Random(7), k77, "l1"))
+    for _ in range(2):
+        with pytest.raises(EnumerationCapError):
+            list(enumerate_tours(k77))
+        with pytest.raises(EnumerationCapError):
+            polytope_dimension(k77)
+        with pytest.raises(EnumerationCapError):
+            facet_test(k77, row)
+    assert calls == []
 
 
 def Edge_(c1, i1, c2, i2):
@@ -117,12 +140,15 @@ def test_edge_tours_match_nested_generator_oracle():
     + [_eight_cycle(), _complete_minus(4, {(0, 0)})],
 )
 def test_tours_match_kernel_sequences(instance):
-    # Tour objects built from the reference search's edge tuples.
+    # Tour objects built from the reference search's edge tuples, in the
+    # same order with the tour set cleared and kept.
     edges = sorted(instance.edges)
     expected = []
     for tour in nested_generator_edge_tours(instance):
         vertices = tuple(v for k in tour[0::2] for v in (edges[k].u, edges[k].v))
         expected.append(Tour(vertices, frozenset(edges[k] for k in tour)))
+    tours_module._tour_set.cache_clear()
+    assert list(enumerate_tours(instance)) == expected
     assert list(enumerate_tours(instance)) == expected
 
 
@@ -221,10 +247,13 @@ def oracle_dim():
 
 
 def _assert_reports_match_oracle(instance, rows, oracle_dim):
+    # Each row twice: with the tour set cleared, and then kept.
     tours = list(enumerate_tours(instance))
     dim = oracle_dim(instance, tours)
     for row in rows:
         expected = facet_report_oracle(instance, row, tours, dim)
+        tours_module._tour_set.cache_clear()
+        assert facet_test(instance, row).as_dict() == expected, row
         assert facet_test(instance, row).as_dict() == expected, row
 
 
@@ -322,6 +351,46 @@ def test_facet_reports_match_oracle_on_special_rows(k44, oracle_dim):
     verdicts = [facet_test(k44, row).verdict for row in rows]
     assert FacetVerdict.NOT_VALID in verdicts
     assert FacetVerdict.SUPPORTING_NON_FACET in verdicts
+
+
+# The kept tour set against the enumeration it keeps.
+
+
+def test_facet_reports_cold_and_warm_agree_on_k66():
+    # Past the oracle's reach: each report with the tour set cleared
+    # against the report that reads it kept.
+    instance = BipartiteInstance.complete(6)
+    rng = random.Random(4006)
+    rows = [comb_inequality(instance, sample_comb(rng, instance, f)) for f in FAMILIES]
+    rows.append(lower_bound(instance, min(instance.edges)))
+    for row in rows:
+        tours_module._tour_set.cache_clear()
+        cold = facet_test(instance, row)
+        assert facet_test(instance, row) == cold, row
+    tours_module._tour_set.cache_clear()
+    cold = polytope_dimension(instance)
+    assert polytope_dimension(instance) == cold == 25
+
+
+def test_kept_tour_set_is_a_tuple_of_tuples(k33):
+    tours_module._tour_set.cache_clear()
+    kept = tours_module._tour_set(k33)
+    assert type(kept) is tuple and all(type(t) is tuple for t in kept)
+    assert kept == tuple(tours_module._edge_tours(k33))
+    # Equal instances share it.
+    assert tours_module._tour_set(BipartiteInstance.complete(3)) is kept
+
+
+def test_tour_sets_kept_stays_bounded():
+    info = tours_module._tour_set.cache_info
+    assert info().maxsize == tours_module.TOUR_SETS_KEPT
+    tours_module._tour_set.cache_clear()
+    instances = [BipartiteInstance.complete(n) for n in (2, 3, 4)]
+    instances += [_eight_cycle(), _complete_minus(4, {(0, 0)})]
+    for instance in instances + instances:
+        polytope_dimension(instance)
+        assert info().currsize <= tours_module.TOUR_SETS_KEPT
+    assert info().currsize == tours_module.TOUR_SETS_KEPT
 
 
 # The rank stops at |E| - |V| + 1 on the polytope.
