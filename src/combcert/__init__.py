@@ -23,6 +23,7 @@ from .certificates import (
     build_l3,
     build_t1,
     build_t2,
+    certify,
     parity_audit,
     verify,
 )

@@ -50,6 +50,11 @@ sum(s_i) + sum_{i>p} r_i - 1 >= -1, so they cannot both be negative.
 For single-intersection combs (L2) the sum is exactly -1, so exactly one
 orientation passes.  `parity_audit` exposes that arithmetic for testing.
 Builders refuse (raise) rather than fall back when hypotheses fail.
+
+A builder validates the comb and reads the patterns it keeps
+(`Comb.patterns`).  `certify` is the one pick of a class, for `certify
+--builder auto` and `run_search`: the first in `CLASSES` order that
+admits the comb, built through its `BUILDERS` entry.
 """
 
 from __future__ import annotations
@@ -62,11 +67,11 @@ from typing import Callable, Mapping
 from .combs import (
     CLASSES,
     Comb,
-    CombClass,
     IntersectionPattern,
     classify,
     comb_inequality,
     comb_rhs,
+    require_valid,
 )
 from .constraints import ConstraintKind, LinearInequality, sec_constraint
 from .errors import CertificateInvariantError, HypothesisNotMetError
@@ -159,24 +164,15 @@ def aggregation_members(
     return tuple(members), agg_rhs
 
 
-def _build(
-    name: str,
-    instance: BipartiteInstance,
-    comb: Comb,
-    *,
-    _classified: CombClass | None = None,
-) -> Certificate:
+def _build(name: str, instance: BipartiteInstance, comb: Comb) -> Certificate:
     """The certificate of class `name`, by the one rule of the module docstring.
 
-    `classify` validates the comb and supplies both patterns, which the
-    class's `combs.CLASSES` entry admits or refuses.  A caller that holds
-    `classify(instance, comb)` already (`search.run_search`) passes it as
-    `_classified` instead of having it computed again.  Pattern filters run
-    before any member is built, and only the classes that filter by
-    domination compute the comb row's rhs.
+    Pattern filters run before any member is built, and only the classes
+    that filter by domination compute the comb row's rhs.
     """
     cls = CLASSES[name]
-    pats = (classify(instance, comb) if _classified is None else _classified).patterns
+    require_valid(instance, comb)
+    pats = comb.patterns
     if not cls.admits(pats):
         raise HypothesisNotMetError(f"{name} needs a {cls.flag} comb")
     target = None if cls.fits else comb_rhs(comb)
@@ -192,12 +188,18 @@ def _build(
     return Certificate(name, comb, best[0], best[2])
 
 
-# One builder per class, each called as builder(instance, comb); `run_search`
-# also hands over the `classify` result it holds, as `_classified`.
+# One builder per class, each called as builder(instance, comb).
 BUILDERS: dict[str, Callable[[BipartiteInstance, Comb], Certificate]] = {
     name: partial(_build, name) for name in CLASSES
 }
 build_l1, build_l2, build_l3, build_t1, build_t2 = BUILDERS.values()
+
+
+def certify(instance: BipartiteInstance, comb: Comb) -> Certificate | None:
+    """The certificate of the first class in `CLASSES` order that admits the
+    comb, built by its `BUILDERS` entry; None when no class does."""
+    names = classify(instance, comb).builder_names()
+    return BUILDERS[names[0]](instance, comb) if names else None
 
 
 def _validate_member(

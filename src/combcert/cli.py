@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .certificates import BUILDERS, verify
+from .certificates import BUILDERS, certify, verify
 from .combs import CLASSES, classify, comb_inequality
 from .constraints import check_point
 from .errors import CombcertError, FormatError, HypothesisNotMetError, InvalidCombError
@@ -114,18 +114,14 @@ def _cmd_classify(args) -> int:
 def _cmd_certify(args) -> int:
     instance, _, comb = _load_pair(args)
     name = args.builder.upper()
-    if name == "AUTO":
-        flags = classify(instance, comb)
-        available = flags.builder_names()
-        if not available:
-            _emit(
-                args,
-                {"error": "no hypothesis class applies", "builders": []},
-                ["no hypothesis class applies to this comb"],
-            )
-            return 1
-        name = available[0]
-    cert = BUILDERS[name](instance, comb)
+    cert = certify(instance, comb) if name == "AUTO" else BUILDERS[name](instance, comb)
+    if cert is None:
+        _emit(
+            args,
+            {"error": "no hypothesis class applies", "builders": []},
+            ["no hypothesis class applies to this comb"],
+        )
+        return 1
     report = verify(instance, cert)
     document = dump_certificate(cert, instance)
     document["verified"] = report.dominates

@@ -33,16 +33,18 @@ Admission reads orientation 1 unless it says "some orientation":
 L1 implies all others; T2 implies T1 by a parity argument (mechanized in
 `certificates.parity_audit`).
 
-`classify` is the one place that analyses a comb: it validates it once
-and hands both orientations' `IntersectionPattern`s to the builders in a
-`CombClass`, which reads every flag, condition and note off them.
-`extract_pattern` is the validating form of the same extraction.
+A comb's two `IntersectionPattern`s depend on the comb alone, so the comb
+extracts them once, on first use, and keeps them (`Comb.patterns`); the
+instance only validates the comb.  `classify` validates it and hands both
+patterns over in a `CombClass`, which reads every flag, condition and
+note off them; `extract_pattern` validates it and hands over one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .constraints import ConstraintKind, LinearInequality
@@ -63,6 +65,12 @@ class Comb:
     @property
     def t(self) -> int:
         return len(self.teeth)
+
+    @cached_property
+    def patterns(self) -> tuple[IntersectionPattern, IntersectionPattern]:
+        """Both orientations' patterns, extracted on first use; read them
+        only once the comb is validated (`classify`, `extract_pattern`)."""
+        return (_pattern(self, swap_classes=False), _pattern(self, swap_classes=True))
 
     def toothed(self) -> frozenset[VertexId]:
         out: set[VertexId] = set()
@@ -194,11 +202,11 @@ def extract_pattern(
 ) -> IntersectionPattern:
     """Counts (p, q, s_i, r_i, w, y) with the canonical tooth reordering."""
     require_valid(instance, comb)
-    return _pattern(comb, swap_classes)
+    return comb.patterns[1 if swap_classes else 0]
 
 
 def _pattern(comb: Comb, swap_classes: bool) -> IntersectionPattern:
-    """`extract_pattern` on a comb already validated."""
+    """One orientation of `Comb.patterns`."""
     cls_one = CLASS2 if swap_classes else CLASS1
     h1 = frozenset(v for v in comb.hand if v.cls == cls_one)
     h2 = comb.hand - h1
@@ -293,11 +301,9 @@ class CombClass:
 
 
 def classify(instance: BipartiteInstance, comb: Comb) -> CombClass:
-    """Validate the comb once and extract both orientations' patterns."""
+    """Validate the comb and hand over its two patterns."""
     require_valid(instance, comb)
-    return CombClass(
-        (_pattern(comb, swap_classes=False), _pattern(comb, swap_classes=True))
-    )
+    return CombClass(comb.patterns)
 
 
 def comb_value(

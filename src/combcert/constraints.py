@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Literal, Mapping
 from . import _kernels
 from .errors import EnumerationCapError
 from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
-from .rational import common_denominator, exact_value
+from .rational import exact_value, scale_to_ints
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -109,14 +109,20 @@ def evaluate(
     return value, satisfied
 
 
+def _degree_kind(mode: DegreeMode) -> ConstraintKind:
+    """A degree row's kind in `mode`; another mode, unhashable too, raises."""
+    if mode in ("le", "eq"):
+        return ConstraintKind.DEGREE_LE2 if mode == "le" else ConstraintKind.DEGREE_EQ2
+    raise ValueError(f"mode must be 'le' or 'eq', got {mode!r}")
+
+
 def degree_constraint(
     instance: BipartiteInstance, vertex: VertexId, mode: DegreeMode = "le"
 ) -> LinearInequality:
-    kind = ConstraintKind.DEGREE_LE2 if mode == "le" else ConstraintKind.DEGREE_EQ2
     return LinearInequality(
         {e: 1 for e in instance.incident(vertex)},
         2,
-        kind,
+        _degree_kind(mode),
         f"degree({instance.label(vertex)})",
     )
 
@@ -125,8 +131,7 @@ def gen_degree(
     instance: BipartiteInstance, mode: DegreeMode = "le"
 ) -> list[LinearInequality]:
     """One degree row per vertex, in class-1-then-class-2 order."""
-    if mode not in ("le", "eq"):
-        raise ValueError(f"mode must be 'le' or 'eq', got {mode!r}")
+    _degree_kind(mode)
     return [degree_constraint(instance, v, mode) for v in instance.vertices()]
 
 
@@ -195,12 +200,11 @@ def scan_inputs(
     the common denominator of the weights.
     """
     weighted = [(e, w) for e, w in point.items() if w != 0]
-    denom = common_denominator(w for _, w in weighted)
+    scaled, denom = scale_to_ints(w for _, w in weighted)
     masks = [
         (1 << instance.global_index(e.u)) | (1 << instance.global_index(e.v))
         for e, _ in weighted
     ]
-    scaled = [int(w * denom) for _, w in weighted]
     return masks, scaled, denom
 
 

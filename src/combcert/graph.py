@@ -17,6 +17,8 @@ same contents: ``VertexId(1, 0) == (1, 0)``.
 
 A weighting (`FractionalPoint`) is a candidate point of the relaxation:
 a sparse map from existing edges to rationals, absent edges fixed to 0.
+A weight is given as an int or a `Fraction` (`rational.exact_value`
+refuses a float, a bool or a string) and stored as a `Fraction`.
 Weights are normally in [0, 1] but the constructor does not enforce it;
 bound violations are the feasibility checker's job to report.
 
@@ -32,6 +34,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import UnknownEdgeError, UnknownVertexError
+from .rational import exact_value
 
 CLASS1 = 1
 CLASS2 = 2
@@ -229,13 +232,13 @@ class FractionalPoint:
 
     __slots__ = ("instance", "_weights")
 
-    def __init__(self, instance: BipartiteInstance, weights: Mapping[Edge, object]):
+    def __init__(self, instance: BipartiteInstance, weights: Mapping[Edge, int | Fraction]):
         self.instance = instance
         store: dict[Edge, Fraction] = {}
         for e, w in weights.items():
             if e not in instance.edges:
                 raise UnknownEdgeError(f"edge {e} is not in the instance")
-            store[e] = Fraction(w)
+            store[e] = Fraction(exact_value(w, "edge weight"))
         self._weights = store
 
     @classmethod
@@ -264,10 +267,10 @@ class FractionalPoint:
     def __repr__(self) -> str:
         return f"FractionalPoint({len(self._weights)} weighted edges)"
 
-    def replace(self, edge: Edge, weight) -> "FractionalPoint":
+    def replace(self, edge: Edge, weight: int | Fraction) -> "FractionalPoint":
         """A copy with one weight changed (points themselves are immutable)."""
         new = dict(self._weights)
-        new[edge] = Fraction(weight)
+        new[edge] = weight
         return FractionalPoint(self.instance, new)
 
 

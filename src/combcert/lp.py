@@ -61,6 +61,7 @@ from .constraints import (
     DEFAULT_ENUMERATION_CAP,
     DegreeMode,
     LinearInequality,
+    _degree_kind,
     gen_degree,
     gen_secs,
     scan_inputs,
@@ -69,7 +70,7 @@ from .constraints import (
 )
 from .errors import CombcertError, EnumerationCapError
 from .graph import BipartiteInstance, Edge, FractionalPoint
-from .rational import common_denominator, exact_value
+from .rational import exact_value, scale_to_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -213,11 +214,10 @@ def _audit_duality(rows, variables, objective, optimum, dual) -> None:
             if y < 0 and not row.is_equality:
                 raise CombcertError(f"negative dual multiplier on {row.provenance}")
             support.append((y, row))
-    scale = common_denominator(y for y, _ in support)
+    multipliers, scale = scale_to_ints(y for y, _ in support)
     combined: dict[Edge, int | Fraction] = {}
     total = 0
-    for y, row in support:
-        multiplier = y.numerator * (scale // y.denominator)
+    for multiplier, (_, row) in zip(multipliers, support):
         for e, c in row.coeffs.items():
             combined[e] = combined.get(e, 0) + multiplier * c
         total += multiplier * row.rhs
@@ -536,8 +536,7 @@ def is_implied(
     n = instance.num_vertices
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError("subtour enumeration", n, DEFAULT_ENUMERATION_CAP)
-    if mode not in ("le", "eq"):
-        raise ValueError(f"mode must be 'le' or 'eq', got {mode!r}")
+    _degree_kind(mode)  # before `_prepared`, whose lookup hashes the mode
     solution = solve(instance, target.coeffs, _prepared(instance, mode, bool(lazy)), lazy)
     if solution.status != OPTIMAL:
         raise CombcertError(f"relaxation LP ended {solution.status}")

@@ -76,9 +76,11 @@ def exact_value(value, where: str) -> int | Fraction:
     raise TypeError(f"{where}: expected an int or a Fraction, got {value!r}")
 
 
-def common_denominator(values) -> int:
-    """lcm of the denominators of ints and Fractions; 1 for an empty collection."""
-    result = 1
+def scale_to_ints(values) -> tuple[list[int], int]:
+    """(each value times D, D) for ints and Fractions, D the lcm of their
+    denominators (1 for none): v * D is v.numerator * (D // v.denominator)."""
+    values = list(values)
+    scale = 1
     for v in values:
-        result = lcm(result, v.denominator)
-    return result
+        scale = lcm(scale, v.denominator)
+    return [v.numerator * (scale // v.denominator) for v in values], scale

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .certificates import BUILDERS, verify
+from .certificates import BUILDERS, certify, verify
 from .combs import Comb, classify, comb_inequality, twice_toothless_bound, validate_comb
 from .constraints import DEFAULT_ENUMERATION_CAP
 from .errors import CombcertError, EnumerationCapError
@@ -257,14 +257,11 @@ def run_search(config: ExperimentConfig) -> dict:
     for k in range(config.comb_count):
         family = config.families[k % len(config.families)]
         comb = sample_comb(rng, instance, family, config.orientation_policy)
-        flags = classify(instance, comb)
         entry = {"index": k, "family": family, "comb": dump_comb(comb, instance)}
-        builders = flags.builder_names()
-        if builders:
-            name = builders[0]
-            cert = BUILDERS[name](instance, comb, _classified=flags)
+        cert = certify(instance, comb)
+        if cert is not None:
             report = verify(instance, cert)
-            entry["builder"] = name
+            entry["builder"] = cert.builder
             entry["dominates"] = report.dominates
             if report.dominates:
                 findings["certified"].append(entry)

@@ -9,29 +9,29 @@ reflection.
 
 Inside this module a tour is a tuple of indices into
 `BipartiteInstance.sorted_edges`, in tour order; `Tour` objects are built
-only for callers of `enumerate_tours`.  `_edge_tours` fills the table of those
-indices by (class-1, class-2) vertex pair and hands it to
-`_kernels.hamiltonian_cycles`, which returns the tuples themselves: entry
-2k is the edge a_k b_k and entry 2k + 1 the edge b_k a_{k+1}, for the
-tour a_0 = 0, b_0, a_1, ..., b_{n-1} with b_0 < b_{n-1}.  Its list order,
-lexicographic in those vertex sequences, is the canonical order that
-`_stride_order` reads.
+only for callers of `enumerate_tours`.  `_tour_set`, the one enumeration,
+fills the table of those indices by (class-1, class-2) vertex pair and
+hands it to `_kernels.hamiltonian_cycles`, which returns the tuples
+themselves: entry 2k is the edge a_k b_k and entry 2k + 1 the edge
+b_k a_{k+1}, for the tour a_0 = 0, b_0, a_1, ..., b_{n-1} with
+b_0 < b_{n-1}.  Its list order, lexicographic in those vertex sequences,
+is the canonical order that `_stride_order` reads.
 
-Tours are enumerated once per instance: `facet_test`,
-`polytope_dimension` and `enumerate_tours` read the same tuple of those
-tuples, in that order, from `_tour_set`, which keeps the sets of the last
-`TOUR_SETS_KEPT` instances (equal instances share one; about 6 MiB each
-in the worst case, the 43,200 tours of K_{6,6}).  The cap check and the
-"no tours" log run on every call, before the kept set is read.  Only the
-tours are kept: the polytope is still ranked on every `facet_test` call.
+Tours are enumerated once per instance: `_tour_set` keeps the tuple of
+those tuples for the last `TOUR_SETS_KEPT` instances (equal instances
+share one; about 6 MiB each in the worst case, the 43,200 tours of
+K_{6,6}).  `_tours` is the one way to them that `facet_test`,
+`polytope_dimension` and `enumerate_tours` take: on every call, before the
+kept set is read, it logs unequal classes and gives them no tours, and it
+refuses an instance past the cap.  Only the tours are kept: the polytope
+is still ranked on every `facet_test` call.
 
-`facet_test` evaluates a row on a tour as an integer sum.  A row holds
-ints when its values are integral, as every degree, subtour and comb row
-does, and then D = 1; otherwise the row is scaled by D, the lcm of the
-denominators of its coefficients and rhs.  Its value on a tour is the sum
-of the scaled coefficients at the tour's edge indices, compared exactly
-against rhs*D.  Coefficients on edges outside the instance are ignored,
-as in `value_on`.
+`facet_test` evaluates a row on a tour as an integer sum.  The row's
+nonzero coefficients and its rhs are scaled by D, the lcm of their
+denominators (`rational.scale_to_ints`; D = 1 on the integral degree,
+subtour and comb rows).  Its value on a tour is the sum of the scaled
+coefficients at the tour's edge indices, compared exactly against rhs*D.
+Coefficients on edges outside the instance are ignored, as in `value_on`.
 
 Dimension work is affine: the polytope dimension is the rank of the
 difference vectors between tour incidence vectors, computed by exact
@@ -67,7 +67,7 @@ from . import _kernels
 from .constraints import LinearInequality
 from .errors import EnumerationCapError, NoToursError
 from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
-from .rational import common_denominator
+from .rational import scale_to_ints
 
 log = logging.getLogger(__name__)
 
@@ -109,44 +109,35 @@ class FacetReport:
         }
 
 
-def _enumerable(instance: BipartiteInstance) -> bool:
-    """Whether the instance can have tours (logged when not); refuses an
-    instance past `DEFAULT_TOUR_CAP`."""
-    if not instance.tours_possible:
-        log.info(
-            "no tours: class sizes differ (%d vs %d)", instance.n1, instance.n2
-        )
-        return False
-    if instance.n1 > DEFAULT_TOUR_CAP:
-        raise EnumerationCapError("tour enumeration", instance.n1, DEFAULT_TOUR_CAP)
-    return True
+@lru_cache(maxsize=TOUR_SETS_KEPT)
+def _tour_set(instance: BipartiteInstance) -> tuple[tuple[int, ...], ...]:
+    """Every tour as indices into `instance.sorted_edges`, in the layout of
+    `_kernels.hamiltonian_cycles`, kept for the last `TOUR_SETS_KEPT`
+    instances.
 
-
-def _edge_tours(instance: BipartiteInstance) -> list[tuple[int, ...]]:
-    """Every tour as indices into `instance.sorted_edges`, in the layout
-    of `_kernels.hamiltonian_cycles`."""
-    if not _enumerable(instance):
-        return []
+    Equal instances share it.  Callers go through `_tours`.
+    """
     n = instance.n1
     position = [[-1] * n for _ in range(n)]  # [a][b] -> index of edge a b
     for k, e in enumerate(instance.sorted_edges):
         position[e.u.index][e.v.index] = k
-    return _kernels.hamiltonian_cycles(n, position)
-
-
-@lru_cache(maxsize=TOUR_SETS_KEPT)
-def _tour_set(instance: BipartiteInstance) -> tuple[tuple[int, ...], ...]:
-    """`_edge_tours`, kept for the last `TOUR_SETS_KEPT` instances.
-
-    Equal instances share it.  Callers go through `_tours`.
-    """
-    return tuple(_edge_tours(instance))
+    return tuple(_kernels.hamiltonian_cycles(n, position))
 
 
 def _tours(instance: BipartiteInstance) -> tuple[tuple[int, ...], ...]:
-    """The instance's tours, enumerated on its first call; the cap check
-    and the "no tours" log run on every call."""
-    return _tour_set(instance) if _enumerable(instance) else ()
+    """The instance's tours, enumerated on its first call.
+
+    On every call, unequal classes are logged and given no tours, and an
+    instance past `DEFAULT_TOUR_CAP` is refused.
+    """
+    if not instance.tours_possible:
+        log.info(
+            "no tours: class sizes differ (%d vs %d)", instance.n1, instance.n2
+        )
+        return ()
+    if instance.n1 > DEFAULT_TOUR_CAP:
+        raise EnumerationCapError("tour enumeration", instance.n1, DEFAULT_TOUR_CAP)
+    return _tour_set(instance)
 
 
 def enumerate_tours(instance: BipartiteInstance) -> Iterator[Tour]:
@@ -252,13 +243,11 @@ def facet_test(instance: BipartiteInstance, ineq: LinearInequality) -> FacetRepo
     """
     edges = instance.sorted_edges
     tours = _tours(instance)
-    if not tours:
-        raise NoToursError("instance has no Hamiltonian tour")
     polytope_dim = _affine_rank(tours, len(edges), _polytope_bound(instance))
 
-    scale = common_denominator([*ineq.coeffs.values(), ineq.rhs])
-    coef = [(ineq.coeffs.get(e, 0) * scale).numerator for e in edges]
-    rhs = (ineq.rhs * scale).numerator
+    (rhs, *nonzeros), _ = scale_to_ints([ineq.rhs, *ineq.coeffs.values()])
+    scaled = dict(zip(ineq.coeffs, nonzeros))
+    coef = [scaled.get(e, 0) for e in edges]
     equality = ineq.is_equality
     tight: list[tuple[int, ...]] = []
     for tour in tours:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from combcert.certificates import (
     Certificate,
     CertificateMember,
     aggregation_members,
+    certify,
     member_inequality,
     parity_audit,
 )
@@ -289,10 +291,14 @@ def test_one_builder_call_validates_once_and_extracts_two_patterns(monkeypatch):
     rng = random.Random(808)
     instance = BipartiteInstance.complete(5)
     for name, builder in BUILDERS.items():
-        comb = sample_comb(rng, instance, name.lower())
+        sampled = sample_comb(rng, instance, name.lower())
+        comb = Comb(sampled.hand, sampled.teeth)  # no patterns kept yet
         calls.update(validate=0, extract=0)
         builder(instance, comb)
         assert calls == {"validate": 1, "extract": 2}, name
+        # The comb keeps its patterns: a second call extracts nothing.
+        builder(instance, comb)
+        assert calls == {"validate": 2, "extract": 2}, name
 
 
 def test_builders_produce_only_primitive_members():
@@ -389,27 +395,61 @@ def test_certified_combs_hold_on_sampled_feasible_points(k33):
             assert ok
 
 
-def test_builders_given_the_classification_build_the_same_certificate():
-    instance = BipartiteInstance.complete(6)
-    rng = random.Random(5)
-    for k in range(40):
-        name = list(BUILDERS)[k % len(BUILDERS)]
-        comb = sample_comb(rng, instance, name.lower())
-        flags = classify(instance, comb)
-        assert BUILDERS[name](instance, comb, _classified=flags) == BUILDERS[name](instance, comb)
+def _first_admitting_builder(instance, comb):
+    """The certificate `cli certify --builder auto` and `run_search` built
+    before `certify`: the first of `builder_names()` through `BUILDERS`."""
+    names = classify(instance, comb).builder_names()
+    return BUILDERS[names[0]](instance, comb) if names else None
 
 
-def test_run_search_hands_its_classification_to_the_builder(monkeypatch):
-    """The builders never classify a comb that `run_search` classified."""
+@pytest.mark.parametrize("n", range(3, 11))
+def test_certify_builds_the_first_admitting_class(n):
+    instance = BipartiteInstance.complete(n)
+    rng = random.Random(1900 + n)
+    built = 0
+    for k in range(4 * len(FAMILIES)):
+        comb = sample_comb(rng, instance, FAMILIES[k % len(FAMILIES)])
+        expected = _first_admitting_builder(instance, Comb(comb.hand, comb.teeth))
+        assert certify(instance, comb) == expected
+        built += expected is not None
+    assert built >= 4 * (len(FAMILIES) - 1)
 
-    def refuse(instance, comb):
-        raise AssertionError("the builder classified the comb again")
 
-    monkeypatch.setattr(certificates, "classify", refuse)
+def test_run_search_classifies_a_certified_comb_twice_and_extracts_it_once(monkeypatch):
+    """Per certified comb: the sampler's classification and `certify`'s,
+    and one extraction of each orientation, which the comb keeps."""
+    from combcert import combs, search
+
+    seen = []  # every comb counted, kept alive so that no id is reused
+    classified, extracted, sampled = Counter(), Counter(), []
+    classify, pattern, sample = combs.classify, combs._pattern, search.sample_comb
+
+    def counted_classify(instance, comb):
+        seen.append(comb)
+        classified[id(comb)] += 1
+        return classify(instance, comb)
+
+    def counted_pattern(comb, swap_classes):
+        seen.append(comb)
+        extracted[id(comb), swap_classes] += 1
+        return pattern(comb, swap_classes)
+
+    def recorded_sample(*args):
+        sampled.append(sample(*args))
+        return sampled[-1]
+
+    for module in (combs, certificates, search):
+        monkeypatch.setattr(module, "classify", counted_classify)
+    monkeypatch.setattr(combs, "_pattern", counted_pattern)
+    monkeypatch.setattr(search, "sample_comb", recorded_sample)
     families = tuple(name.lower() for name in BUILDERS)
     config = ExperimentConfig(seed=0, size=6, comb_count=len(families), families=families)
     findings = run_search(config)
-    assert len(findings["certified"]) == len(families) and not findings["failures"]
+    assert len(findings["certified"]) == len(sampled) == len(families)
+    assert not findings["failures"]
+    for comb in sampled:
+        assert classified[id(comb)] <= 2
+        assert extracted[id(comb), False] == extracted[id(comb), True] == 1
 
 
 def _mutants(instance, cert, rng):

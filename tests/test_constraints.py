@@ -13,6 +13,7 @@ from combcert import (
     LinearInequality,
     check_point,
     comb_inequality,
+    degree_constraint,
     enumerate_tours,
     evaluate,
     gen_degree,
@@ -41,6 +42,17 @@ def test_gen_degree_k22():
 def test_gen_degree_table1(table1):
     instance, _, _ = table1
     assert len(gen_degree(instance)) == 8
+
+
+def test_a_bad_degree_mode_is_refused(k33):
+    v = next(k33.vertices())
+    assert degree_constraint(k33, v).kind is ConstraintKind.DEGREE_LE2
+    assert degree_constraint(k33, v, "eq").kind is ConstraintKind.DEGREE_EQ2
+    for mode in ("bogus", "ge", "", None, ["le"]):
+        with pytest.raises(ValueError, match="mode must be"):
+            degree_constraint(k33, v, mode)
+        with pytest.raises(ValueError, match="mode must be"):
+            gen_degree(k33, mode)
 
 
 def test_gen_degree_eq_mode_two_thirds_point(k33):

@@ -89,6 +89,19 @@ def test_point_rejects_foreign_edge(table1):
         FractionalPoint(instance, {stray: 1})
 
 
+def test_point_takes_only_ints_and_fractions(table1):
+    instance, point, _ = table1
+    edge = next(iter(instance.edges))
+    exact = FractionalPoint(instance, {edge: 1})
+    assert type(exact.weight(edge)) is Fraction and exact.weight(edge) == 1
+    assert type(point.replace(edge, 0).weight(edge)) is Fraction
+    for bad in (0.1, 0.5, "1/2", True, None, 1 + 0j):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            FractionalPoint(instance, {edge: bad})
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            point.replace(edge, bad)
+
+
 def test_point_allows_out_of_bound_weights(table1):
     # Bounds are checked by the feasibility checker, not at construction.
     instance, point, _ = table1
