@@ -60,7 +60,6 @@ admits the comb, built through its `BUILDERS` entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping
 
@@ -105,8 +104,8 @@ class Certificate:
 @dataclass(frozen=True)
 class CertificateReport:
     dominates: bool
-    slack: Fraction
-    edge_surplus: Mapping[Edge, Fraction]
+    slack: int
+    edge_surplus: Mapping[Edge, int]
     problems: tuple[str, ...]
 
 
@@ -246,8 +245,8 @@ def verify(instance: BipartiteInstance, certificate: Certificate) -> Certificate
     `support` with rhs 2, a sec member the instance edges inside its set
     with rhs |S| - 1.  The per-edge sums and the aggregate rhs are
     recomputed in ints, and the target comb row is rebuilt (and the comb
-    validated) from the comb.  The report's slack and surplus values are
-    `Fraction`s.
+    validated) from the comb.  The report keeps the slack and surplus
+    values as it computes them, ints, since a comb row is integral.
     """
     target = comb_inequality(instance, certificate.comb)
 
@@ -286,8 +285,8 @@ def verify(instance: BipartiteInstance, certificate: Certificate) -> Certificate
 
     return CertificateReport(
         dominates=not problems,
-        slack=Fraction(slack),
-        edge_surplus={e: Fraction(gap) for e, gap in surplus.items()},
+        slack=slack,
+        edge_surplus=surplus,
         problems=tuple(problems),
     )
 
@@ -305,23 +304,21 @@ class ParityAudit:
     forces at least one slack to be >= 0.
     """
 
-    target_rhs: Fraction
-    aggregate_rhs: tuple[Fraction, Fraction]
-    slack: tuple[Fraction, Fraction]
-    doubled_margins: tuple[Fraction, Fraction]
-    slack_sum_expected: Fraction
+    target_rhs: int
+    aggregate_rhs: tuple[int, int]
+    slack: tuple[int, int]
+    doubled_margins: tuple[int, int]
+    slack_sum_expected: int
 
 
 def parity_audit(instance: BipartiteInstance, comb: Comb) -> ParityAudit:
     pats = classify(instance, comb).patterns
     if not CLASSES["T2"].admits(pats):
         raise HypothesisNotMetError("parity audit needs one-class-per-tooth combs")
-    target = Fraction(comb_rhs(comb))
-    aggs = tuple(
-        Fraction(aggregation_members(instance, comb, pat)[1]) for pat in pats
-    )
+    target = comb_rhs(comb)
+    aggs = tuple(aggregation_members(instance, comb, pat)[1] for pat in pats)
     slacks = tuple(target - agg for agg in aggs)
-    expected = Fraction(sum(pats[0].s) + pats[0].trailing_r_sum() - 1)
+    expected = sum(pats[0].s) + pats[0].trailing_r_sum() - 1
     return ParityAudit(
         target_rhs=target,
         aggregate_rhs=aggs,

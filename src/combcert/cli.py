@@ -27,7 +27,7 @@ from .tables import reproduce_tables
 from .tours import facet_test
 
 
-def _approx(value: Fraction) -> str:
+def _approx(value: int | Fraction) -> str:
     """The exact rational plus a decimal reading when it is fractional.
 
     The reading is rounded to six decimals in integer arithmetic, so a

@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple
 from .constraints import ConstraintKind, LinearInequality
 from .errors import InvalidCombError
 from .graph import CLASS1, CLASS2, BipartiteInstance, FractionalPoint, VertexId, set_weight
-from .rational import format_rational
+from .rational import format_rational, normal
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,10 @@ class IntersectionPattern:
     def trailing_r_sum(self) -> int:
         return sum(self.r[self.p:])
 
-    def condition_bound(self) -> Fraction:
-        """Right side of the toothless-vertex condition, kept as a rational."""
+    def condition_bound(self) -> int | Fraction:
+        """Right side of the toothless-vertex condition, kept exact."""
         twice = twice_toothless_bound(self.y, self.p, self.q, self.trailing_r_sum())
-        return Fraction(twice, 2)
+        return normal(Fraction(twice, 2))
 
     def condition_holds(self) -> bool:
         """w <= `condition_bound`, compared doubled, in ints."""
@@ -306,12 +306,7 @@ def classify(instance: BipartiteInstance, comb: Comb) -> CombClass:
     return CombClass(comb.patterns)
 
 
-def comb_value(
-    point: FractionalPoint, comb: Comb
-) -> Fraction:
+def comb_value(point: FractionalPoint, comb: Comb) -> int | Fraction:
     """x(H) + sum_i x(T_i) at the point (left side of the comb row)."""
-    total = set_weight(point, comb.hand)
-    for tooth in comb.teeth:
-        total += set_weight(point, tooth)
-    return total
+    return normal(sum(set_weight(point, part) for part in (comb.hand, *comb.teeth)))
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Literal, Mapping
 from . import _kernels
 from .errors import EnumerationCapError
 from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
-from .rational import exact_value, scale_to_ints
+from .rational import exact_value, normal, scale_to_ints
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -60,8 +60,8 @@ class LinearInequality:
     The relation is <= for every kind except DEGREE_EQ2 (equality); lower
     bounds are stored negated (-x_e <= 0) so the relation never flips.
     Zero coefficients are dropped.  Each coefficient and the rhs is stored
-    as a plain int when it is integral and as a `Fraction` otherwise, the
-    rule the LP tableau follows too, so the degree, subtour, bound and comb
+    in the package's one form (`rational.exact_value`: an int when
+    integral, else a `Fraction`), so the degree, subtour, bound and comb
     rows hold ints only.  Anything but an int or a Fraction raises
     `TypeError`.
     """
@@ -74,7 +74,7 @@ class LinearInequality:
     def __post_init__(self):
         coeffs = {}
         for e, c in self.coeffs.items():
-            c = exact_value(c, f"coefficient of edge {e}")
+            c = exact_value(c, "coefficient of edge", e)
             if c:
                 coeffs[e] = c
         object.__setattr__(self, "coeffs", coeffs)
@@ -84,10 +84,8 @@ class LinearInequality:
     def is_equality(self) -> bool:
         return self.kind is ConstraintKind.DEGREE_EQ2
 
-    def value_on(self, point: FractionalPoint) -> Fraction:
-        return sum(
-            (c * point.weight(e) for e, c in self.coeffs.items()), Fraction(0)
-        )
+    def value_on(self, point: FractionalPoint) -> int | Fraction:
+        return normal(sum(c * point.weight(e) for e, c in self.coeffs.items()))
 
     def __repr__(self) -> str:
         rel = "==" if self.is_equality else "<="
@@ -97,12 +95,12 @@ class LinearInequality:
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
-    violations: tuple[tuple[LinearInequality, Fraction], ...]
+    violations: tuple[tuple[LinearInequality, int | Fraction], ...]
 
 
 def evaluate(
     ineq: LinearInequality, point: FractionalPoint
-) -> tuple[Fraction, bool]:
+) -> tuple[int | Fraction, bool]:
     """Value of the row at the point, and whether the relation holds."""
     value = ineq.value_on(point)
     satisfied = value == ineq.rhs if ineq.is_equality else value <= ineq.rhs
@@ -226,7 +224,7 @@ def check_point(
         raise ValueError("point does not belong to this instance")
     n = instance.num_vertices
 
-    violations: list[tuple[LinearInequality, Fraction]] = []
+    violations: list[tuple[LinearInequality, int | Fraction]] = []
 
     for row in gen_degree(instance, mode):
         value, ok = evaluate(row, point)
@@ -251,7 +249,7 @@ def check_point(
         value = sum(w for m, w in zip(masks, scaled) if m & subset == m)
         if value > denom * (size - 1):
             row = sec_constraint(instance, instance.vertices_in(subset))
-            violations.append((row, Fraction(value, denom)))
+            violations.append((row, normal(Fraction(value, denom))))
 
     violations.sort(key=lambda item: item[0].provenance)
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))

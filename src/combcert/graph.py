@@ -18,7 +18,10 @@ same contents: ``VertexId(1, 0) == (1, 0)``.
 A weighting (`FractionalPoint`) is a candidate point of the relaxation:
 a sparse map from existing edges to rationals, absent edges fixed to 0.
 A weight is given as an int or a `Fraction` (`rational.exact_value`
-refuses a float, a bool or a string) and stored as a `Fraction`.
+refuses a float, a bool or a string) and stored, like every value of
+the package, as an int when integral and a `Fraction` otherwise; an
+absent edge reads 0.  `degree` and `set_weight` return their sums in
+the same form.
 Weights are normally in [0, 1] but the constructor does not enforce it;
 bound violations are the feasibility checker's job to report.
 
@@ -34,7 +37,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import UnknownEdgeError, UnknownVertexError
-from .rational import exact_value
+from .rational import exact_value, normal
 
 CLASS1 = 1
 CLASS2 = 2
@@ -234,23 +237,23 @@ class FractionalPoint:
 
     def __init__(self, instance: BipartiteInstance, weights: Mapping[Edge, int | Fraction]):
         self.instance = instance
-        store: dict[Edge, Fraction] = {}
+        store: dict[Edge, int | Fraction] = {}
         for e, w in weights.items():
             if e not in instance.edges:
                 raise UnknownEdgeError(f"edge {e} is not in the instance")
-            store[e] = Fraction(exact_value(w, "edge weight"))
+            store[e] = exact_value(w, "edge weight")
         self._weights = store
 
     @classmethod
     def from_unit_edges(
         cls, instance: BipartiteInstance, edges: Iterable[Edge]
     ) -> "FractionalPoint":
-        return cls(instance, {e: Fraction(1) for e in edges})
+        return cls(instance, dict.fromkeys(edges, 1))
 
-    def weight(self, edge: Edge) -> Fraction:
-        return self._weights.get(edge, Fraction(0))
+    def weight(self, edge: Edge) -> int | Fraction:
+        return self._weights.get(edge, 0)
 
-    def items(self) -> Iterator[tuple[Edge, Fraction]]:
+    def items(self) -> Iterator[tuple[Edge, int | Fraction]]:
         return iter(sorted(self._weights.items()))
 
     def support(self) -> frozenset[Edge]:
@@ -274,16 +277,12 @@ class FractionalPoint:
         return FractionalPoint(self.instance, new)
 
 
-def degree(point: FractionalPoint, vertex: VertexId) -> Fraction:
+def degree(point: FractionalPoint, vertex: VertexId) -> int | Fraction:
     """Sum of the weights of the edges incident with `vertex`."""
-    point.instance.require_vertex(vertex)
-    return sum(
-        (point.weight(e) for e in point.instance.incident(vertex)),
-        Fraction(0),
-    )
+    return normal(sum(map(point.weight, point.instance.incident(vertex))))
 
 
-def set_weight(point: FractionalPoint, vertices: Iterable[VertexId]) -> Fraction:
+def set_weight(point: FractionalPoint, vertices: Iterable[VertexId]) -> int | Fraction:
     """Total weight of the edges with both endpoints in `vertices`, read
     off `BipartiteInstance.edges_within`."""
-    return sum(map(point.weight, point.instance.edges_within(vertices)), Fraction(0))
+    return normal(sum(map(point.weight, point.instance.edges_within(vertices))))

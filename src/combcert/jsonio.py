@@ -92,7 +92,7 @@ def load_instance(source) -> tuple[BipartiteInstance, FractionalPoint]:
         raise FormatError("class1/class2", "labels must be unique")
     skeleton = BipartiteInstance(tuple(class1), tuple(class2), frozenset())
 
-    edges: dict[Edge, Fraction] = {}
+    edges: dict[Edge, int | Fraction] = {}
     for key, raw in weights_doc.items():
         field = f"weights[{key!r}]"
         edge = parse_edge_key(skeleton, key, field)

@@ -28,12 +28,13 @@ min cut (Padberg & Wolsey, "Trees and cuts", 1983), run by
 vertices.  Every optimum read, cold or warm,
 yields its dual vector, which is re-checked against the original rows by
 `_audit_duality` (dual feasibility plus equal objective).  The optimum
-and the dual are read as the tableau stores them, ints where integral,
-and the audit checks them in integers: it scales the dual by the lcm of
-its denominators, so on the integral degree, subtour and box rows every
-product and sum it forms is a plain int, and it compares them with the
-scaled objective and optimum.  The `LpSolution` a call returns converts
-its optimum and dual to `Fraction`s once.  The cold run over the final
+and the dual are read as the tableau stores them, in the package's one
+number form (`rational.normal`: an int when integral, else a
+`Fraction`), and the audit checks them in integers: it scales the dual
+by the lcm of its denominators, so on the integral degree, subtour and
+box rows every product and sum it forms is a plain int, and it compares
+them with the scaled objective and optimum.  The `LpSolution` a call
+returns holds them as read.  The cold run over the final
 rows is the reference that warm rounds are tested against: both end at
 the same exact optimum.
 
@@ -70,12 +71,11 @@ from .constraints import (
 )
 from .errors import CombcertError, EnumerationCapError
 from .graph import BipartiteInstance, Edge, FractionalPoint
-from .rational import exact_value, scale_to_ints
+from .rational import exact_value, normal, scale_to_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-_ZERO = Fraction(0)
 
 # Relaxations `is_implied` keeps prepared: one instance's two degree modes
 # under both drivers.
@@ -84,22 +84,14 @@ RELAXATIONS_KEPT = 4
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A `solve` outcome; the optimum and the dual are `Fraction`s, each
-    converted once here from the int-or-Fraction values the tableau holds."""
+    """A `solve` outcome; the optimum and the dual are as the tableau reads them."""
 
     status: str
-    objective_value: Fraction | None
+    objective_value: int | Fraction | None
     point: FractionalPoint | None
-    dual: tuple[Fraction, ...] | None  # aligned with `rows`
+    dual: tuple[int | Fraction, ...] | None  # aligned with `rows`
     rows: tuple[LinearInequality, ...]  # given rows, then cuts, then box rows
     rounds: int  # optima read: 1 per cold solve, +1 per cut
-
-    def __post_init__(self):
-        if self.objective_value is not None:
-            object.__setattr__(self, "objective_value", Fraction(self.objective_value))
-        if self.dual is not None:
-            dual = tuple(Fraction(y) if y else _ZERO for y in self.dual)
-            object.__setattr__(self, "dual", dual)
 
 
 class _Relaxation:
@@ -153,7 +145,7 @@ def solve(
     for e, c in objective.items():
         if e not in instance.edges:
             raise ValueError(f"objective names edge {e} outside the instance")
-        c = exact_value(c, f"objective coefficient of edge {e}")
+        c = exact_value(c, "objective coefficient of edge", e)
         if c:
             costs[e] = c
     if isinstance(rows, _Relaxation):
@@ -173,7 +165,7 @@ def solve(
     rounds = 0
     while status == OPTIMAL:
         assignment = tableau.primal_values()
-        value = sum(costs.get(e, 0) * x for e, x in assignment.items())
+        value = normal(sum(costs.get(e, 0) * x for e, x in assignment.items()))
         dual = tableau.dual_values()
         _audit_duality(tableau_rows, variables, costs, value, dual)
         point = FractionalPoint(instance, assignment)
@@ -228,19 +220,12 @@ def _audit_duality(rows, variables, objective, optimum, dual) -> None:
         raise CombcertError("dual objective does not match the optimum")
 
 
-def _exact(value):
-    """`value` as an int when it is integral, else as the Fraction it is."""
-    if value.__class__ is int or value.denominator != 1:
-        return value
-    return value.numerator
-
-
 def _subtract(target: dict, factor, row: dict) -> None:
     """target -= factor * row, on sparse rows: zeros are dropped."""
     for k, v in row.items():
         t = target.get(k, 0) - factor * v
-        if t.__class__ is not int and t.denominator == 1:  # `_exact`, inlined here
-            t = t.numerator
+        if t.__class__ is not int:  # an int is in `normal` form already
+            t = normal(t)
         if t:
             target[k] = t
         else:
@@ -251,9 +236,9 @@ class _Tableau:
     """Sparse exact simplex tableau: two phases cold, dual simplex per cut.
 
     Each row, and the reduced-cost row `cbar`, is a {column: value} dict
-    of its nonzeros.  A value is an int when it is integral and a
-    Fraction otherwise, the rule `LinearInequality` stores its
-    coefficients and rhs by, so a row's values enter the tableau as they
+    of its nonzeros.  Every value is in the package's one form
+    (`rational.normal`), the form `LinearInequality` stores its
+    coefficients and rhs in, so a row's values enter the tableau as they
     are; pivots divide through `Fraction` only, so no float ever appears.
     Columns are the structurals 0..n-1 (the problem's
     variables), then one slack per inequality row, then one artificial per
@@ -351,7 +336,7 @@ class _Tableau:
         """Phase 1 unless done already, then phase 2 for `objective`."""
         if not self.phase_one():
             return INFEASIBLE
-        self._price_out({self.column[e]: _exact(c) for e, c in objective.items() if c})
+        self._price_out({self.column[e]: normal(c) for e, c in objective.items() if c})
         return self._primal()
 
     def add_row(self, row: LinearInequality) -> str:
@@ -362,7 +347,7 @@ class _Tableau:
             factor = entries.get(col)
             if factor:
                 _subtract(entries, factor, self.rows[i])
-                rhs = _exact(rhs - factor * self.rhs[i])
+                rhs = normal(rhs - factor * self.rhs[i])
         slack = self.next_column
         self.next_column += 1
         entries[slack] = 1
@@ -383,15 +368,15 @@ class _Tableau:
         row = self.rows[r]
         pivot = row[j]
         if pivot != 1:
-            inverse = -1 if pivot == -1 else Fraction(1) / pivot
-            row = self.rows[r] = {k: _exact(v * inverse) for k, v in row.items()}
-            self.rhs[r] = _exact(self.rhs[r] * inverse)
+            inverse = -1 if pivot == -1 else Fraction(1, pivot)
+            row = self.rows[r] = {k: normal(v * inverse) for k, v in row.items()}
+            self.rhs[r] = normal(self.rhs[r] * inverse)
         b = self.rhs[r]
         for i, other in enumerate(self.rows):
             factor = other.get(j)
             if factor and i != r:
                 _subtract(other, factor, row)
-                self.rhs[i] = _exact(self.rhs[i] - factor * b)
+                self.rhs[i] = normal(self.rhs[i] - factor * b)
         factor = self.cbar.get(j)
         if factor:
             _subtract(self.cbar, factor, row)
@@ -480,10 +465,10 @@ class _Tableau:
 @dataclass(frozen=True)
 class ImplicationResult:
     status: str  # "implied" | "violated"
-    optimum: Fraction
-    target_rhs: Fraction
+    optimum: int | Fraction
+    target_rhs: int | Fraction
     witness: FractionalPoint | None
-    dual_rows: tuple[tuple[LinearInequality, Fraction], ...] | None
+    dual_rows: tuple[tuple[LinearInequality, int | Fraction], ...] | None
     rounds: int
     rows_used: int
 
@@ -544,7 +529,7 @@ def is_implied(
     return ImplicationResult(
         status="implied" if implied else "violated",
         optimum=solution.objective_value,
-        target_rhs=Fraction(target.rhs),
+        target_rhs=target.rhs,
         witness=None if implied else solution.point,
         dual_rows=tuple(compress(zip(solution.rows, solution.dual), solution.dual))
         if implied

@@ -1,11 +1,16 @@
 """Exact rational scalars and their wire format.
 
-All quantities in this package are exact: a `fractions.Fraction`, or a
-plain int where the value is integral (row coefficients and right-hand
-sides, tableau entries); nothing is ever a float.  Counterexample margins in this problem family are exact halves,
-so any rounding would be fatal.  On the wire a rational is the string
-"[+-]digits" or "[+-]digits/digits" (`format_rational` writes "p/q"
-reduced with q > 0, or a plain integer), or a JSON integer.
+Every value this package holds or returns is in one exact form: a plain
+int when it is integral, else the `fractions.Fraction` it is (with a
+denominator above 1); nothing is ever a float.  Counterexample margins
+in this problem family are exact halves, so any rounding would be fatal.
+This module is the one place that knows the form: `exact_value` checks a
+value from outside and puts it in the form, and `normal` puts the result
+of exact arithmetic on values already in it back in the form.
+
+On the wire a rational is the string "[+-]digits" or "[+-]digits/digits"
+(`format_rational` writes "p/q" reduced with q > 0, or a plain integer),
+or a JSON integer; `parse_rational` reads it into the form.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from math import lcm
 _WIRE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "[+-]digits" or "[+-]digits/digits" strings, or an int.
+def parse_rational(text) -> int | Fraction:
+    """Parse "[+-]digits" or "[+-]digits/digits" strings, or an int, into
+    the package's form.
 
     Nothing else is read.  A bool is refused: it is an int in Python, but
     JSON `true` is no number.  Floats, exponents, decimals, underscores and
@@ -27,15 +33,15 @@ def parse_rational(text) -> Fraction:
     otherwise expand to a ten-million-bit integer.
     """
     if isinstance(text, Fraction):
-        return text
+        return normal(text)
     if isinstance(text, bool):
         raise ValueError(f"booleans are not rationals: {text!r}")
     if isinstance(text, int):
-        return Fraction(text)
+        return text
     if not isinstance(text, str) or not _WIRE.fullmatch(text):
         raise ValueError(f"not a rational: {text!r}")
     try:
-        return Fraction(text)
+        return normal(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
         raise ValueError(f"not a rational: {text!r}") from exc
 
@@ -54,7 +60,7 @@ def _digits(n: int) -> str:
     return str(n) + "".join(reversed(pieces))
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: int | Fraction) -> str:
     """The wire form of `value`, exact at any size."""
     value = Fraction(value)
     if value.denominator == 1:
@@ -62,18 +68,29 @@ def format_rational(value: Fraction) -> str:
     return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
-def exact_value(value, where: str) -> int | Fraction:
-    """`value` as an int when it is integral, else as the Fraction it is.
+def normal(value: int | Fraction) -> int | Fraction:
+    """`value`, an int or a Fraction, as an int when it is integral, else
+    as the Fraction it is.  Unchecked: it is for the results of exact
+    arithmetic, not for values from outside (`exact_value`)."""
+    if value.__class__ is int or value.denominator != 1:
+        return value
+    return value.numerator
 
-    Only an int or a Fraction is taken: a float, a bool, a string or None
-    raises `TypeError` naming `where`, although `Fraction()` itself would
-    read most of them.
+
+def exact_value(value, *where) -> int | Fraction:
+    """`value` in the package's form, after checking it is an int or a Fraction.
+
+    A float, a bool, a string, None or anything else raises `TypeError`,
+    although `Fraction()` itself would read most of them.  The message
+    names the value by `where`, whose parts are joined by spaces only
+    when it is raised.
     """
     if value.__class__ is int:
         return value
     if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"{where}: expected an int or a Fraction, got {value!r}")
+        return normal(value)
+    label = " ".join(map(str, where))
+    raise TypeError(f"{label}: expected an int or a Fraction, got {value!r}")
 
 
 def scale_to_ints(values) -> tuple[list[int], int]:

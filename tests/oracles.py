@@ -14,6 +14,8 @@ vertex-set rules that `BipartiteInstance.edges_within` replaced, and
 `combs.twice_toothless_bound` replaced, each kept unchanged.
 `fraction_audit_duality` is the `Fraction` duality audit that the
 integer-scaled `combcert.lp._audit_duality` replaced, kept unchanged.
+`in_normal_form` is the package's one number form, checked by type
+alone: the assertion every test of a value's form shares.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ from fractions import Fraction
 
 CLASS1 = 1
 CLASS2 = 2
+
+
+def in_normal_form(value) -> bool:
+    """An int (not a bool) when integral, else a Fraction with denominator > 1."""
+    if type(value) is int:
+        return True
+    return type(value) is Fraction and value.denominator > 1
 
 
 @dataclass(frozen=True, order=True)

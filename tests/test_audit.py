@@ -16,6 +16,7 @@ import pytest
 from combcert import (
     BipartiteInstance,
     CombcertError,
+    ConstraintKind,
     LinearInequality,
     comb_inequality,
     gen_degree,
@@ -24,7 +25,7 @@ from combcert import (
 )
 from combcert import lp
 from combcert.search import FAMILIES, sample_comb
-from oracles import fraction_audit_duality
+from oracles import fraction_audit_duality, in_normal_form
 
 # Direct mode stops at K_{6,6}: K_{7,7} has 16,340 rows, and in `eq` mode
 # preparing them takes tens of seconds.
@@ -227,22 +228,35 @@ def test_int_and_fraction_objectives_give_the_same_solution():
         assert halves.dual == tuple(y / 2 for y in as_ints.dual)
 
 
-def test_solutions_and_verdicts_hold_fractions(table1):
+def test_solutions_and_verdicts_hold_the_normal_form(table1):
     instance, _, comb = table1
     target = comb_inequality(instance, comb)
     solution = solve(instance, target.coeffs, gen_degree(instance), lazy=True)
-    assert type(solution.objective_value) is Fraction
-    assert all(type(y) is Fraction for y in solution.dual)
-    assert all(type(w) is Fraction for _, w in solution.point.items())
+    assert in_normal_form(solution.objective_value)
+    assert all(map(in_normal_form, solution.dual))
+    assert all(in_normal_form(w) for _, w in solution.point.items())
     for lazy in (True, False):
         result = is_implied(instance, target, lazy=lazy)
-        assert type(result.optimum) is Fraction
-        assert type(result.target_rhs) is Fraction
-        assert all(type(w) is Fraction for _, w in result.witness.items())
+        assert in_normal_form(result.optimum)
+        assert in_normal_form(result.target_rhs)
+        assert all(in_normal_form(w) for _, w in result.witness.items())
     k44 = BipartiteInstance.complete(4)
     rng = random.Random(3)
     target = comb_inequality(k44, sample_comb(rng, k44, "l1"))
     result = is_implied(k44, target)
     assert result.implied
     assert result.dual_rows
-    assert all(type(y) is Fraction for _, y in result.dual_rows)
+    assert all(in_normal_form(y) for _, y in result.dual_rows)
+
+
+def test_an_integral_optimum_is_an_int(k44):
+    # An objective of 1/4 on every edge of K_{4,4}: the degree rows cap x(E)
+    # at 8 and a tour attains it, so the optimum is the int 2.
+    objective = dict.fromkeys(k44.edges, Fraction(1, 4))
+    for lazy in (True, False):
+        solution = solve(k44, objective, gen_degree(k44), lazy=lazy)
+        assert solution.objective_value == 2
+        assert type(solution.objective_value) is int
+    row = LinearInequality(dict.fromkeys(k44.edges, 1), 8, ConstraintKind.AGGREGATE, "x(E)")
+    result = is_implied(k44, row)
+    assert result.implied and type(result.optimum) is int and result.optimum == 8

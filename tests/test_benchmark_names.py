@@ -1,16 +1,21 @@
-"""`benchmarks/bench_kernels.py` reaches into private names of the package;
-a rename there fails here, not at the next benchmark run.
+"""The benchmark scripts reach into names of the package; a rename there
+fails here, not at the next benchmark run.
 
-An AST walk of the script resolves every dotted name rooted at one of the
-modules `lp`, `tours`, `_kernels` and `certificates` (such as
-`tours._tour_set.cache_clear`), and every name it imports from `combcert`.
+An AST walk of `benchmarks/bench_kernels.py` resolves every dotted name
+rooted at one of the modules `lp`, `tours`, `_kernels` and `certificates`
+(such as `tours._tour_set.cache_clear`), and every name it imports from
+`combcert`.  A walk of `perfbench/run.py` resolves every chain rooted at
+`pkg`, the package as that script imports it (such as `pkg.lp.is_implied`).
+Both scripts are only read.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "benchmarks" / "bench_kernels.py"
+PERFBENCH = ROOT / "perfbench" / "run.py"
 MODULES = ("lp", "tours", "_kernels", "certificates")
 
 
@@ -53,3 +58,20 @@ def test_bench_kernels_names_resolve():
     assert {"tours._tour_set.cache_clear", "lp._audit_duality"} <= checked
     assert {"_kernels.hamiltonian_cycles", "combcert.certificates.BUILDERS"} <= checked
     assert sorted(missing) == []
+
+
+def test_perfbench_package_names_resolve():
+    tree = ast.parse(PERFBENCH.read_text(), filename=str(PERFBENCH))
+    pkg = importlib.import_module("combcert")
+    importlib.import_module("combcert.search")  # run.py imports it too
+    chains = {
+        ".".join(chain)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (chain := _dotted(node)) and chain[0] == "pkg"
+    }
+    # Every chain also yields its prefixes (`pkg.lp` of `pkg.lp.is_implied`).
+    leaves = {c for c in chains if not any(d.startswith(c + ".") for d in chains)}
+    assert {"pkg.lp.is_implied", "pkg.search.ExperimentConfig", "pkg.kernel_backend"} <= leaves
+    assert len(leaves) >= 14
+    missing = [c for c in sorted(chains) if not _resolves(pkg, c.split(".")[1:])]
+    assert missing == []

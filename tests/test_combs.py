@@ -9,6 +9,7 @@ import pytest
 from combcert import (
     BipartiteInstance,
     Comb,
+    FractionalPoint,
     InvalidCombError,
     classify,
     comb_inequality,
@@ -18,7 +19,7 @@ from combcert import (
 )
 from combcert.combs import twice_toothless_bound
 from combcert.search import FAMILIES, sample_comb
-from oracles import fraction_condition_bound, naive_comb_lhs, set_based_flags
+from oracles import fraction_condition_bound, in_normal_form, naive_comb_lhs, set_based_flags
 
 
 def _labels(instance, *names):
@@ -93,8 +94,19 @@ def test_comb_coefficients_in_one_two(table1, table2):
 
 
 def test_comb_value_matches_coefficient_route(table1, table2):
-    for instance, point, comb in (table1, table2):
-        assert comb_value(point, comb) == naive_comb_lhs(point, comb)
+    k44 = BipartiteInstance.complete(4)
+    halves = FractionalPoint(k44, dict.fromkeys(k44.edges, Fraction(1, 2)))
+    rng = random.Random(11)
+    cases = [table1, table2] + [
+        (k44, halves, sample_comb(rng, k44, family)) for family in FAMILIES * 2
+    ]
+    kinds = set()
+    for instance, point, comb in cases:
+        value = comb_value(point, comb)
+        assert value == naive_comb_lhs(point, comb)
+        assert in_normal_form(value)
+        kinds.add(type(value))
+    assert kinds == {int, Fraction}  # integral sums of halves come back as ints
 
 
 def test_pattern_table2(table2):
@@ -273,7 +285,7 @@ def test_toothless_condition_matches_the_fraction_formula():
         for pat in classify(instance, comb).patterns:
             bound = fraction_condition_bound(pat.y, pat.p, pat.q, sum(pat.r[pat.p:]))
             assert pat.condition_bound() == bound
-            assert isinstance(pat.condition_bound(), Fraction)
+            assert in_normal_form(pat.condition_bound())
             assert pat.condition_holds() == (pat.w <= bound)
             seen.add((pat.p >= pat.q, bound < 0, pat.condition_holds()))
     assert (True, True, False) in seen  # p >= q with a negative bound

@@ -25,7 +25,7 @@ from combcert.certificates import BUILDERS, member_inequality
 from combcert.combs import classify
 from combcert.constraints import lower_bound, upper_bound
 from combcert.search import FAMILIES, sample_comb
-from oracles import naive_sec_violations, subset_count
+from oracles import in_normal_form, naive_sec_violations, subset_count
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -230,6 +230,29 @@ def test_check_point_degree_violation_when_raising_ac(table1):
         if r.kind is ConstraintKind.DEGREE_LE2
     }
     assert degree_hits["degree(a)"] == Fraction(5, 2)
+
+
+def test_check_point_reports_integral_violation_values_as_ints():
+    # A 4-cycle at weight 1 plus one edge at 1/2: the cut kernels scale by
+    # D = 2, and the subtour value 8/2 comes back as the int 4.  Two
+    # weights of 3/2 at u0 give the degree value 3, a weight 4/2 the bound
+    # value 2.
+    k33 = BipartiteInstance.complete(3)
+    u0, u1, u2, v0, v1, v2 = (k33.vertex(x) for x in ("u0", "u1", "u2", "v0", "v1", "v2"))
+    cycle = {Edge(u, v): 1 for u in (u0, u1) for v in (v0, v1)}
+    point = FractionalPoint(k33, {**cycle, Edge(u2, v2): HALF})
+    violations = {row.provenance: value for row, value in check_point(k33, point).violations}
+    assert violations == {"sec{u0,u1,v0,v1}": 4}
+    assert type(violations["sec{u0,u1,v0,v1}"]) is int
+    three_halves = Fraction(3, 2)
+    point = FractionalPoint(
+        k33, {Edge(u0, v0): three_halves, Edge(u0, v1): three_halves, Edge(u1, v2): Fraction(4, 2)}
+    )
+    values = {row.provenance: value for row, value in check_point(k33, point).violations}
+    assert values["degree(u0)"] == 3 and type(values["degree(u0)"]) is int
+    assert values["ub(u1-v2)"] == 2 and type(values["ub(u1-v2)"]) is int
+    assert values["ub(u0-v0)"] == three_halves
+    assert all(map(in_normal_form, values.values()))
 
 
 def test_check_point_violations_sorted_and_deterministic(table1):

@@ -14,6 +14,7 @@ from combcert import (
     degree,
     set_weight,
 )
+from oracles import in_normal_form
 
 HALF = Fraction(1, 2)
 
@@ -62,6 +63,16 @@ def test_degree_of_empty_point(table1):
         assert degree(empty, v) == 0
 
 
+def test_sums_of_halves_that_are_integral_are_ints():
+    k22 = BipartiteInstance.complete(2)
+    u0, v0, v1 = (k22.vertex(label) for label in ("u0", "v0", "v1"))
+    point = FractionalPoint(k22, {Edge(u0, v0): HALF, Edge(u0, v1): HALF})
+    assert type(degree(point, u0)) is int and degree(point, u0) == 1
+    assert type(set_weight(point, {u0, v0, v1})) is int
+    assert set_weight(point, {u0, v0, v1}) == 1
+    assert degree(point, v0) == HALF and in_normal_form(degree(point, v0))
+
+
 def test_degree_unknown_vertex(table1):
     instance, point, _ = table1
     with pytest.raises(UnknownVertexError):
@@ -92,9 +103,14 @@ def test_point_rejects_foreign_edge(table1):
 def test_point_takes_only_ints_and_fractions(table1):
     instance, point, _ = table1
     edge = next(iter(instance.edges))
-    exact = FractionalPoint(instance, {edge: 1})
-    assert type(exact.weight(edge)) is Fraction and exact.weight(edge) == 1
-    assert type(point.replace(edge, 0).weight(edge)) is Fraction
+    for given, stored in ((1, 1), (Fraction(4, 2), 2), (HALF, HALF), (Fraction(0), 0)):
+        weight = FractionalPoint(instance, {edge: given}).weight(edge)
+        assert in_normal_form(weight) and weight == stored
+    assert in_normal_form(point.replace(edge, 0).weight(edge))
+    absent = next(e for e in instance.edges if e != edge)
+    assert in_normal_form(FractionalPoint(instance, {edge: 1}).weight(absent))
+    unit = FractionalPoint.from_unit_edges(instance, [edge])
+    assert type(unit.weight(edge)) is int and unit.weight(edge) == 1
     for bad in (0.1, 0.5, "1/2", True, None, 1 + 0j):
         with pytest.raises(TypeError, match="expected an int or a Fraction"):
             FractionalPoint(instance, {edge: bad})

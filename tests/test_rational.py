@@ -3,7 +3,9 @@ from math import lcm
 
 import pytest
 
-from combcert.rational import scale_to_ints
+from combcert import Edge, VertexId
+from combcert.rational import exact_value, normal, parse_rational, scale_to_ints
+from oracles import in_normal_form
 
 
 def _lcm_of_denominators(values):
@@ -25,6 +27,7 @@ def _spellings(values):
     ]
 
 
+HALF = Fraction(1, 2)
 BIG = 7 ** 5917  # 5,001 decimal digits
 
 CASES = [
@@ -53,3 +56,56 @@ def test_scale_to_ints_reads_an_iterator_once():
     ints, scale = scale_to_ints(iter([Fraction(1, 3), Fraction(1, 2)]))
     assert (ints, scale) == ([2, 3], 6)
     assert scale_to_ints(iter(())) == ([], 1)
+
+
+NORMAL_CASES = [
+    0,
+    7,
+    -3,
+    Fraction(0),
+    Fraction(6, 3),
+    Fraction(-8, 4),
+    Fraction(1, 2),
+    Fraction(-5, 3),
+    BIG,
+    -BIG,
+    Fraction(BIG * 3, 3),
+    Fraction(-BIG, 1),
+    Fraction(BIG, BIG + 2),
+    Fraction(-1, BIG),
+]
+
+
+@pytest.mark.parametrize("value", NORMAL_CASES, ids=range(len(NORMAL_CASES)))
+def test_normal_is_the_fraction_in_its_one_form(value):
+    """`normal` keeps the value and gives an int exactly when the Fraction
+    of the value has denominator 1."""
+    reference = Fraction(value)
+    result = normal(value)
+    assert in_normal_form(result)
+    assert result == reference
+    assert (type(result) is int) == (reference.denominator == 1)
+    if type(result) is int:
+        assert result == reference.numerator
+    for read in (exact_value(value, "value"), parse_rational(value)):
+        assert read == result and type(read) is type(result)
+
+
+def test_parse_rational_reads_the_wire_into_the_one_form():
+    cases = (("7", 7), ("-4/2", -2), ("0/5", 0), ("1/2", HALF), ("-6/4", Fraction(-3, 2)))
+    for text, expected in cases:
+        read = parse_rational(text)
+        assert read == expected and in_normal_form(read)
+        assert type(read) is (int if Fraction(text).denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1/2", "1", None, 1 + 0j, 2j])
+def test_exact_value_refuses_anything_but_an_int_or_a_fraction(bad):
+    e = Edge(VertexId(1, 0), VertexId(2, 3))
+    with pytest.raises(TypeError) as refused:
+        exact_value(bad, "coefficient of edge", e)
+    assert str(refused.value) == (
+        f"coefficient of edge {e}: expected an int or a Fraction, got {bad!r}"
+    )
+    with pytest.raises(TypeError, match=r"^rhs: expected an int or a Fraction"):
+        exact_value(bad, "rhs")

@@ -26,6 +26,7 @@ from combcert import lp
 from combcert.constraints import upper_bound
 from combcert.lp import INFEASIBLE, OPTIMAL, _audit_duality
 from combcert.search import FAMILIES, sample_comb
+from oracles import in_normal_form
 
 
 def _row(variables, coeffs, rhs, name="row"):
@@ -111,9 +112,7 @@ class _CheckedTableau(lp._Tableau):
         for row in self.rows:
             values += row.values()
         for value in values:
-            assert type(value) in (int, Fraction), value
-            if type(value) is Fraction:
-                assert value.denominator != 1  # integral entries are ints
+            assert in_normal_form(value), value
         assert all(values[len(self.rhs) :])  # sparse rows hold no zeros
         self.__class__.checks += 1
 
@@ -160,10 +159,6 @@ def test_cut_that_empties_the_polytope_is_infeasible():
     assert tableau.add_row(_row(variables, {0: -1, 1: -1}, -3)) == INFEASIBLE
 
 
-def _all_fractions(values):
-    return all(type(v) is Fraction for v in values)
-
-
 def _checked_queries(cases, monkeypatch):
     """Every query of `cases` with `lp._Tableau` checked; returns the
     number of checks and the number of optima the queries read."""
@@ -175,16 +170,16 @@ def _checked_queries(cases, monkeypatch):
             for mode in modes:
                 result = is_implied(inst, target, mode=mode)
                 optima += result.rounds
-                assert type(result.optimum) is Fraction
+                assert in_normal_form(result.optimum)
                 if result.implied:
-                    assert _all_fractions(y for _, y in result.dual_rows)
+                    assert all(in_normal_form(y) for _, y in result.dual_rows)
                 else:
-                    assert _all_fractions(w for _, w in result.witness.items())
+                    assert all(in_normal_form(w) for _, w in result.witness.items())
             solution = solve(inst, target.coeffs, gen_degree(inst))
             optima += solution.rounds
-            assert type(solution.objective_value) is Fraction
-            assert _all_fractions(solution.dual)
-            assert _all_fractions(w for _, w in solution.point.items())
+            assert in_normal_form(solution.objective_value)
+            assert all(map(in_normal_form, solution.dual))
+            assert all(in_normal_form(w) for _, w in solution.point.items())
         return _CheckedTableau.checks, optima
 
 
