@@ -24,10 +24,11 @@ Eight workloads:
     rows, every one optimal, and the share of that time spent in the
     duality audit;
   * `facet_test` on K_{5,5} (1,440 tours) over 24 seeded combs of every
-    family: the time of the first query, which enumerates the tours, and
-    per query of the other 23, which read the kept tour set, and for the
-    first 4 combs the same report as the oracle path of the tests
-    (`Tour.as_point`, `value_on` and a `Fraction` rank over all tours);
+    family: the time of the first query, which enumerates the tours and
+    ranks the polytope, and per query of the other 23, which read the kept
+    tour set and dimension, and for the first 4 combs the same report as
+    the oracle path of the tests (`Tour.as_point`, `value_on` and a
+    `Fraction` rank over all tours);
   * `facet_test` on K_{6,6} (43,200 tours) over 6 seeded combs, first
     and then per query, the same reports on a second pass, and the size
     of the kept tour set and the peak RSS with it kept;
@@ -268,8 +269,9 @@ def facet_queries(seed: int, n: int, combs: int):
 
 
 def timed_facet_tests(instance, rows):
-    """Reports, the first query's seconds (it enumerates the tours), and
-    the mean seconds of the others (they read the kept set)."""
+    """Reports, the first query's seconds (it enumerates the tours and
+    ranks the polytope), and the mean seconds of the others (they read
+    the kept set and dimension)."""
     tours._tour_set.cache_clear()
     t0 = time.perf_counter()
     reports = [facet_test(instance, rows[0])]
@@ -304,7 +306,7 @@ def bench_facet_kept(seed: int, n: int = 6, combs: int = 6):
     instance, rows = facet_queries(seed, n, combs)
     reports, first, warm = timed_facet_tests(instance, rows)
     assert [facet_test(instance, row) for row in rows] == reports
-    kept = tours._tour_set(instance)
+    kept = tours._tour_set(instance).tours
     assert len(kept) == expected_tour_count(n)
     kept_bytes = sys.getsizeof(kept) + sum(map(sys.getsizeof, kept))
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -16,7 +16,8 @@ The source arcs add their total to every cut, the shift.  One max-flow
 routine, `_min_cut`, serves both cut kernels:
 
   `most_violated_set`  lazy separation: a set of least f, by 2(N-1) flows
-  `violated_sets`      every set with f(S) < 2D, by branching on min cuts
+  `violated_sets`      every set with f(S) < 2D and 3 <= |S| <= N - 1,
+                       by branching on min cuts
 
 Tours.  `hamiltonian_cycles` enumerates the tours of a balanced
 bipartite graph, from an (a, b) -> edge index table straight to tuples
@@ -171,21 +172,26 @@ def violated_sets(
     denom: int,
     budget: int,
 ) -> list[int]:
-    """Vertex masks of every set S with f(S) < 2D, for the weights clipped at 0.
+    """Vertex masks of every set S with f(S) < 2D and 3 <= |S| <= N - 1,
+    the window of the subtour family, for the weights clipped at 0.
 
     A negative weight counts as 0 here.  That only raises x(E(S)), so every
-    set that the weights themselves violate is listed, and the caller
-    re-checks each listed set against them.  Sets of any size are listed,
-    V and pairs with a weight above 1 included; a single vertex never is.
+    set in the window that the weights themselves violate is listed, and
+    the caller re-checks each listed set against them.
 
     The sets are split by their lowest vertex k: root branch k forces k in
     and 0..k-1 out.  A branch runs one flow and is pruned when its cut
-    reaches 2D plus the shift; otherwise its least minimum cut S is listed,
+    reaches 2D plus the shift; otherwise its least minimum cut S is found,
     and the rest of the branch splits over its free vertices u_1 < u_2 < ...:
     branch i agrees with S on u_1..u_{i-1} and disagrees on u_i.  Each
-    listed set thus costs at most N flows (Vazirani & Yannakakis,
-    "Suboptimal cuts", 1992).  The search stops once `budget` + 1 sets are
-    listed, so it runs at most (budget + 1) N flows.
+    found set thus costs at most N flows (Vazirani & Yannakakis,
+    "Suboptimal cuts", 1992).  Found sets outside the window are not
+    listed, but their branches are still searched, since those hold the
+    sets inside it: V, found at any point whose total weight exceeds
+    N - 1 (every point on the degree equalities), and each pair joined by
+    a weight above 1; a single vertex is never found.  The search stops
+    once `budget` + 1 sets are listed, so it runs at most
+    (budget + 2 + P) N flows, P the number of weights above 1.
     """
     network = _network(num_vertices, edge_masks, weights, denom)
     limit = 2 * denom + sum(network[2])  # 2D plus the shift
@@ -198,7 +204,8 @@ def violated_sets(
         if found is None:
             continue
         cut = found[1]
-        out.append(cut)
+        if 3 <= cut.bit_count() < num_vertices:
+            out.append(cut)
         free = full & ~(sources | sinks)
         while free:
             low = free & -free

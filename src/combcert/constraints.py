@@ -214,11 +214,12 @@ def check_point(
     """Evaluate every degree row, every subtour row, and the bounds.
 
     Arithmetic is exact.  The subtour rows are not enumerated:
-    `_kernels.violated_sets` lists the candidate sets on integer-scaled
-    weights, and each one in the subtour window is re-checked against the
+    `_kernels.violated_sets` lists the candidate sets of the subtour window
+    on integer-scaled weights, and each one is re-checked against the
     point's own weights; only the violated rows are materialized.  Raises
     `EnumerationCapError` when more than `VIOLATED_SET_BUDGET` sets are
-    listed, which takes at most (budget + 1) N max flows.
+    listed, which takes at most (budget + 2 + P) N max flows, P the
+    number of weights above 1.
     """
     if point.instance != instance:
         raise ValueError("point does not belong to this instance")
@@ -243,11 +244,8 @@ def check_point(
     if len(listed) > budget:
         raise EnumerationCapError("violated subtour sets", len(listed), budget)
     for subset in listed:
-        size = subset.bit_count()
-        if not 3 <= size <= n - 1:
-            continue
         value = sum(w for m, w in zip(masks, scaled) if m & subset == m)
-        if value > denom * (size - 1):
+        if value > denom * (subset.bit_count() - 1):
             row = sec_constraint(instance, instance.vertices_in(subset))
             violations.append((row, normal(Fraction(value, denom))))
 

@@ -10,7 +10,12 @@ of exact arithmetic on values already in it back in the form.
 
 On the wire a rational is the string "[+-]digits" or "[+-]digits/digits"
 (`format_rational` writes "p/q" reduced with q > 0, or a plain integer),
-or a JSON integer; `parse_rational` reads it into the form.
+or a JSON integer; `parse_rational` reads it into the form.  Both sides
+convert digits in pieces of 600, so neither meets the interpreter's
+integer-string limit (4,300 digits by default), which this package
+leaves as it is.  A wire string is at most `MAX_WIRE_CHARS` = 20,000
+characters; a longer one is refused before it is read, since reading
+decimal digits takes time quadratic in their number.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ import re
 from fractions import Fraction
 from math import lcm
 
-_WIRE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_WIRE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+MAX_WIRE_CHARS = 20_000
+_PIECE_DIGITS = 600  # str() and int() of a piece stay under any limit the interpreter accepts
+_PIECE = 10**_PIECE_DIGITS
 
 
 def parse_rational(text) -> int | Fraction:
@@ -30,7 +38,8 @@ def parse_rational(text) -> int | Fraction:
     JSON `true` is no number.  Floats, exponents, decimals, underscores and
     surrounding blanks, all of which `Fraction` itself would take, are
     refused too: a ten-character exponent form such as "1e3000000" would
-    otherwise expand to a ten-million-bit integer.
+    otherwise expand to a ten-million-bit integer.  So is a string longer
+    than `MAX_WIRE_CHARS`, unread.
     """
     if isinstance(text, Fraction):
         return normal(text)
@@ -38,15 +47,28 @@ def parse_rational(text) -> int | Fraction:
         raise ValueError(f"booleans are not rationals: {text!r}")
     if isinstance(text, int):
         return text
-    if not isinstance(text, str) or not _WIRE.fullmatch(text):
+    if isinstance(text, str) and len(text) > MAX_WIRE_CHARS:
+        raise ValueError(
+            f"not a rational: {len(text)} characters, more than {MAX_WIRE_CHARS}"
+        )
+    wire = _WIRE.fullmatch(text) if isinstance(text, str) else None
+    if wire is None:
         raise ValueError(f"not a rational: {text!r}")
-    try:
-        return normal(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
-        raise ValueError(f"not a rational: {text!r}") from exc
+    sign, numerator, denominator = wire.groups()
+    p = _integer(numerator)
+    q = 1 if denominator is None else _integer(denominator)
+    if q == 0:
+        raise ValueError(f"not a rational: {text!r}")
+    return normal(Fraction(-p if sign == "-" else p, q))
 
 
-_PIECE = 10**600  # str() of a piece stays under any limit the interpreter accepts
+def _integer(digits: str) -> int:
+    """int(digits) at any length, read in pieces: the inverse of `_digits`."""
+    head = len(digits) % _PIECE_DIGITS or _PIECE_DIGITS
+    n = int(digits[:head])
+    for k in range(head, len(digits), _PIECE_DIGITS):
+        n = n * _PIECE + int(digits[k : k + _PIECE_DIGITS])
+    return n
 
 
 def _digits(n: int) -> str:
@@ -56,7 +78,7 @@ def _digits(n: int) -> str:
     pieces = []
     while n >= _PIECE:
         n, low = divmod(n, _PIECE)
-        pieces.append(str(low).zfill(600))
+        pieces.append(str(low).zfill(_PIECE_DIGITS))
     return str(n) + "".join(reversed(pieces))
 
 

@@ -17,14 +17,17 @@ b_k a_{k+1}, for the tour a_0 = 0, b_0, a_1, ..., b_{n-1} with
 b_0 < b_{n-1}.  Its list order, lexicographic in those vertex sequences,
 is the canonical order that `_stride_order` reads.
 
-Tours are enumerated once per instance: `_tour_set` keeps the tuple of
-those tuples for the last `TOUR_SETS_KEPT` instances (equal instances
+Tours are enumerated and ranked once per instance: `_tour_set` keeps a
+`_TourSet`, the tuple of those tuples and the polytope dimension ranked
+from them, for the last `TOUR_SETS_KEPT` instances (equal instances
 share one; about 6 MiB each in the worst case, the 43,200 tours of
 K_{6,6}).  `_tours` is the one way to them that `facet_test`,
 `polytope_dimension` and `enumerate_tours` take: on every call, before the
 kept set is read, it logs unequal classes and gives them no tours, and it
-refuses an instance past the cap.  Only the tours are kept: the polytope
-is still ranked on every `facet_test` call.
+refuses an instance past the cap.  So the polytope is ranked once per
+kept instance, and a `facet_test` call ranks only its row's tight face.
+An instance without a tour has no dimension: `facet_test` and
+`polytope_dimension` raise `NoToursError` for it on every call.
 
 `facet_test` evaluates a row on a tour as an integer sum.  The row's
 nonzero coefficients and its rhs are scaled by D, the lcm of their
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import factorial, gcd, isqrt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import _kernels
 from .constraints import LinearInequality
@@ -109,11 +112,22 @@ class FacetReport:
         }
 
 
+class _TourSet(NamedTuple):
+    """An instance's tours as indices into `instance.sorted_edges`, in the
+    layout of `_kernels.hamiltonian_cycles`, and the affine dimension of
+    their convex hull (None when there is no tour)."""
+
+    tours: tuple[tuple[int, ...], ...]
+    dim: int | None
+
+
+_NO_TOURS = _TourSet((), None)
+
+
 @lru_cache(maxsize=TOUR_SETS_KEPT)
-def _tour_set(instance: BipartiteInstance) -> tuple[tuple[int, ...], ...]:
-    """Every tour as indices into `instance.sorted_edges`, in the layout of
-    `_kernels.hamiltonian_cycles`, kept for the last `TOUR_SETS_KEPT`
-    instances.
+def _tour_set(instance: BipartiteInstance) -> _TourSet:
+    """The instance's tours and their dimension, kept for the last
+    `TOUR_SETS_KEPT` instances.
 
     Equal instances share it.  Callers go through `_tours`.
     """
@@ -121,11 +135,16 @@ def _tour_set(instance: BipartiteInstance) -> tuple[tuple[int, ...], ...]:
     position = [[-1] * n for _ in range(n)]  # [a][b] -> index of edge a b
     for k, e in enumerate(instance.sorted_edges):
         position[e.u.index][e.v.index] = k
-    return tuple(_kernels.hamiltonian_cycles(n, position))
+    tours = tuple(_kernels.hamiltonian_cycles(n, position))
+    if not tours:
+        return _NO_TOURS
+    bound = len(instance.edges) - instance.num_vertices + 1
+    return _TourSet(tours, _affine_rank(tours, len(instance.edges), bound))
 
 
-def _tours(instance: BipartiteInstance) -> tuple[tuple[int, ...], ...]:
-    """The instance's tours, enumerated on its first call.
+def _tours(instance: BipartiteInstance) -> _TourSet:
+    """The instance's tours and dimension, enumerated and ranked on its
+    first call.
 
     On every call, unequal classes are logged and given no tours, and an
     instance past `DEFAULT_TOUR_CAP` is refused.
@@ -134,16 +153,24 @@ def _tours(instance: BipartiteInstance) -> tuple[tuple[int, ...], ...]:
         log.info(
             "no tours: class sizes differ (%d vs %d)", instance.n1, instance.n2
         )
-        return ()
+        return _NO_TOURS
     if instance.n1 > DEFAULT_TOUR_CAP:
         raise EnumerationCapError("tour enumeration", instance.n1, DEFAULT_TOUR_CAP)
     return _tour_set(instance)
 
 
+def _polytope(instance: BipartiteInstance) -> _TourSet:
+    """`_tours`, refused with `NoToursError` when there is no tour."""
+    kept = _tours(instance)
+    if kept.dim is None:
+        raise NoToursError("instance has no Hamiltonian tour")
+    return kept
+
+
 def enumerate_tours(instance: BipartiteInstance) -> Iterator[Tour]:
     """Every Hamiltonian tour of the instance, canonical form, once each."""
     edges = instance.sorted_edges
-    for tour in _tours(instance):
+    for tour in _tours(instance).tours:
         yield Tour(
             tuple(v for k in tour[0::2] for v in edges[k].endpoints()),
             frozenset(edges[k] for k in tour),
@@ -202,13 +229,12 @@ def _stride_order(count: int) -> Iterator[int]:
 def _affine_rank(
     tours: Sequence[tuple[int, ...]], width: int, bound: int
 ) -> int:
-    """Affine rank of the tours' incidence vectors over `width` edges.
+    """Affine rank of the tours' incidence vectors over `width` edges, for
+    one tour or more.
 
     `bound` must be a proven upper bound on that rank (see the module
     docstring): reading stops as soon as the rank reaches it.
     """
-    if not tours:
-        raise NoToursError("instance has no Hamiltonian tour")
     order = _stride_order(len(tours))
     negated_base = [0] * width
     for k in tours[next(order)]:
@@ -224,26 +250,22 @@ def _affine_rank(
     return echelon.rank
 
 
-def _polytope_bound(instance: BipartiteInstance) -> int:
-    return len(instance.edges) - instance.num_vertices + 1
-
-
 def polytope_dimension(instance: BipartiteInstance) -> int:
     """Affine dimension of the convex hull of the tour incidence vectors."""
-    tours = _tours(instance)
-    return _affine_rank(tours, len(instance.edges), _polytope_bound(instance))
+    return _polytope(instance).dim
 
 
 def facet_test(instance: BipartiteInstance, ineq: LinearInequality) -> FacetReport:
     """Validity on all tours, tight-face dimension, and the verdict.
 
-    The polytope is ranked on every call, although its tours are kept: the
-    tight-face rank stops at its dimension, so a wrong dimension would
-    give a wrong verdict.
+    The polytope dimension is read with the kept tours, not ranked again:
+    it is a function of those tours alone, which are immutable, so ranking
+    them again would derive the same int from the same input.  The
+    independent check of it is the `Fraction` rank of `tests/oracles.py`.
+    Only the row's tight face is ranked here.
     """
     edges = instance.sorted_edges
-    tours = _tours(instance)
-    polytope_dim = _affine_rank(tours, len(edges), _polytope_bound(instance))
+    tours, polytope_dim = _polytope(instance)
 
     (rhs, *nonzeros), _ = scale_to_ints([ineq.rhs, *ineq.coeffs.values()])
     scaled = dict(zip(ineq.coeffs, nonzeros))

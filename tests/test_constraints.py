@@ -195,7 +195,12 @@ def test_check_point_refuses_more_violated_sets_than_the_budget(monkeypatch):
     monkeypatch.setattr(constraints, "VIOLATED_SET_BUDGET", 5)
     with pytest.raises(EnumerationCapError, match="violated subtour sets"):
         check_point(instance, point)
-    monkeypatch.setattr(constraints, "VIOLATED_SET_BUDGET", 15)  # 14 unions and V
+    monkeypatch.setattr(constraints, "VIOLATED_SET_BUDGET", 13)
+    with pytest.raises(EnumerationCapError, match="size 14 exceeds the enumeration cap 13"):
+        check_point(instance, point)
+    # The 14 unions are all the budget needs: V, which the search also
+    # finds, counts against it no more.
+    monkeypatch.setattr(constraints, "VIOLATED_SET_BUDGET", 14)
     assert len(check_point(instance, point).violations) == 14
 
 

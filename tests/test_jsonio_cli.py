@@ -7,6 +7,7 @@ import pytest
 from combcert import (
     BipartiteInstance,
     FormatError,
+    FractionalPoint,
     comb_inequality,
     is_implied,
     reproduce_tables,
@@ -24,6 +25,7 @@ from combcert.jsonio import (
     load_instance,
     write_json,
 )
+from combcert.rational import format_rational
 from combcert import constraints, search
 from combcert.search import ExperimentConfig, run_search
 
@@ -315,7 +317,7 @@ def test_cli_text_reading_of_a_fractional_value_is_exact(
 @pytest.mark.parametrize(
     "weight",
     ["1e3", "1e3000000", "1.5", ".5", "1_000", " 1", "1/2 ", "1/-2", "0x10", "\u0663"]
-    + [pytest.param("1" * 5001, id="5001-digits"), pytest.param(0.5, id="json-float")],
+    + [pytest.param("1" * 20001, id="20001-digits"), pytest.param(0.5, id="json-float")],
 )
 def test_weight_outside_the_wire_grammar_is_refused(weight):
     doc = {"class1": ["a"], "class2": ["b"], "weights": {"a-b": weight}}
@@ -344,6 +346,38 @@ def test_cli_oversized_weight_exit_2(tmp_path, capsys, weights, field):
     path.write_text('{"class1": ["a"], "class2": ["b"], "weights": ' + weights + "}")
     assert main(["verify-point", "--instance", str(path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["field"] == field
+
+
+SEVENS = 7**5917  # 5,001 decimal digits
+
+
+def test_weight_past_the_integer_string_limit_round_trips_both_ways():
+    # "1/" and 5,001 digits: past the interpreter's 4,300-digit limit on
+    # int(str), within the wire's 20,000 characters.
+    instance = BipartiteInstance.complete(2)
+    weights = {e: Fraction(1, SEVENS) for e in instance.edges}
+    weights[min(instance.edges)] = -SEVENS
+    point = FractionalPoint(instance, weights)
+    doc = dump_instance(instance, point)
+    texts = sorted(doc["weights"].values(), key=len)
+    assert [len(t) for t in texts] == [5002, 5003, 5003, 5003]
+    assert texts[0] == "-" + format_rational(SEVENS)
+    instance2, point2 = load_instance(json.loads(json.dumps(doc)))
+    assert (instance2, point2) == (instance, point)
+    assert dump_instance(instance2, point2) == doc
+
+
+def test_cli_weight_past_the_wire_limit_exit_2(tmp_path, capsys):
+    for weight, code in (("1/" + "7" * 19998, 0), ("1/" + "7" * 19999, 2)):
+        doc = {"class1": ["a"], "class2": ["b"], "weights": {"a-b": weight}}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify-point", "--instance", str(path), "--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == {
+        "field": "weights['a-b']",
+        "reason": "not a rational: 20001 characters, more than 20000",
+    }
 
 
 @pytest.mark.parametrize("builder", ["L4", "l1", ["L1"], None])
@@ -559,7 +593,7 @@ def test_cli_search_refuses_impossible_sizes_and_counts(
 def test_cli_verify_point_past_the_violated_set_budget_exit_2(
     tmp_path, capsys, monkeypatch
 ):
-    # Two disjoint 4-cycles of weight 1: unions {C1}, {C2} and V are listed.
+    # Two disjoint 4-cycles of weight 1: the violated sets are C1 and C2.
     doc = {
         "class1": ["a", "b", "c", "d"],
         "class2": ["e", "f", "g", "h"],
@@ -572,8 +606,11 @@ def test_cli_verify_point_past_the_violated_set_budget_exit_2(
     assert main(["verify-point", "--instance", str(path)]) == 1
     capsys.readouterr()
     monkeypatch.setattr(constraints, "VIOLATED_SET_BUDGET", 2)
+    assert main(["verify-point", "--instance", str(path)]) == 1
+    capsys.readouterr()
+    monkeypatch.setattr(constraints, "VIOLATED_SET_BUDGET", 1)
     assert main(["verify-point", "--instance", str(path), "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
-    assert error["message"] == "violated subtour sets: size 3 exceeds the enumeration cap 2"
+    assert error["message"] == "violated subtour sets: size 2 exceeds the enumeration cap 1"

@@ -1,10 +1,19 @@
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 from combcert import Edge, VertexId
-from combcert.rational import exact_value, normal, parse_rational, scale_to_ints
+from combcert.rational import (
+    MAX_WIRE_CHARS,
+    exact_value,
+    format_rational,
+    normal,
+    parse_rational,
+    scale_to_ints,
+)
 from oracles import in_normal_form
 
 
@@ -109,3 +118,44 @@ def test_exact_value_refuses_anything_but_an_int_or_a_fraction(bad):
     )
     with pytest.raises(TypeError, match=r"^rhs: expected an int or a Fraction"):
         exact_value(bad, "rhs")
+
+
+def _decimal_int(digits):
+    """int(digits) through `decimal`, which has no integer-string limit."""
+    with localcontext() as context:
+        context.prec = len(digits) + 1
+        return int(Decimal(digits))
+
+
+@pytest.mark.parametrize("length", [1, 599, 600, 601, 1200, 4301, 5001, 9999])
+def test_parse_rational_reads_long_digit_strings_in_pieces(length):
+    rng = random.Random(length)
+    p = "".join(rng.choice("0123456789") for _ in range(length))
+    q = "".join(rng.choice("0123456789") for _ in range(length - 1)) + "7"
+    for sign, factor in (("", 1), ("+", 1), ("-", -1)):
+        assert parse_rational(sign + p) == factor * _decimal_int(p)
+        read = parse_rational(f"{sign}{p}/{q}")
+        assert read == Fraction(factor * _decimal_int(p), _decimal_int(q))
+        assert in_normal_form(read)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [BIG, -BIG, Fraction(1, BIG), Fraction(-BIG - 1, 6), 10**4300],
+    ids=["big", "-big", "1/big", "-(big+1)/6", "10**4300"],
+)
+def test_parse_rational_inverts_format_rational_past_the_integer_string_limit(value):
+    text = format_rational(value)
+    assert len(text) > 4300
+    assert parse_rational(text) == value
+
+
+def test_parse_rational_refuses_a_string_past_the_wire_limit_unread():
+    at_limit = "1/" + "3" * (MAX_WIRE_CHARS - 2)
+    assert parse_rational(at_limit) == Fraction(1, _decimal_int(at_limit[2:]))
+    for text in ("1/" + "3" * (MAX_WIRE_CHARS - 1), "x" * (MAX_WIRE_CHARS + 1)):
+        with pytest.raises(ValueError) as refused:
+            parse_rational(text)
+        assert str(refused.value) == "not a rational: 20001 characters, more than 20000"
+    with pytest.raises(ValueError, match=r"^not a rational: '1/0'$"):
+        parse_rational("1/0")

@@ -130,7 +130,7 @@ def test_edge_tours_match_nested_generator_oracle():
         + [_random_instance(rng) for _ in range(300)]
     )
     for instance in instances:
-        got = tours_module._tours(instance)
+        got = tours_module._tours(instance).tours
         assert list(got) == nested_generator_edge_tours(instance)
 
 
@@ -375,10 +375,33 @@ def test_facet_reports_cold_and_warm_agree_on_k66():
 def test_kept_tour_set_is_a_tuple_of_tuples(k33):
     tours_module._tour_set.cache_clear()
     kept = tours_module._tour_set(k33)
-    assert type(kept) is tuple and all(type(t) is tuple for t in kept)
-    assert kept == tuple(nested_generator_edge_tours(k33))
+    assert type(kept.tours) is tuple and all(type(t) is tuple for t in kept.tours)
+    assert kept.tours == tuple(nested_generator_edge_tours(k33))
+    assert kept.dim == tour_affine_rank(k33, list(enumerate_tours(k33))) == 4
     # Equal instances share it.
     assert tours_module._tour_set(BipartiteInstance.complete(3)) is kept
+
+
+def test_instance_without_a_tour_raises_on_every_call(monkeypatch):
+    # Two disjoint 4-cycles: balanced classes, no Hamiltonian tour.  The
+    # empty tour set is kept, and each call still raises.
+    instance = _instance(4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+    calls = []
+    cycles = tours_module._kernels.hamiltonian_cycles
+    monkeypatch.setattr(
+        tours_module._kernels,
+        "hamiltonian_cycles",
+        lambda *args: calls.append(args) or cycles(*args),
+    )
+    row = LinearInequality({}, Fraction(1), ConstraintKind.AGGREGATE, "0<=1")
+    tours_module._tour_set.cache_clear()
+    for _ in range(2):
+        assert list(enumerate_tours(instance)) == []
+        with pytest.raises(NoToursError):
+            polytope_dimension(instance)
+        with pytest.raises(NoToursError):
+            facet_test(instance, row)
+    assert len(calls) == 1
 
 
 def test_tour_sets_kept_stays_bounded():
@@ -413,13 +436,18 @@ def _count_echelon_rows(monkeypatch):
     return calls
 
 
+# Each test clears the kept tour sets before it counts, so that the rank
+# it counts is not one a kept entry already holds.
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_rank_stops_at_polytope_bound(n, monkeypatch):
     instance = BipartiteInstance.complete(n)
     bound = len(instance.edges) - instance.num_vertices + 1
     calls = _count_echelon_rows(monkeypatch)
+    tours_module._tour_set.cache_clear()
     assert polytope_dimension(instance) == bound
-    assert len(calls) <= bound
+    assert 0 < len(calls) <= bound
 
 
 def test_rank_below_bound_reads_every_tour(monkeypatch):
@@ -429,8 +457,40 @@ def test_rank_below_bound_reads_every_tour(monkeypatch):
     oracle = tour_affine_rank(instance, tours)
     assert oracle < bound
     calls = _count_echelon_rows(monkeypatch)
+    tours_module._tour_set.cache_clear()
     assert polytope_dimension(instance) == oracle
     assert len(calls) == len(tours) - 1
+
+
+def test_polytope_is_ranked_once_per_kept_instance(k44, monkeypatch):
+    # The first call adds the polytope's 9 echelon rows and then its tight
+    # face's; every later call, and a second pass, only the tight face's,
+    # over exactly the tours that the report counts as tight.
+    rng = random.Random(44)
+    rows = [comb_inequality(k44, sample_comb(rng, k44, f)) for f in FAMILIES]
+    rows += [lower_bound(k44, e) for e in sorted(k44.edges)[:2]]
+    calls = _count_echelon_rows(monkeypatch)
+    ranked = []
+    affine_rank = tours_module._affine_rank
+
+    def recording_rank(tours, width, bound):
+        ranked.append(len(tours))
+        return affine_rank(tours, width, bound)
+
+    monkeypatch.setattr(tours_module, "_affine_rank", recording_rank)
+    tours_module._tour_set.cache_clear()
+    added, reports = [], []
+    for k, row in enumerate(rows + rows):
+        before, ranked_before = len(calls), len(ranked)
+        reports.append(facet_test(k44, row))
+        added.append(len(calls) - before)
+        tight = reports[-1].tight_tour_count
+        expected = ([72] if k == 0 else []) + ([tight] if tight else [])
+        assert ranked[ranked_before:] == expected, row
+    assert reports[: len(rows)] == reports[len(rows) :]
+    assert added[0] == 9 + added[len(rows)]
+    assert added[1 : len(rows)] == added[len(rows) + 1 :]
+    assert sum(added[len(rows) :]) > 0
 
 
 @pytest.mark.parametrize("count", range(1, 60))
