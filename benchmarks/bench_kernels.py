@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Microbenchmark the kernels and the layers built on them.
 
-Eight workloads:
+Nine workloads:
   * `check_point`, the feasibility check behind `verify-point`, which
     lists violated subtour sets by branching on min cuts: on the uniform
     point x_e = 2/n of K_{8,8} and K_{12,12}, which must be feasible, and
@@ -34,7 +34,11 @@ Eight workloads:
     of the kept tour set and the peak RSS with it kept;
   * `certificates.verify` on K_{10,10} over 40 seeded combs of the five
     certified families, each with the certificate of its family's class:
-    the time per call, every report dominating.
+    the time per call, every report dominating;
+  * the per-comb steps of `search.run_search` on K_{10,10}: for 200
+    seeded combs cycling through the five certified families, the time
+    per comb to sample it (`sample_comb`), certify it (`certify`) and
+    verify the certificate (`verify`), every report dominating.
 
 Usage: python benchmarks/bench_kernels.py [--seed S] [--tour-n N]
 """
@@ -66,7 +70,7 @@ from combcert import (
     solve,
     tours,
 )
-from combcert.certificates import BUILDERS, verify
+from combcert.certificates import BUILDERS, certify, verify
 from combcert.search import FAMILIES, sample_comb
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
@@ -333,6 +337,31 @@ def bench_verify(seed: int, combs: int = 40, repeat: int = 5):
     print(f"{line}  {seconds / combs * 1e3:9.3f} ms/call")
 
 
+def bench_search_steps(seed: int, combs: int = 200):
+    """Per comb on K_{10,10}: sample, certify and verify, as `run_search` does."""
+    instance = BipartiteInstance.complete(10)
+    rng = random.Random(seed)
+    families = [name.lower() for name in BUILDERS]
+    steps = [0.0, 0.0, 0.0]
+    for k in range(combs):
+        t0 = time.perf_counter()
+        comb = sample_comb(rng, instance, families[k % len(families)])
+        t1 = time.perf_counter()
+        cert = certify(instance, comb)
+        t2 = time.perf_counter()
+        report = verify(instance, cert)
+        t3 = time.perf_counter()
+        assert report.dominates
+        for i, seconds in enumerate((t1 - t0, t2 - t1, t3 - t2)):
+            steps[i] += seconds
+    sample_ms, certify_ms, verify_ms = (x / combs * 1e3 for x in steps)
+    line = f"search comb  n={instance.num_vertices:2d} ({combs} combs)"
+    print(
+        f"{line}  sample {sample_ms:6.3f}, certify {certify_ms:6.3f}, "
+        f"verify {verify_ms:6.3f} ms/comb"
+    )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
@@ -349,6 +378,7 @@ def main():
     bench_facet(args.seed)
     bench_facet_kept(args.seed)
     bench_verify(args.seed)
+    bench_search_steps(args.seed)
 
 
 if __name__ == "__main__":

@@ -110,13 +110,12 @@ class CertificateReport:
 
 
 def _degree_member(
-    instance: BipartiteInstance, vertex: VertexId, partners
+    instance: BipartiteInstance, vertex: VertexId, partners: frozenset[VertexId]
 ) -> CertificateMember:
-    support = frozenset(
-        Edge(vertex, u)
-        for u in partners
-        if u.cls != vertex.cls and Edge(vertex, u) in instance.edges
-    )
+    """The degree row of `vertex` restricted to its edges to `partners`,
+    read off the vertex's incidence list, so no edge is built."""
+    other_end = 1 if vertex.cls == CLASS1 else 0
+    support = frozenset(e for e in instance.incident(vertex) if e[other_end] in partners)
     return CertificateMember(kind="degree", vertex=vertex, support=support)
 
 
@@ -204,12 +203,16 @@ def certify(instance: BipartiteInstance, comb: Comb) -> Certificate | None:
 def _validate_member(
     instance: BipartiteInstance, idx: int, member: CertificateMember
 ) -> list[str]:
+    """A member's problems: one subset test passes a sound member, and the
+    per-item loop runs only to report what is wrong."""
     problems = []
     if member.kind == "degree":
         if member.vertex is None or not instance.contains(member.vertex):
             problems.append(f"member {idx}: degree member without a valid vertex")
             return problems
         incident = set(instance.incident(member.vertex))
+        if incident.issuperset(member.support):
+            return problems
         for e in sorted(member.support):
             if e not in instance.edges:
                 problems.append(f"member {idx}: support edge {e} not in the instance")
@@ -221,6 +224,8 @@ def _validate_member(
     elif member.kind == "sec":
         if not member.vertex_set:
             problems.append(f"member {idx}: empty vertex set")
+        elif instance.contains_all(member.vertex_set):
+            return problems
         for v in sorted(member.vertex_set):
             if not instance.contains(v):
                 problems.append(f"member {idx}: unknown vertex {v}")

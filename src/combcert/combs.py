@@ -33,11 +33,20 @@ Admission reads orientation 1 unless it says "some orientation":
 L1 implies all others; T2 implies T1 by a parity argument (mechanized in
 `certificates.parity_audit`).
 
-A comb's two `IntersectionPattern`s depend on the comb alone, so the comb
-extracts them once, on first use, and keeps them (`Comb.patterns`); the
-instance only validates the comb.  `classify` validates it and hands both
-patterns over in a `CombClass`, which reads every flag, condition and
-note off them; `extract_pattern` validates it and hands over one.
+What depends on the comb alone is worked out once per comb, on first
+use, and kept on it:
+  * its structural verdict (`Comb._shape`): the vertices it names, and
+    its rule violations (t odd and >= 3, each tooth meeting and leaving
+    the hand, teeth pairwise disjoint);
+  * its two `IntersectionPattern`s (`Comb.patterns`).
+What depends on the instance is checked on every call: `validate_comb`
+tests the comb's vertices against the instance's with one subset test,
+and only a failing comb has its messages put into words, labels read
+from the instance.  Every entry point (`classify`, `extract_pattern`,
+`comb_inequality` and the certificate builders) still validates.
+`classify` validates the comb and hands both patterns over in a
+`CombClass`, which reads every flag, condition and note off them;
+`extract_pattern` validates it and hands over one.
 """
 
 from __future__ import annotations
@@ -72,6 +81,28 @@ class Comb:
         only once the comb is validated (`classify`, `extract_pattern`)."""
         return (_pattern(self, swap_classes=False), _pattern(self, swap_classes=True))
 
+    @cached_property
+    def _shape(self) -> tuple[frozenset[VertexId], tuple]:
+        """The instance-free structural verdict, worked out on first use:
+        every vertex the comb names, and its rule violations in
+        `validate_comb`'s order.  A violation is a message, or for two
+        overlapping teeth (i, j, shared), whose labels the instance gives."""
+        hand, teeth, t = self.hand, self.teeth, self.t
+        problems: list = []
+        if t < 3 or t % 2 == 0:
+            problems.append(f"t must be odd and >= 3, got {t}")
+        for i, tooth in enumerate(teeth):
+            if not (hand & tooth):
+                problems.append(f"tooth {i + 1} does not meet the hand")
+            if not (tooth - hand):
+                problems.append(f"tooth {i + 1} has no vertex outside the hand")
+        for i in range(t):
+            for j in range(i + 1, t):
+                shared = teeth[i] & teeth[j]
+                if shared:
+                    problems.append((i, j, shared))
+        return hand | self.toothed(), tuple(problems)
+
     def toothed(self) -> frozenset[VertexId]:
         out: set[VertexId] = set()
         for tooth in self.teeth:
@@ -80,28 +111,21 @@ class Comb:
 
 
 def validate_comb(instance: BipartiteInstance, comb: Comb) -> list[str]:
-    """Structural rule violations, empty when the comb is well formed."""
-    problems: list[str] = []
-    for v in comb.hand | comb.toothed():
-        if not instance.contains(v):
-            problems.append(f"vertex {v} is not in the instance")
-    if problems:
-        return problems
-    t = comb.t
-    if t < 3 or t % 2 == 0:
-        problems.append(f"t must be odd and >= 3, got {t}")
-    for i, tooth in enumerate(comb.teeth):
-        if not (comb.hand & tooth):
-            problems.append(f"tooth {i + 1} does not meet the hand")
-        if not (tooth - comb.hand):
-            problems.append(f"tooth {i + 1} has no vertex outside the hand")
-    for i in range(t):
-        for j in range(i + 1, t):
-            shared = comb.teeth[i] & comb.teeth[j]
-            if shared:
-                labels = ",".join(instance.labels_of(shared))
-                problems.append(f"teeth {i + 1} and {j + 1} are not disjoint ({labels})")
-    return problems
+    """Structural rule violations, empty when the comb is well formed.
+
+    A vertex outside the instance is reported alone; otherwise the comb's
+    kept verdict (`Comb._shape`) is put into words."""
+    vertices, problems = comb._shape
+    if not instance.contains_all(vertices):
+        return [f"vertex {v} is not in the instance" for v in vertices if not instance.contains(v)]
+    messages = []
+    for problem in problems:
+        if not isinstance(problem, str):
+            i, j, shared = problem
+            labels = ",".join(instance.labels_of(shared))
+            problem = f"teeth {i + 1} and {j + 1} are not disjoint ({labels})"
+        messages.append(problem)
+    return messages
 
 
 def require_valid(instance: BipartiteInstance, comb: Comb) -> None:
@@ -117,16 +141,14 @@ def comb_inequality(instance: BipartiteInstance, comb: Comb) -> LinearInequality
     so coefficient 2 happens exactly for edges inside some H n T_i; the row
     counts `BipartiteInstance.edges_within` of the hand and each tooth.  The
     right-hand side |H| + sum|T_i| - (3t+1)/2 is integral because t is odd.
+    The row's provenance is the plain "comb": nothing reads a label of it.
     """
     require_valid(instance, comb)
     coeffs: dict = {}
     for part in (comb.hand, *comb.teeth):
         for e in instance.edges_within(part):
             coeffs[e] = coeffs.get(e, 0) + 1
-    hand_labels = ",".join(instance.labels_of(comb.hand))
-    return LinearInequality(
-        coeffs, comb_rhs(comb), ConstraintKind.COMB, f"comb{{{hand_labels}}}"
-    )
+    return LinearInequality(coeffs, comb_rhs(comb), ConstraintKind.COMB, "comb")
 
 
 def comb_rhs(comb: Comb) -> int:

@@ -7,6 +7,15 @@ on dense ``(cls, index)`` pairs.  `BipartiteInstance.edges_within` is the
 one reading of "the edges inside a vertex set", x(E(S)), that subtour
 rows, comb rows and `set_weight` share.
 
+An instance builds its per-instance tables once, on first use, and
+answers every vertex and edge question from them: each class's
+`VertexId`s (`class_vertices`), the label of every vertex (`contains`,
+`contains_all`, `label`, `labels_of`, `vertices`), the vertex of every
+label (`vertex`), the ascending edge order (`sorted_edges`) and each
+vertex's incident edges (`incident`, `edges_within`).  A question about
+a vertex outside the instance is a dictionary miss, answered with
+`UnknownVertexError` as before.
+
 `VertexId` and `Edge` are immutable tuple value types: named-tuple
 subclasses whose ``__new__`` validates (and, for an edge, orders the
 endpoints), so hashing, equality and ordering run in C.  They hash,
@@ -131,25 +140,47 @@ class BipartiteInstance:
             edges,
         )
 
+    @cached_property
+    def _class_vertices(self) -> tuple[tuple[VertexId, ...], tuple[VertexId, ...]]:
+        return (
+            tuple(VertexId(CLASS1, i) for i in range(self.n1)),
+            tuple(VertexId(CLASS2, j) for j in range(self.n2)),
+        )
+
+    def class_vertices(self, cls: int) -> tuple[VertexId, ...]:
+        """The vertices of class `cls` (1 or 2), ascending index, built once."""
+        return self._class_vertices[0 if cls == CLASS1 else 1]
+
+    @cached_property
+    def _vertex_labels(self) -> dict[VertexId, str]:
+        """Every vertex's label, class 1 first, ascending index within each class."""
+        ones, twos = self._class_vertices
+        return dict(zip(ones + twos, self.class1_labels + self.class2_labels))
+
+    @cached_property
+    def _vertex_set(self) -> frozenset[VertexId]:
+        return frozenset(self._vertex_labels)
+
     def vertices(self) -> Iterator[VertexId]:
         """All vertices, class 1 first, ascending index within each class."""
-        for i in range(self.n1):
-            yield VertexId(CLASS1, i)
-        for j in range(self.n2):
-            yield VertexId(CLASS2, j)
+        return iter(self._vertex_labels)
 
     def contains(self, vertex: VertexId) -> bool:
-        size = self.n1 if vertex.cls == CLASS1 else self.n2
-        return 0 <= vertex.index < size
+        return vertex in self._vertex_labels
+
+    def contains_all(self, vertices: Iterable[VertexId]) -> bool:
+        """Whether every vertex lies in the instance: one subset test."""
+        return self._vertex_set.issuperset(vertices)
 
     def require_vertex(self, vertex: VertexId) -> None:
         if not self.contains(vertex):
             raise UnknownVertexError(f"vertex {vertex} is not in the instance")
 
     def label(self, vertex: VertexId) -> str:
-        self.require_vertex(vertex)
-        table = self.class1_labels if vertex.cls == CLASS1 else self.class2_labels
-        return table[vertex.index]
+        label = self._vertex_labels.get(vertex)
+        if label is None:
+            self.require_vertex(vertex)  # raises: vertex is not in the instance
+        return label
 
     def edge_label(self, edge: Edge) -> str:
         """The edge as "u-v": class-1 label, then class-2 label."""
@@ -163,11 +194,7 @@ class BipartiteInstance:
 
     @cached_property
     def _label_table(self) -> dict[str, VertexId]:
-        table = {lab: VertexId(CLASS1, i) for i, lab in enumerate(self.class1_labels)}
-        table.update(
-            (lab, VertexId(CLASS2, j)) for j, lab in enumerate(self.class2_labels)
-        )
-        return table
+        return {lab: v for v, lab in self._vertex_labels.items()}
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
@@ -227,7 +254,8 @@ class BipartiteInstance:
         return frozenset(self.vertex_at(i) for i in range(self.num_vertices) if mask >> i & 1)
 
     def labels_of(self, vertices: Iterable[VertexId]) -> tuple[str, ...]:
-        return tuple(self.label(v) for v in sorted(vertices))
+        """The labels of `vertices`, in ascending vertex order."""
+        return tuple(map(self.label, sorted(vertices)))
 
 
 class FractionalPoint:

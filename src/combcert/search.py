@@ -38,8 +38,8 @@ class _Pools:
     """Disjoint draws from the two vertex classes of an instance."""
 
     def __init__(self, instance: BipartiteInstance, rng: random.Random, flip: bool):
-        order1 = [VertexId(CLASS1, i) for i in range(instance.n1)]
-        order2 = [VertexId(CLASS2, j) for j in range(instance.n2)]
+        order1 = list(instance.class_vertices(CLASS1))
+        order2 = list(instance.class_vertices(CLASS2))
         rng.shuffle(order1)
         rng.shuffle(order2)
         # `flip` decides which real class plays "class one" in the recipes.

@@ -16,6 +16,12 @@ vertex-set rules that `BipartiteInstance.edges_within` replaced, and
 integer-scaled `combcert.lp._audit_duality` replaced, kept unchanged.
 `in_normal_form` is the package's one number form, checked by type
 alone: the assertion every test of a value's form shares.
+`validate_comb` is the comb check that `combcert.combs.validate_comb`
+replaced, which asked the instance about every vertex and re-checked
+every rule on every call; `aggregation_members` is the member recipe
+that `combcert.certificates.aggregation_members` replaced, which built
+each degree member's support as `Edge(vertex, u)` per partner u and
+tested it against `instance.edges`.  Both are kept unchanged.
 """
 
 from __future__ import annotations
@@ -500,3 +506,63 @@ def fraction_audit_duality(rows, variables, objective, optimum, dual) -> None:
             raise CombcertError(f"dual infeasible at variable {e}")
     if total != optimum:
         raise CombcertError("dual objective does not match the optimum")
+
+
+def validate_comb(instance, comb):
+    """Structural rule violations, empty when the comb is well formed."""
+    problems = []
+    for v in comb.hand | comb.toothed():
+        if not instance.contains(v):
+            problems.append(f"vertex {v} is not in the instance")
+    if problems:
+        return problems
+    t = comb.t
+    if t < 3 or t % 2 == 0:
+        problems.append(f"t must be odd and >= 3, got {t}")
+    for i, tooth in enumerate(comb.teeth):
+        if not (comb.hand & tooth):
+            problems.append(f"tooth {i + 1} does not meet the hand")
+        if not (tooth - comb.hand):
+            problems.append(f"tooth {i + 1} has no vertex outside the hand")
+    for i in range(t):
+        for j in range(i + 1, t):
+            shared = comb.teeth[i] & comb.teeth[j]
+            if shared:
+                labels = ",".join(instance.labels_of(shared))
+                problems.append(f"teeth {i + 1} and {j + 1} are not disjoint ({labels})")
+    return problems
+
+
+def _degree_member(instance, vertex, partners):
+    from combcert import graph
+    from combcert.certificates import CertificateMember
+
+    support = frozenset(
+        graph.Edge(vertex, u)
+        for u in partners
+        if u.cls != vertex.cls and graph.Edge(vertex, u) in instance.edges
+    )
+    return CertificateMember(kind="degree", vertex=vertex, support=support)
+
+
+def aggregation_members(instance, comb, pattern):
+    """The member recipe for one orientation, plus its aggregate rhs."""
+    from combcert.certificates import CertificateMember, member_rhs
+
+    h1, h2 = pattern.h1, pattern.h2
+    toothed = comb.toothed()
+    members = []
+    for pos, ti in enumerate(pattern.tooth_order):
+        tooth = comb.teeth[ti]
+        if pos < pattern.p:
+            for a in sorted(tooth & h1):
+                members.append(_degree_member(instance, a, tooth | (h2 - tooth)))
+            for b in sorted(tooth & h2):
+                members.append(_degree_member(instance, b, tooth))
+            members.append(CertificateMember(kind="sec", vertex_set=tooth - comb.hand))
+        else:
+            members.append(CertificateMember(kind="sec", vertex_set=tooth))
+    for a in sorted(h1 - toothed):
+        members.append(_degree_member(instance, a, h2))
+    agg_rhs = sum(member_rhs(m) for m in members)
+    return tuple(members), agg_rhs

@@ -31,9 +31,9 @@ from combcert.certificates import (
     member_inequality,
     parity_audit,
 )
-from combcert import certificates
-from combcert.errors import InvalidCombError
-from combcert.graph import CLASS1, CLASS2, VertexId
+from combcert import certificates, load_table, validate_comb
+from combcert.errors import CombcertError, InvalidCombError
+from combcert.graph import CLASS1, CLASS2, Edge, VertexId
 from combcert.search import FAMILIES, ExperimentConfig, run_search, sample_comb
 import oracles
 from oracles import in_normal_form
@@ -518,3 +518,68 @@ def test_verify_and_the_oracle_refuse_the_same_invalid_comb(k44):
     with pytest.raises(InvalidCombError) as old:
         oracles.verify(k44, bad)
     assert str(new.value) == str(old.value)
+
+
+def _with_edges_removed(n, rng, drop):
+    """K_{n,n} less `drop` seeded edges."""
+    full = BipartiteInstance.complete(n)
+    gone = set(rng.sample(full.sorted_edges, drop))
+    return BipartiteInstance(
+        full.class1_labels, full.class2_labels, frozenset(full.edges - gone)
+    )
+
+
+def _sparse_instances():
+    rng = random.Random(4242)
+    for table in ((1,), (2, "corrected"), (2, "printed")):
+        instance, _, comb = load_table(*table)
+        yield instance, [comb]
+    for n, drop in ((4, 3), (5, 6), (6, 9), (8, 20), (10, 30)):
+        yield _with_edges_removed(n, rng, drop), []
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_builders_and_verify_on_missing_edges_match_the_edge_oracle(case):
+    """On the bundled table instances and on K_{n,n} with edges removed:
+    every orientation's members, the builders' members and supports, and
+    every report (of sound and of broken certificates) equal the
+    `Edge`-based derivation and the Fraction checker."""
+    instance, combs = list(_sparse_instances())[case]
+    rng = random.Random(5100 + case)
+    for family in FAMILIES:
+        for _ in range(6):
+            try:
+                combs.append(sample_comb(rng, instance, family))
+            except CombcertError:  # a table instance is too small for some families
+                break
+    missing = [
+        Edge(a, b)
+        for a in instance.class_vertices(CLASS1)
+        for b in instance.class_vertices(CLASS2)
+        if Edge(a, b) not in instance.edges
+    ]
+    assert missing
+    built = broken = 0
+    for comb in combs:
+        for pat in comb.patterns if not validate_comb(instance, comb) else ():
+            assert aggregation_members(instance, comb, pat) == oracles.aggregation_members(
+                instance, comb, pat
+            )
+        for name in classify(instance, comb).builder_names():
+            cert = BUILDERS[name](instance, comb)
+            pat = comb.patterns[cert.orientation - 1]
+            assert cert.members == oracles.aggregation_members(instance, comb, pat)[0]
+            assert all(m.support <= instance.edges for m in cert.members)
+            _assert_same_report(instance, cert)
+            built += 1
+            vertex = min(cert.comb.hand)
+            absent = [e for e in missing if e.touches(vertex)]
+            extra = CertificateMember(
+                kind="degree", vertex=vertex, support=frozenset(absent[:1] + missing[-1:])
+            )
+            for mutant in _mutants(instance, cert, rng) + [
+                Certificate(cert.builder, comb, cert.members + (extra,), cert.orientation)
+            ]:
+                broken += not _assert_same_report(instance, mutant).dominates
+    assert built >= 2
+    assert broken >= 10 * built

@@ -18,7 +18,9 @@ from combcert import (
     validate_comb,
 )
 from combcert.combs import twice_toothless_bound
+from combcert.graph import CLASS1, CLASS2, VertexId
 from combcert.search import FAMILIES, sample_comb
+import oracles
 from oracles import fraction_condition_bound, in_normal_form, naive_comb_lhs, set_based_flags
 
 
@@ -318,3 +320,63 @@ def test_combs_imports_nothing_from_certificates():
             assert all(
                 alias.name != "combcert.certificates" for alias in node.names
             )
+
+
+def _broken_combs(rng, instance, comb):
+    """Seeded invalid variants of a valid comb, one per rule, and one that
+    breaks several rules at once (its messages must keep their order)."""
+    hand, teeth = comb.hand, comb.teeth
+    outside = VertexId(rng.choice((CLASS1, CLASS2)), max(instance.n1, instance.n2) + rng.randrange(3))
+    grown = rng.randrange(len(teeth))
+    return {
+        "outside vertex": Comb(hand, teeth[:grown] + (teeth[grown] | {outside},) + teeth[grown + 1 :]),
+        "outside hand vertex": Comb(hand | {outside}, teeth),
+        "t even": Comb(hand, teeth[:2]),
+        "t = 1": Comb(hand, teeth[:1]),
+        "tooth misses the hand": Comb(hand - teeth[grown], teeth),
+        "tooth inside the hand": Comb(hand | teeth[grown], teeth),
+        "overlapping teeth": Comb(hand, (teeth[0] | teeth[1],) + teeth[1:]),
+        "several": Comb(hand - teeth[0], (teeth[0] | teeth[-1], teeth[-1] | teeth[1])),
+    }
+
+
+def test_validate_comb_matches_the_oracle_on_valid_and_broken_combs():
+    """`validate_comb` gives the problems of the check it replaced, in the
+    same order, on every call: a comb keeps only its structural verdict."""
+    rng = random.Random(2207)
+    seen = set()
+    for instance, comb in _oracle_pool():
+        fresh = Comb(comb.hand, comb.teeth)
+        assert validate_comb(instance, fresh) == oracles.validate_comb(instance, fresh) == []
+        for kind, bad in _broken_combs(rng, instance, comb).items():
+            expected = oracles.validate_comb(instance, bad)
+            assert expected, kind
+            assert validate_comb(instance, bad) == expected, kind
+            assert validate_comb(instance, bad) == expected, kind  # the kept verdict
+            seen.add(kind)
+            seen.update(p.split(" ")[0] for p in expected)
+    assert {"vertex", "t", "tooth", "teeth", "several", "t = 1"} <= seen
+
+
+def test_a_comb_validated_on_two_instances_keeps_no_instance_answer():
+    """One comb object checked against K_{10,10}, then K_{3,3}, then
+    K_{10,10} again, and against a relabelled K_{10,10}: each answer is the
+    oracle's for that instance, labels included."""
+    big, small = BipartiteInstance.complete(10), BipartiteInstance.complete(3)
+    relabelled = BipartiteInstance(
+        tuple(f"a{i}" for i in range(10)), tuple(f"b{j}" for j in range(10)), big.edges
+    )
+    rng = random.Random(3310)
+    combs = [sample_comb(rng, big, family) for family in FAMILIES]
+    combs += [bad for comb in combs for bad in _broken_combs(rng, big, comb).values()]
+    outside_small = 0
+    for comb in combs:
+        answers = []
+        for instance in (big, small, big, relabelled):
+            answers.append(validate_comb(instance, comb))
+            assert answers[-1] == oracles.validate_comb(instance, comb)
+        assert answers[0] == answers[2]
+        outside_small += answers[0] == [] and answers[1] != []
+        if any("disjoint" in p for p in answers[0]):
+            assert answers[3] != answers[0]  # the overlap is told in each instance's labels
+    assert outside_small >= len(FAMILIES)
