@@ -27,8 +27,8 @@ Nine workloads:
     family: the time of the first query, which enumerates the tours and
     ranks the polytope, and per query of the other 23, which read the kept
     tour set and dimension, and for the first 4 combs the same report as
-    the oracle path of the tests (`Tour.as_point`, `value_on` and a
-    `Fraction` rank over all tours);
+    the oracle path of the tests (`value_on` at each kept tour's unit
+    point and a `Fraction` rank over all tours);
   * `facet_test` on K_{6,6} (43,200 tours) over 6 seeded combs, first
     and then per query, the same reports on a second pass, and the size
     of the kept tour set and the peak RSS with it kept;
@@ -61,8 +61,6 @@ from combcert import (
     _kernels,
     check_point,
     comb_inequality,
-    enumerate_tours,
-    expected_tour_count,
     facet_test,
     gen_degree,
     is_implied,
@@ -74,7 +72,7 @@ from combcert.certificates import BUILDERS, certify, verify
 from combcert.search import FAMILIES, sample_comb
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
-from oracles import facet_report_oracle, tour_affine_rank  # noqa: E402
+from oracles import expected_tour_count, facet_report_oracle, tour_affine_rank  # noqa: E402
 
 
 def time_call(fn, *args, repeat=3):
@@ -290,9 +288,9 @@ def bench_facet(seed: int, combs: int = 24, checked: int = 4):
     `checked` reports must equal the oracle's."""
     instance, rows = facet_queries(seed, 5, combs)
     reports, first, warm = timed_facet_tests(instance, rows)
-    tour_list = list(enumerate_tours(instance))
+    tour_list = tours._tour_set(instance).tours
     t0 = time.perf_counter()
-    dim = tour_affine_rank(instance, tour_list)
+    dim = tour_affine_rank(instance.sorted_edges, tour_list)
     for row, report in zip(rows[:checked], reports):
         assert report.as_dict() == facet_report_oracle(instance, row, tour_list, dim)
     t_oracle = time.perf_counter() - t0

@@ -16,15 +16,12 @@ from .certificates import (
     Certificate,
     CertificateMember,
     CertificateReport,
-    ParityAudit,
-    aggregation_members,
     build_l1,
     build_l2,
     build_l3,
     build_t1,
     build_t2,
     certify,
-    parity_audit,
     verify,
 )
 from .combs import (
@@ -34,7 +31,6 @@ from .combs import (
     classify,
     comb_inequality,
     comb_value,
-    extract_pattern,
     validate_comb,
 )
 from .constraints import (
@@ -43,7 +39,6 @@ from .constraints import (
     LinearInequality,
     check_point,
     degree_constraint,
-    evaluate,
     gen_degree,
     gen_secs,
     sec_constraint,
@@ -73,11 +68,7 @@ from .tables import load_table, reproduce_tables
 from .tours import (
     FacetReport,
     FacetVerdict,
-    Tour,
-    enumerate_tours,
-    expected_tour_count,
     facet_test,
-    polytope_dimension,
 )
 
 __version__ = "0.1.0"

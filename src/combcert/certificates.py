@@ -48,13 +48,14 @@ For the last two a counting argument guarantees that one orientation
 passes: both slacks are integers and their sum equals
 sum(s_i) + sum_{i>p} r_i - 1 >= -1, so they cannot both be negative.
 For single-intersection combs (L2) the sum is exactly -1, so exactly one
-orientation passes.  `parity_audit` exposes that arithmetic for testing.
+orientation passes.
 Builders refuse (raise) rather than fall back when hypotheses fail.
 
-A builder validates the comb and reads the patterns it keeps
-(`Comb.patterns`).  `certify` is the one pick of a class, for `certify
---builder auto` and `run_search`: the first in `CLASSES` order that
-admits the comb, built through its `BUILDERS` entry.
+A builder validates the comb and reads the patterns and admitted
+classes it keeps (`Comb.patterns`, `Comb.admitted`).  `certify` is the
+one pick of a class, for `certify --builder auto` and `run_search`: the
+first in `CLASSES` order that admits the comb, built through its
+`BUILDERS` entry.
 """
 
 from __future__ import annotations
@@ -170,12 +171,11 @@ def _build(name: str, instance: BipartiteInstance, comb: Comb) -> Certificate:
     """
     cls = CLASSES[name]
     require_valid(instance, comb)
-    pats = comb.patterns
-    if not cls.admits(pats):
+    if name not in comb.admitted:
         raise HypothesisNotMetError(f"{name} needs a {cls.flag} comb")
     target = None if cls.fits else comb_rhs(comb)
     best = None
-    for pat in pats:
+    for pat in comb.patterns:
         if cls.fits and not cls.fits(pat):
             continue
         members, agg = aggregation_members(instance, comb, pat)
@@ -293,41 +293,4 @@ def verify(instance: BipartiteInstance, certificate: Certificate) -> Certificate
         slack=slack,
         edge_surplus=surplus,
         problems=tuple(problems),
-    )
-
-
-@dataclass(frozen=True)
-class ParityAudit:
-    """Both orientations' aggregate rhs values for a one-class-per-tooth comb.
-
-    Mechanizes the orientation-switching argument: written with everything
-    doubled, both comparison sides are even, so each `doubled_margin`
-    (= 2 * slack) is an even integer; and the exact identity
-
-        slack_1 + slack_2 == sum(s_i) + sum_{i>p} r_i - 1
-
-    forces at least one slack to be >= 0.
-    """
-
-    target_rhs: int
-    aggregate_rhs: tuple[int, int]
-    slack: tuple[int, int]
-    doubled_margins: tuple[int, int]
-    slack_sum_expected: int
-
-
-def parity_audit(instance: BipartiteInstance, comb: Comb) -> ParityAudit:
-    pats = classify(instance, comb).patterns
-    if not CLASSES["T2"].admits(pats):
-        raise HypothesisNotMetError("parity audit needs one-class-per-tooth combs")
-    target = comb_rhs(comb)
-    aggs = tuple(aggregation_members(instance, comb, pat)[1] for pat in pats)
-    slacks = tuple(target - agg for agg in aggs)
-    expected = sum(pats[0].s) + pats[0].trailing_r_sum() - 1
-    return ParityAudit(
-        target_rhs=target,
-        aggregate_rhs=aggs,
-        slack=slacks,
-        doubled_margins=tuple(2 * s for s in slacks),
-        slack_sum_expected=expected,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -49,9 +50,13 @@ def _write_output(path, document: dict) -> None:
 
 
 def _require_writable(path) -> None:
-    """Refuse `path` before any work; an existing file keeps its content."""
+    """Refuse `path` before any work, and leave it as it was: an existing
+    file keeps its content, and a file that the check made is removed."""
+    existed = os.path.lexists(path)
     try:
         open(path, "a").close()
+        if not existed:
+            os.remove(path)
     except (OSError, ValueError) as exc:
         raise FormatError("output", f"cannot write {path}: {exc}") from exc
 

@@ -30,23 +30,24 @@ Admission reads orientation 1 unless it says "some orientation":
   T2  one_class_per_tooth  r_i = 0 for every i <= p: each tooth meets the
                            hand inside a single class
 
-L1 implies all others; T2 implies T1 by a parity argument (mechanized in
-`certificates.parity_audit`).
+L1 implies all others; T2 implies T1 by a parity argument (see
+`certificates`).
 
 What depends on the comb alone is worked out once per comb, on first
 use, and kept on it:
   * its structural verdict (`Comb._shape`): the vertices it names, and
     its rule violations (t odd and >= 3, each tooth meeting and leaving
     the hand, teeth pairwise disjoint);
-  * its two `IntersectionPattern`s (`Comb.patterns`).
+  * its two `IntersectionPattern`s (`Comb.patterns`);
+  * the classes that admit it (`Comb.admitted`), so a comb is admitted
+    once however many steps ask.
 What depends on the instance is checked on every call: `validate_comb`
 tests the comb's vertices against the instance's with one subset test,
 and only a failing comb has its messages put into words, labels read
-from the instance.  Every entry point (`classify`, `extract_pattern`,
-`comb_inequality` and the certificate builders) still validates.
-`classify` validates the comb and hands both patterns over in a
-`CombClass`, which reads every flag, condition and note off them;
-`extract_pattern` validates it and hands over one.
+from the instance.  Every entry point (`classify`, `comb_inequality` and
+the certificate builders) still validates.  `classify` validates the
+comb and hands it over in a `CombClass`, which reads every flag,
+condition and note off what the comb keeps.
 """
 
 from __future__ import annotations
@@ -78,8 +79,14 @@ class Comb:
     @cached_property
     def patterns(self) -> tuple[IntersectionPattern, IntersectionPattern]:
         """Both orientations' patterns, extracted on first use; read them
-        only once the comb is validated (`classify`, `extract_pattern`)."""
+        only once the comb is validated (`classify`)."""
         return (_pattern(self, swap_classes=False), _pattern(self, swap_classes=True))
+
+    @cached_property
+    def admitted(self) -> tuple[str, ...]:
+        """The certificate classes that admit the comb, in `CLASSES` order,
+        decided on first use; read them only once the comb is validated."""
+        return tuple(name for name, c in CLASSES.items() if c.admits(self.patterns))
 
     @cached_property
     def _shape(self) -> tuple[frozenset[VertexId], tuple]:
@@ -187,19 +194,6 @@ class IntersectionPattern:
     h1: frozenset[VertexId]
     h2: frozenset[VertexId]
 
-    @property
-    def t(self) -> int:
-        return self.p + self.q
-
-    def hand_size(self) -> int:
-        return (
-            self.w
-            + self.y
-            + sum(1 + si for si in self.s)
-            + sum(self.r[: self.p])
-            + sum(1 + ri for ri in self.r[self.p:])
-        )
-
     def trailing_r_sum(self) -> int:
         return sum(self.r[self.p:])
 
@@ -219,16 +213,9 @@ class IntersectionPattern:
         return self.w == 0 and self.y == 0 and self.p < self.q
 
 
-def extract_pattern(
-    instance: BipartiteInstance, comb: Comb, swap_classes: bool = False
-) -> IntersectionPattern:
-    """Counts (p, q, s_i, r_i, w, y) with the canonical tooth reordering."""
-    require_valid(instance, comb)
-    return comb.patterns[1 if swap_classes else 0]
-
-
 def _pattern(comb: Comb, swap_classes: bool) -> IntersectionPattern:
-    """One orientation of `Comb.patterns`."""
+    """One orientation of `Comb.patterns`: the counts (p, q, s_i, r_i, w, y)
+    with the canonical tooth reordering."""
     cls_one = CLASS2 if swap_classes else CLASS1
     h1 = frozenset(v for v in comb.hand if v.cls == cls_one)
     h2 = comb.hand - h1
@@ -290,16 +277,22 @@ CLASSES: dict[str, HypothesisClass] = {
 
 @dataclass(frozen=True)
 class CombClass:
-    """A comb's two intersection patterns, orientation 1 then 2."""
+    """A validated comb, read through what it keeps: its two intersection
+    patterns, orientation 1 then 2, and the classes that admit it."""
 
-    patterns: tuple[IntersectionPattern, IntersectionPattern]
+    comb: Comb
+
+    @property
+    def patterns(self) -> tuple[IntersectionPattern, IntersectionPattern]:
+        return self.comb.patterns
 
     def builder_names(self) -> tuple[str, ...]:
         """The certificate classes that admit the comb, in table order."""
-        return tuple(name for name, c in CLASSES.items() if c.admits(self.patterns))
+        return self.comb.admitted
 
     def as_dict(self) -> dict:
-        flags = {c.flag: c.admits(self.patterns) for c in CLASSES.values()}
+        admitted = self.comb.admitted
+        flags = {c.flag: name in admitted for name, c in CLASSES.items()}
         pat1 = self.patterns[0]
         notes = []
         if flags["single"] and (pat1.w or pat1.y):
@@ -308,7 +301,7 @@ class CombClass:
             notes.append("toothless-vertex condition fails in both orientations")
         return {
             **flags,
-            "builders": list(self.builder_names()),
+            "builders": list(admitted),
             "conditions": [
                 {
                     "orientation": pat.orientation,
@@ -323,9 +316,9 @@ class CombClass:
 
 
 def classify(instance: BipartiteInstance, comb: Comb) -> CombClass:
-    """Validate the comb and hand over its two patterns."""
+    """Validate the comb and hand it over for reading."""
     require_valid(instance, comb)
-    return CombClass(comb.patterns)
+    return CombClass(comb)
 
 
 def comb_value(point: FractionalPoint, comb: Comb) -> int | Fraction:

@@ -98,15 +98,6 @@ class FeasibilityReport:
     violations: tuple[tuple[LinearInequality, int | Fraction], ...]
 
 
-def evaluate(
-    ineq: LinearInequality, point: FractionalPoint
-) -> tuple[int | Fraction, bool]:
-    """Value of the row at the point, and whether the relation holds."""
-    value = ineq.value_on(point)
-    satisfied = value == ineq.rhs if ineq.is_equality else value <= ineq.rhs
-    return value, satisfied
-
-
 def _degree_kind(mode: DegreeMode) -> ConstraintKind:
     """A degree row's kind in `mode`; another mode, unhashable too, raises."""
     if mode in ("le", "eq"):
@@ -228,8 +219,8 @@ def check_point(
     violations: list[tuple[LinearInequality, int | Fraction]] = []
 
     for row in gen_degree(instance, mode):
-        value, ok = evaluate(row, point)
-        if not ok:
+        value = row.value_on(point)
+        if value > row.rhs or (row.is_equality and value != row.rhs):
             violations.append((row, value))
 
     for e, w in point.items():

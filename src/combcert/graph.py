@@ -77,12 +77,6 @@ class Edge(namedtuple("_EdgeFields", "u v")):
             raise ValueError(f"edge endpoints must lie in opposite classes: {u}, {v}")
         return tuple.__new__(_cls, (u, v))
 
-    def endpoints(self) -> tuple[VertexId, VertexId]:
-        return (self.u, self.v)
-
-    def touches(self, vertex: VertexId) -> bool:
-        return self.u == vertex or self.v == vertex
-
 
 @dataclass(frozen=True)
 class BipartiteInstance:
@@ -232,11 +226,6 @@ class BipartiteInstance:
         self.require_vertex(vertex)
         return self._incidence[vertex]
 
-    def has_edge(self, a: VertexId, b: VertexId) -> bool:
-        if a.cls == b.cls:
-            return False
-        return Edge(a, b) in self.edges
-
     def global_index(self, vertex: VertexId) -> int:
         """Dense index over all vertices: class 1 block then class 2 block."""
         self.require_vertex(vertex)
@@ -272,20 +261,11 @@ class FractionalPoint:
             store[e] = exact_value(w, "edge weight")
         self._weights = store
 
-    @classmethod
-    def from_unit_edges(
-        cls, instance: BipartiteInstance, edges: Iterable[Edge]
-    ) -> "FractionalPoint":
-        return cls(instance, dict.fromkeys(edges, 1))
-
     def weight(self, edge: Edge) -> int | Fraction:
         return self._weights.get(edge, 0)
 
     def items(self) -> Iterator[tuple[Edge, int | Fraction]]:
         return iter(sorted(self._weights.items()))
-
-    def support(self) -> frozenset[Edge]:
-        return frozenset(e for e, w in self._weights.items() if w != 0)
 
     def __len__(self) -> int:
         return len(self._weights)

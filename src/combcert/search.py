@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .certificates import BUILDERS, certify, verify
-from .combs import Comb, classify, comb_inequality, twice_toothless_bound, validate_comb
+from .combs import Comb, comb_inequality, twice_toothless_bound, validate_comb
 from .constraints import DEFAULT_ENUMERATION_CAP
 from .errors import CombcertError, EnumerationCapError
 from .graph import CLASS1, CLASS2, BipartiteInstance, VertexId
@@ -106,17 +106,13 @@ def sample_comb(
             continue
         if validate_comb(instance, comb):
             continue
-        if family != "wild" and not _family_holds(instance, comb, family):
+        if family != "wild" and family.upper() not in comb.admitted:
             continue
         return comb
     raise CombcertError(
         f"could not sample a {family!r} comb on {instance.n1}x{instance.n2} "
         f"after {_ATTEMPTS} attempts"
     )
-
-
-def _family_holds(instance, comb, family) -> bool:
-    return family.upper() in classify(instance, comb).builder_names()
 
 
 def _feasible_teeth(instance, lo) -> list[int]:

@@ -7,27 +7,25 @@ form: it starts at class-1 vertex 0 and runs toward the smaller-indexed
 of that vertex's two tour neighbours, which kills both rotations and
 reflection.
 
-Inside this module a tour is a tuple of indices into
-`BipartiteInstance.sorted_edges`, in tour order; `Tour` objects are built
-only for callers of `enumerate_tours`.  `_tour_set`, the one enumeration,
-fills the table of those indices by (class-1, class-2) vertex pair and
-hands it to `_kernels.hamiltonian_cycles`, which returns the tuples
-themselves: entry 2k is the edge a_k b_k and entry 2k + 1 the edge
-b_k a_{k+1}, for the tour a_0 = 0, b_0, a_1, ..., b_{n-1} with
-b_0 < b_{n-1}.  Its list order, lexicographic in those vertex sequences,
-is the canonical order that `_stride_order` reads.
+A tour is a tuple of indices into `BipartiteInstance.sorted_edges`, in
+tour order.  `_tour_set`, the one enumeration, fills the table of those
+indices by (class-1, class-2) vertex pair and hands it to
+`_kernels.hamiltonian_cycles`, which returns the tuples themselves:
+entry 2k is the edge a_k b_k and entry 2k + 1 the edge b_k a_{k+1}, for
+the tour a_0 = 0, b_0, a_1, ..., b_{n-1} with b_0 < b_{n-1}.  Its list
+order, lexicographic in those vertex sequences, is the canonical order
+that `_stride_order` reads.
 
 Tours are enumerated and ranked once per instance: `_tour_set` keeps a
 `_TourSet`, the tuple of those tuples and the polytope dimension ranked
 from them, for the last `TOUR_SETS_KEPT` instances (equal instances
 share one; about 6 MiB each in the worst case, the 43,200 tours of
-K_{6,6}).  `_tours` is the one way to them that `facet_test`,
-`polytope_dimension` and `enumerate_tours` take: on every call, before the
-kept set is read, it logs unequal classes and gives them no tours, and it
-refuses an instance past the cap.  So the polytope is ranked once per
-kept instance, and a `facet_test` call ranks only its row's tight face.
-An instance without a tour has no dimension: `facet_test` and
-`polytope_dimension` raise `NoToursError` for it on every call.
+K_{6,6}).  `facet_test` is the one way to them, and it checks on every
+call, before the kept set is read: it logs unequal classes and refuses
+them, and it refuses an instance past the cap.  So the polytope is
+ranked once per kept instance, and a `facet_test` call ranks only its
+row's tight face.  An instance without a tour has no dimension:
+`facet_test` raises `NoToursError` for it on every call.
 
 `facet_test` evaluates a row on a tour as an integer sum.  The row's
 nonzero coefficients and its rhs are scaled by D, the lcm of their
@@ -63,30 +61,19 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import factorial, gcd, isqrt
+from math import gcd, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
 from . import _kernels
 from .constraints import LinearInequality
 from .errors import EnumerationCapError, NoToursError
-from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
+from .graph import BipartiteInstance
 from .rational import scale_to_ints
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TOUR_CAP = 6
 TOUR_SETS_KEPT = 2
-
-
-@dataclass(frozen=True)
-class Tour:
-    """Cyclic alternating vertex sequence plus its edge set."""
-
-    vertices: tuple[VertexId, ...]
-    edges: frozenset[Edge]
-
-    def as_point(self, instance: BipartiteInstance) -> FractionalPoint:
-        return FractionalPoint.from_unit_edges(instance, self.edges)
 
 
 class FacetVerdict(Enum):
@@ -129,7 +116,7 @@ def _tour_set(instance: BipartiteInstance) -> _TourSet:
     """The instance's tours and their dimension, kept for the last
     `TOUR_SETS_KEPT` instances.
 
-    Equal instances share it.  Callers go through `_tours`.
+    Equal instances share it.  `facet_test` checks the instance first.
     """
     n = instance.n1
     position = [[-1] * n for _ in range(n)]  # [a][b] -> index of edge a b
@@ -140,41 +127,6 @@ def _tour_set(instance: BipartiteInstance) -> _TourSet:
         return _NO_TOURS
     bound = len(instance.edges) - instance.num_vertices + 1
     return _TourSet(tours, _affine_rank(tours, len(instance.edges), bound))
-
-
-def _tours(instance: BipartiteInstance) -> _TourSet:
-    """The instance's tours and dimension, enumerated and ranked on its
-    first call.
-
-    On every call, unequal classes are logged and given no tours, and an
-    instance past `DEFAULT_TOUR_CAP` is refused.
-    """
-    if not instance.tours_possible:
-        log.info(
-            "no tours: class sizes differ (%d vs %d)", instance.n1, instance.n2
-        )
-        return _NO_TOURS
-    if instance.n1 > DEFAULT_TOUR_CAP:
-        raise EnumerationCapError("tour enumeration", instance.n1, DEFAULT_TOUR_CAP)
-    return _tour_set(instance)
-
-
-def _polytope(instance: BipartiteInstance) -> _TourSet:
-    """`_tours`, refused with `NoToursError` when there is no tour."""
-    kept = _tours(instance)
-    if kept.dim is None:
-        raise NoToursError("instance has no Hamiltonian tour")
-    return kept
-
-
-def enumerate_tours(instance: BipartiteInstance) -> Iterator[Tour]:
-    """Every Hamiltonian tour of the instance, canonical form, once each."""
-    edges = instance.sorted_edges
-    for tour in _tours(instance).tours:
-        yield Tour(
-            tuple(v for k in tour[0::2] for v in edges[k].endpoints()),
-            frozenset(edges[k] for k in tour),
-        )
 
 
 def _reduce_row(row: list[int]) -> list[int]:
@@ -250,11 +202,6 @@ def _affine_rank(
     return echelon.rank
 
 
-def polytope_dimension(instance: BipartiteInstance) -> int:
-    """Affine dimension of the convex hull of the tour incidence vectors."""
-    return _polytope(instance).dim
-
-
 def facet_test(instance: BipartiteInstance, ineq: LinearInequality) -> FacetReport:
     """Validity on all tours, tight-face dimension, and the verdict.
 
@@ -263,9 +210,23 @@ def facet_test(instance: BipartiteInstance, ineq: LinearInequality) -> FacetRepo
     them again would derive the same int from the same input.  The
     independent check of it is the `Fraction` rank of `tests/oracles.py`.
     Only the row's tight face is ranked here.
+
+    On every call, before the kept set is read, unequal classes are logged
+    and given no tours, and an instance past `DEFAULT_TOUR_CAP` is refused;
+    an instance without a tour raises `NoToursError`.
     """
+    if not instance.tours_possible:
+        log.info(
+            "no tours: class sizes differ (%d vs %d)", instance.n1, instance.n2
+        )
+        tours, polytope_dim = _NO_TOURS
+    elif instance.n1 > DEFAULT_TOUR_CAP:
+        raise EnumerationCapError("tour enumeration", instance.n1, DEFAULT_TOUR_CAP)
+    else:
+        tours, polytope_dim = _tour_set(instance)
+    if polytope_dim is None:
+        raise NoToursError("instance has no Hamiltonian tour")
     edges = instance.sorted_edges
-    tours, polytope_dim = _polytope(instance)
 
     (rhs, *nonzeros), _ = scale_to_ints([ineq.rhs, *ineq.coeffs.values()])
     scaled = dict(zip(ineq.coeffs, nonzeros))
@@ -289,10 +250,3 @@ def facet_test(instance: BipartiteInstance, ineq: LinearInequality) -> FacetRepo
         else FacetVerdict.SUPPORTING_NON_FACET
     )
     return FacetReport(polytope_dim, len(tight), tight_dim, verdict)
-
-
-def expected_tour_count(n: int) -> int:
-    """n! (n-1)! / 2 undirected tours on the complete K_{n,n} (n >= 2)."""
-    if n < 2:
-        return 0
-    return factorial(n) * factorial(n - 1) // 2

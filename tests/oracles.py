@@ -22,6 +22,9 @@ every rule on every call; `aggregation_members` is the member recipe
 that `combcert.certificates.aggregation_members` replaced, which built
 each degree member's support as `Edge(vertex, u)` per partner u and
 tested it against `instance.edges`.  Both are kept unchanged.
+A tour is handled as the package keeps it, a tuple of indices into
+`instance.sorted_edges`; `tour_point` is its unit point, and
+`expected_tour_count` the closed-form count of the tours of K_{n,n}.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 CLASS1 = 1
 CLASS2 = 2
@@ -182,20 +186,40 @@ def set_based_flags(comb):
     }
 
 
+def expected_tour_count(n):
+    """n! (n-1)! / 2 undirected tours on the complete K_{n,n} (n >= 2)."""
+    if n < 2:
+        return 0
+    return factorial(n) * factorial(n - 1) // 2
+
+
+def tour_point(instance, tour):
+    """The unit point of a tour given as indices into `instance.sorted_edges`."""
+    from combcert.graph import FractionalPoint
+
+    edges = instance.sorted_edges
+    return FractionalPoint(instance, {edges[k]: 1 for k in tour})
+
+
 def is_hamiltonian_cycle(instance, tour):
-    """Alternation, full coverage, adjacency, and closure, checked directly."""
-    seq = tour.vertices
-    if len(seq) != instance.num_vertices or len(set(seq)) != len(seq):
+    """Whether the edge-index tour walks through every vertex once and
+    closes, each step along an edge of the instance, checked directly."""
+    edges = [instance.sorted_edges[k] for k in tour]
+    if len(edges) != instance.num_vertices or len(set(edges)) != len(edges):
         return False
-    for k, v in enumerate(seq):
-        expected_cls = 1 if k % 2 == 0 else 2
-        if v.cls != expected_cls:
+    if any(e not in instance.edges for e in edges):
+        return False
+    shared = set(edges[-1]) & set(edges[0])
+    if len(shared) != 1:
+        return False
+    here = shared.pop()
+    seen = []
+    for e in edges:
+        if here not in e:
             return False
-    for k in range(len(seq)):
-        a, b = seq[k], seq[(k + 1) % len(seq)]
-        if not instance.has_edge(a, b):
-            return False
-    return True
+        seen.append(here)
+        here = e.v if here == e.u else e.u
+    return here == seen[0] and len(set(seen)) == instance.num_vertices
 
 
 def nested_generator_edge_tours(instance):
@@ -367,21 +391,22 @@ def vertex_enumeration_max(n_vars, constraints, objective):
     return best
 
 
-def tour_affine_rank(instance, tours):
-    """Affine rank of the tours' unit points: `fraction_rank` of differences."""
-    edges = sorted(instance.edges)
-    rows = [[t.as_point(instance).weight(e) for e in edges] for t in tours]
+def tour_affine_rank(edges, tours):
+    """Affine rank of the edge-index tours' unit points over `edges` (an
+    instance's `sorted_edges`): `fraction_rank` of differences."""
+    rows = [[int(k in tour) for k in range(len(edges))] for tour in map(set, tours)]
     return fraction_rank([[a - b for a, b in zip(row, rows[0])] for row in rows[1:]])
 
 
 def facet_report_oracle(instance, ineq, tours, polytope_dim):
     """The facet report, spelled as `FacetReport.as_dict`, from `value_on`
-    at each tour's point and `tour_affine_rank` over the tight tours.
+    at each edge-index tour's point and `tour_affine_rank` over the tight
+    tours.
 
     `polytope_dim` is `tour_affine_rank` over all tours, passed in so that
     callers with many rows compute it once.
     """
-    values = [ineq.value_on(t.as_point(instance)) for t in tours]
+    values = [ineq.value_on(tour_point(instance, t)) for t in tours]
     if ineq.is_equality:
         valid = all(v == ineq.rhs for v in values)
     else:
@@ -395,7 +420,7 @@ def facet_report_oracle(instance, ineq, tours, polytope_dim):
             "tight_face_dim": -1,
             "verdict": verdict,
         }
-    tight_dim = tour_affine_rank(instance, tight)
+    tight_dim = tour_affine_rank(instance.sorted_edges, tight)
     return {
         "polytope_dim": polytope_dim,
         "tight_tour_count": len(tight),

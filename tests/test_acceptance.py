@@ -20,20 +20,19 @@ from combcert import (
     classify,
     comb_inequality,
     comb_value,
-    enumerate_tours,
-    expected_tour_count,
     facet_test,
     is_implied,
     load_table,
-    polytope_dimension,
     solve,
     verify,
 )
-from combcert.certificates import BUILDERS, parity_audit
+from combcert import tours
+from combcert.certificates import BUILDERS, aggregation_members
+from combcert.combs import comb_rhs
 from combcert.lp import INFEASIBLE, OPTIMAL
 from combcert.search import sample_comb
 from combcert.tours import FacetVerdict
-from oracles import vertex_enumeration_max
+from oracles import expected_tour_count, tour_point, vertex_enumeration_max
 
 FAMILY_SIZES = {"l1": (3, 4, 5, 6), "l2": (4, 5, 6), "l3": (3, 4, 5, 6),
                 "t1": (4, 5, 6), "t2": (4, 5, 6)}
@@ -182,18 +181,25 @@ def test_criterion_5_parity_invariants():
             instance = BipartiteInstance.complete(n)
             for _ in range(50):
                 comb = sample_comb(rng, instance, family)
-                audit = parity_audit(instance, comb)
+                one_class = "T2" in classify(instance, comb).builder_names()
+                pats = comb.patterns
+                slack = [
+                    comb_rhs(comb) - aggregation_members(instance, comb, pat)[1]
+                    for pat in pats
+                ]
                 cert = BUILDERS[builder_name](instance, comb)
                 report = verify(instance, cert)
                 total += 1
-                slacks_integral = all(s.denominator == 1 for s in audit.slack)
+                slacks_integral = all(s.denominator == 1 for s in slack)
                 # Doubled as in the orientation-switch argument both
                 # comparison sides are even, so these gaps are even integers.
-                margins_even = all(m % 2 == 0 for m in audit.doubled_margins)
-                identity = sum(audit.slack) == audit.slack_sum_expected >= -1
+                margins_even = all(2 * s % 2 == 0 for s in slack)
+                expected = sum(pats[0].s) + pats[0].trailing_r_sum() - 1
+                identity = sum(slack) == expected >= -1
                 if not (
                     report.dominates
-                    and max(audit.slack) >= 0
+                    and one_class
+                    and max(slack) >= 0
                     and slacks_integral
                     and margins_even
                     and identity
@@ -211,9 +217,9 @@ def test_criterion_6_tour_validity():
     for n, want in expected.items():
         instance = BipartiteInstance.complete(n)
         count = 0
-        for tour in enumerate_tours(instance):
+        for tour in tours._tour_set(instance).tours:
             count += 1
-            report = check_point(instance, tour.as_point(instance), mode="eq")
+            report = check_point(instance, tour_point(instance, tour), mode="eq")
             if not report.feasible:
                 ok = False
         if count != want or count != expected_tour_count(n):
@@ -226,7 +232,7 @@ def test_criterion_7_certified_combs_not_facet_defining():
     rng = random.Random(70707)
     start = time.perf_counter()
     instance = BipartiteInstance.complete(4)
-    dim = polytope_dimension(instance)
+    dim = tours._tour_set(instance).dim
     total = bad = 0
     for k in range(150):
         family = ("l1", "l2", "l3", "t1", "t2")[k % 5]

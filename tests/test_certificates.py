@@ -17,9 +17,6 @@ from combcert import (
     check_point,
     classify,
     comb_inequality,
-    evaluate,
-    enumerate_tours,
-    extract_pattern,
     verify,
 )
 from combcert.certificates import (
@@ -29,14 +26,15 @@ from combcert.certificates import (
     aggregation_members,
     certify,
     member_inequality,
-    parity_audit,
 )
 from combcert import certificates, load_table, validate_comb
+from combcert import tours as tours_module
+from combcert.combs import comb_rhs
 from combcert.errors import CombcertError, InvalidCombError
 from combcert.graph import CLASS1, CLASS2, Edge, VertexId
 from combcert.search import FAMILIES, ExperimentConfig, run_search, sample_comb
 import oracles
-from oracles import in_normal_form
+from oracles import in_normal_form, tour_point
 
 
 def _labels(instance, *names):
@@ -116,10 +114,9 @@ def test_l2_picks_swapped_orientation_when_needed(k44):
     flags = classify(k44, comb).as_dict()
     assert flags["single"] and not flags["single_all_toothed"]
     target = comb_inequality(k44, comb).rhs
-    agg1 = aggregation_members(k44, comb, extract_pattern(k44, comb))[1]
-    agg2 = aggregation_members(
-        k44, comb, extract_pattern(k44, comb, swap_classes=True)
-    )[1]
+    pat1, pat2 = classify(k44, comb).patterns
+    agg1 = aggregation_members(k44, comb, pat1)[1]
+    agg2 = aggregation_members(k44, comb, pat2)[1]
     assert agg1 > target >= agg2
     cert = build_l2(k44, comb)
     assert cert.orientation == 2
@@ -142,7 +139,7 @@ def test_l3_table2_comb_without_its_toothless_vertex(table2):
     # fully-toothed p=1 < q=2 pattern and the recipe certifies it.
     reduced = Comb(comb.hand - _labels(instance, "b"), comb.teeth)
     assert classify(instance, reduced).as_dict()["sorted_minority"]
-    pat = extract_pattern(instance, reduced)
+    pat = classify(instance, reduced).patterns[0]
     assert (pat.p, pat.q) == (1, 2)
     cert = build_l3(instance, reduced)
     report = verify(instance, cert)
@@ -164,10 +161,7 @@ def test_l3_aggregate_rhs_identity():
             comb = sample_comb(rng, instance, "l3")
             pat = next(
                 p
-                for p in (
-                    extract_pattern(instance, comb),
-                    extract_pattern(instance, comb, swap_classes=True),
-                )
+                for p in classify(instance, comb).patterns
                 if p.w == 0 and p.y == 0 and p.p < p.q
             )
             _, agg = aggregation_members(instance, comb, pat)
@@ -202,7 +196,7 @@ def test_t1_condition_met_with_equality_on_k66():
             _labels(k66, "v4", "u4"),
         ),
     )
-    pat = extract_pattern(k66, comb)
+    pat = classify(k66, comb).patterns[0]
     assert (pat.p, pat.q, pat.w, pat.y) == (1, 4, 1, 0)
     assert pat.condition_bound() == 1
     cert = build_t1(k66, comb)
@@ -230,15 +224,21 @@ def test_t2_wide_pattern_on_k88():
             frozenset({k88.vertex(x) for x in ("v1", "v2", "u4")}),
         ),
     )
-    from combcert import extract_pattern
-
-    pat = extract_pattern(k88, comb)
+    pat = classify(k88, comb).patterns[0]
     assert (pat.p, pat.q) == (1, 2)
     assert pat.s == (2,)
     assert pat.r == (0, 0, 1)
     assert (pat.w, pat.y) == (2, 0)
     cert = build_t2(k88, comb)
     assert verify(k88, cert).dominates
+
+
+def _slacks(instance, comb):
+    """Each orientation's comb rhs minus its aggregate rhs, for a
+    one-class-per-tooth comb."""
+    flags = classify(instance, comb)
+    assert "T2" in flags.builder_names()
+    return [comb_rhs(comb) - aggregation_members(instance, comb, p)[1] for p in flags.patterns]
 
 
 def test_t2_orientation_fallback_exhaustive():
@@ -249,11 +249,11 @@ def test_t2_orientation_fallback_exhaustive():
     saw_swap = saw_direct = 0
     for _ in range(80):
         comb = sample_comb(rng, instance, "t2")
-        audit = parity_audit(instance, comb)
-        assert max(audit.slack) >= 0
+        slack = _slacks(instance, comb)
+        assert max(slack) >= 0
         cert = build_t2(instance, comb)
         assert verify(instance, cert).dominates
-        if audit.slack[0] < 0:
+        if slack[0] < 0:
             assert cert.orientation == 2
             saw_swap += 1
         else:
@@ -267,12 +267,12 @@ def test_parity_audit_identity_and_evenness():
     for family in ("l1", "l2", "t2"):
         for _ in range(30):
             comb = sample_comb(rng, instance, family)
-            audit = parity_audit(instance, comb)
-            s1, s2 = audit.slack
+            s1, s2 = _slacks(instance, comb)
             assert s1.denominator == 1 and s2.denominator == 1
-            assert s1 + s2 == audit.slack_sum_expected
-            assert audit.slack_sum_expected >= -1
-            assert all(m % 2 == 0 for m in audit.doubled_margins)
+            pat = comb.patterns[0]
+            expected = sum(pat.s) + pat.trailing_r_sum() - 1
+            assert s1 + s2 == expected >= -1
+            assert 2 * s1 % 2 == 0 and 2 * s2 % 2 == 0
 
 
 def test_one_builder_call_validates_once_and_extracts_two_patterns(monkeypatch):
@@ -333,7 +333,7 @@ def test_verify_rejects_bad_degree_support(k44):
     comb = _smallest_l1_comb(k44)
     cert = build_l1(k44, comb)
     v0 = k44.vertex("u0")
-    foreign = next(e for e in sorted(k44.edges) if not e.touches(v0))
+    foreign = next(e for e in sorted(k44.edges) if v0 not in e)
     bad_member = CertificateMember(
         kind="degree", vertex=v0, support=frozenset({foreign})
     )
@@ -370,7 +370,7 @@ def test_no_certificate_for_table1_comb(table1):
 
 def test_certified_combs_hold_on_sampled_feasible_points(k33):
     rng = random.Random(4040)
-    tours = [t.as_point(k33) for t in enumerate_tours(k33)]
+    tours = [tour_point(k33, t) for t in tours_module._tour_set(k33).tours]
     # Convex combinations of tours plus a low uniform point, all feasible.
     feasible = []
     for _ in range(6):
@@ -392,8 +392,7 @@ def test_certified_combs_hold_on_sampled_feasible_points(k33):
         assert verify(k33, cert).dominates
         row = comb_inequality(k33, comb)
         for point in feasible:
-            _, ok = evaluate(row, point)
-            assert ok
+            assert row.value_on(point) <= row.rhs
 
 
 def _first_admitting_builder(instance, comb):
@@ -416,14 +415,22 @@ def test_certify_builds_the_first_admitting_class(n):
     assert built >= 4 * (len(FAMILIES) - 1)
 
 
-def test_run_search_classifies_a_certified_comb_twice_and_extracts_it_once(monkeypatch):
-    """Per certified comb: the sampler's classification and `certify`'s,
-    and one extraction of each orientation, which the comb keeps."""
+def test_run_search_admits_a_certified_comb_once_and_extracts_it_once(monkeypatch):
+    """Per certified comb: one admission pass (each class's predicate run
+    once, by the sampler), one classification (`certify`'s) and one
+    extraction of each orientation, which the comb keeps."""
     from combcert import combs, search
 
     seen = []  # every comb counted, kept alive so that no id is reused
-    classified, extracted, sampled = Counter(), Counter(), []
+    classified, admitted, extracted, sampled = Counter(), Counter(), Counter(), []
     classify, pattern, sample = combs.classify, combs._pattern, search.sample_comb
+
+    def counted_admits(name, admits):
+        def wrapper(pats):
+            admitted[id(pats), name] += 1
+            return admits(pats)
+
+        return wrapper
 
     def counted_classify(instance, comb):
         seen.append(comb)
@@ -439,8 +446,11 @@ def test_run_search_classifies_a_certified_comb_twice_and_extracts_it_once(monke
         sampled.append(sample(*args))
         return sampled[-1]
 
-    for module in (combs, certificates, search):
+    for module in (combs, certificates):
         monkeypatch.setattr(module, "classify", counted_classify)
+    for name, cls in combs.CLASSES.items():
+        admits = counted_admits(name, cls.admits)
+        monkeypatch.setitem(combs.CLASSES, name, cls._replace(admits=admits))
     monkeypatch.setattr(combs, "_pattern", counted_pattern)
     monkeypatch.setattr(search, "sample_comb", recorded_sample)
     families = tuple(name.lower() for name in BUILDERS)
@@ -449,7 +459,8 @@ def test_run_search_classifies_a_certified_comb_twice_and_extracts_it_once(monke
     assert len(findings["certified"]) == len(sampled) == len(families)
     assert not findings["failures"]
     for comb in sampled:
-        assert classified[id(comb)] <= 2
+        assert classified[id(comb)] == 1
+        assert [admitted[id(comb.patterns), name] for name in combs.CLASSES] == [1] * 5
         assert extracted[id(comb), False] == extracted[id(comb), True] == 1
 
 
@@ -461,7 +472,7 @@ def _mutants(instance, cert, rng):
     drop = rng.randrange(len(members))
     foreign = VertexId(CLASS2, n)
     hand_vertex = min(cert.comb.hand)
-    far_edge = next(e for e in instance.sorted_edges if not e.touches(hand_vertex))
+    far_edge = next(e for e in instance.sorted_edges if hand_vertex not in e)
     replace = rng.randrange(len(members))
     extra = [
         CertificateMember(kind="sec", vertex_set=frozenset({hand_vertex, foreign})),
@@ -573,7 +584,7 @@ def test_builders_and_verify_on_missing_edges_match_the_edge_oracle(case):
             _assert_same_report(instance, cert)
             built += 1
             vertex = min(cert.comb.hand)
-            absent = [e for e in missing if e.touches(vertex)]
+            absent = [e for e in missing if vertex in e]
             extra = CertificateMember(
                 kind="degree", vertex=vertex, support=frozenset(absent[:1] + missing[-1:])
             )

@@ -14,10 +14,9 @@ from combcert import (
     classify,
     comb_inequality,
     comb_value,
-    extract_pattern,
     validate_comb,
 )
-from combcert.combs import twice_toothless_bound
+from combcert.combs import _pattern, twice_toothless_bound
 from combcert.graph import CLASS1, CLASS2, VertexId
 from combcert.search import FAMILIES, sample_comb
 import oracles
@@ -111,22 +110,33 @@ def test_comb_value_matches_coefficient_route(table1, table2):
     assert kinds == {int, Fraction}  # integral sums of halves come back as ints
 
 
+def _hand_size(pat):
+    """|H| as the pattern counts it: toothless vertices plus each tooth's
+    hand part, 1 + s_i and r_i (i <= p) or 1 + r_i (i > p)."""
+    return (
+        pat.w
+        + pat.y
+        + sum(1 + si for si in pat.s)
+        + sum(pat.r[: pat.p])
+        + sum(1 + ri for ri in pat.r[pat.p :])
+    )
+
+
 def test_pattern_table2(table2):
     instance, _, comb = table2
-    pat = extract_pattern(instance, comb)
+    pat = classify(instance, comb).patterns[0]
     assert (pat.p, pat.q) == (1, 2)
     assert pat.s == (0,)
     assert pat.r == (1, 0, 0)
     assert (pat.w, pat.y) == (1, 0)
-    assert pat.hand_size() == len(comb.hand) == 5
+    assert _hand_size(pat) == len(comb.hand) == 5
 
 
 def test_pattern_table1(table1):
     instance, _, comb = table1
-    pat = extract_pattern(instance, comb)
+    pat, pat2 = classify(instance, comb).patterns
     assert (pat.p, pat.q) == (2, 1)
     assert (pat.w, pat.y) == (0, 0)
-    pat2 = extract_pattern(instance, comb, swap_classes=True)
     assert (pat2.p, pat2.q) == (2, 1)  # one tooth meets both classes
 
 
@@ -141,7 +151,7 @@ def test_pattern_single_intersections_zero_counts(k44):
             _labels(k44, "v1", "u2"),
         ),
     )
-    pat = extract_pattern(k44, comb)
+    pat = classify(k44, comb).patterns[0]
     assert pat.s == (0,) * pat.p
     assert all(r == 0 for r in pat.r)
 
@@ -191,12 +201,11 @@ def test_swap_equivariance_and_hand_identity():
         for k in range(40):
             family = FAMILIES[k % len(FAMILIES)]
             comb = sample_comb(rng, instance, family)
-            pat1 = extract_pattern(instance, comb)
-            pat2 = extract_pattern(instance, comb, swap_classes=True)
+            pat1, pat2 = classify(instance, comb).patterns
             assert (pat1.w, pat1.y) == (pat2.y, pat2.w)
             assert (pat1.h1, pat1.h2) == (pat2.h2, pat2.h1)
             assert pat1.h1 | pat1.h2 == comb.hand
-            assert pat1.hand_size() == len(comb.hand) == pat2.hand_size()
+            assert _hand_size(pat1) == len(comb.hand) == _hand_size(pat2)
             pairs1 = _pattern_pairs(pat1)
             pairs2 = _pattern_pairs(pat2)
             for orig in range(comb.t):
@@ -235,8 +244,8 @@ def test_classify_hands_over_both_extracted_patterns():
         for k in range(10 * len(FAMILIES)):
             comb = sample_comb(rng, instance, FAMILIES[k % len(FAMILIES)])
             assert classify(instance, comb).patterns == (
-                extract_pattern(instance, comb),
-                extract_pattern(instance, comb, swap_classes=True),
+                _pattern(comb, swap_classes=False),
+                _pattern(comb, swap_classes=True),
             )
 
 

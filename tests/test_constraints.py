@@ -14,21 +14,25 @@ from combcert import (
     check_point,
     comb_inequality,
     degree_constraint,
-    enumerate_tours,
-    evaluate,
     gen_degree,
     gen_secs,
     sec_constraint,
 )
-from combcert import constraints
+from combcert import constraints, tours
 from combcert.certificates import BUILDERS, member_inequality
 from combcert.combs import classify
 from combcert.constraints import lower_bound, upper_bound
 from combcert.search import FAMILIES, sample_comb
-from oracles import in_normal_form, naive_sec_violations, subset_count
+from oracles import in_normal_form, naive_sec_violations, subset_count, tour_point
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+
+
+def evaluate(row, point):
+    """The row's value at the point, and whether its relation holds there."""
+    value = row.value_on(point)
+    return value, (value == row.rhs if row.is_equality else value <= row.rhs)
 
 
 def test_gen_degree_k22():
@@ -322,8 +326,8 @@ def test_every_tour_satisfies_generated_constraints(n):
     rows = gen_degree(instance, "le") + gen_degree(instance, "eq") + list(
         gen_secs(instance)
     )
-    for tour in enumerate_tours(instance):
-        point = tour.as_point(instance)
+    for tour in tours._tour_set(instance).tours:
+        point = tour_point(instance, tour)
         for row in rows:
             _, ok = evaluate(row, point)
             assert ok

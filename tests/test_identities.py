@@ -98,11 +98,11 @@ def test_edges_normalise_alike(label, new, old):
     for e, oe in zip(new, old):
         assert Edge(e.v, e.u) == Edge(e.u, e.v) == e
         assert e.u.cls == 1 and e.v.cls == 2
-        assert e.endpoints() == (e.u, e.v)
+        assert tuple(e) == (e.u, e.v)
         assert _old_edge(Edge(e.v, e.u)) == oracles.Edge(oe.v, oe.u) == oe
-        assert e.touches(e.u) and e.touches(e.v) and oe.touches(oe.u) and oe.touches(oe.v)
+        assert e.u in e and e.v in e and oe.touches(oe.u) and oe.touches(oe.v)
         other = VertexId(1, e.u.index + 1)
-        assert not e.touches(other) and not oe.touches(_old_vertex(other))
+        assert other not in e and not oe.touches(_old_vertex(other))
 
 
 def _message(make, *args):

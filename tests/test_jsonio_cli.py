@@ -541,6 +541,22 @@ def test_cli_search_refuses_wild_combs_past_the_vertex_cap(capsys, monkeypatch):
     assert error["message"] == "subtour enumeration: size 26 exceeds the enumeration cap 24"
 
 
+@pytest.mark.parametrize("existed", [False, True])
+def test_cli_refused_search_leaves_its_output_as_it_found_it(tmp_path, capsys, existed):
+    # The run is refused after the path is checked: a file the check made
+    # is removed, and a file that was there keeps its bytes.
+    out = tmp_path / "out.json"
+    if existed:
+        out.write_bytes(b"earlier findings\n")
+    args = ["search", "--seed", "0", "--size", "13", "--families", "wild"]
+    assert main(args + ["--output", str(out)]) == 2
+    assert "enumeration cap" in json.loads(capsys.readouterr().err)["error"]["message"]
+    if existed:
+        assert out.read_bytes() == b"earlier findings\n"
+    else:
+        assert not out.exists()
+
+
 def test_search_past_the_vertex_cap_runs_without_wild_combs():
     for config in (
         ExperimentConfig(seed=0, size=13, comb_count=5),

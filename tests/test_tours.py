@@ -10,10 +10,7 @@ from combcert import (
     LinearInequality,
     NoToursError,
     comb_inequality,
-    enumerate_tours,
-    expected_tour_count,
     facet_test,
-    polytope_dimension,
     sec_constraint,
 )
 from combcert import tours as tours_module
@@ -21,29 +18,40 @@ from combcert.constraints import ConstraintKind, degree_constraint, lower_bound
 from combcert.graph import VertexId
 from combcert.search import FAMILIES, sample_comb
 from combcert.certificates import BUILDERS, verify
-from combcert.tours import FacetVerdict, Tour
+from combcert.tours import FacetVerdict
 from oracles import (
+    expected_tour_count,
     facet_report_oracle,
     fraction_rank,
     is_hamiltonian_cycle,
     nested_generator_edge_tours,
     tour_affine_rank,
+    tour_point,
 )
+
+
+def _tours(instance):
+    """The kept tours: tuples of indices into `instance.sorted_edges`."""
+    return tours_module._tour_set(instance).tours
+
+
+def _dim(instance):
+    """The kept polytope dimension."""
+    return tours_module._tour_set(instance).dim
 
 
 @pytest.mark.parametrize("n,count", [(2, 1), (3, 6), (4, 72)])
 def test_tour_counts(n, count):
     instance = BipartiteInstance.complete(n)
-    tours = list(enumerate_tours(instance))
-    assert len(tours) == count == expected_tour_count(n)
+    assert len(_tours(instance)) == count == expected_tour_count(n)
 
 
 def test_tours_are_distinct_and_valid(k44):
-    tours = list(enumerate_tours(k44))
-    assert len({t.edges for t in tours}) == len(tours)
+    tours = _tours(k44)
+    assert len(set(map(frozenset, tours))) == len(tours)
     for t in tours:
         assert is_hamiltonian_cycle(k44, t)
-        assert len(t.edges) == k44.num_vertices
+        assert len(t) == k44.num_vertices
 
 
 def test_unequal_classes_yield_no_tours(caplog):
@@ -53,14 +61,11 @@ def test_unequal_classes_yield_no_tours(caplog):
     caplog.set_level("INFO", logger=tours_module.log.name)
     for _ in range(2):
         caplog.clear()
-        assert list(enumerate_tours(instance)) == []
-        with pytest.raises(NoToursError):
-            polytope_dimension(instance)
         with pytest.raises(NoToursError):
             facet_test(instance, row)
         assert [r.getMessage() for r in caplog.records] == [
             "no tours: class sizes differ (3 vs 2)"
-        ] * 3
+        ]
 
 
 def test_tour_cap(monkeypatch):
@@ -72,10 +77,6 @@ def test_tour_cap(monkeypatch):
     k77 = BipartiteInstance.complete(7)
     row = comb_inequality(k77, sample_comb(random.Random(7), k77, "l1"))
     for _ in range(2):
-        with pytest.raises(EnumerationCapError):
-            list(enumerate_tours(k77))
-        with pytest.raises(EnumerationCapError):
-            polytope_dimension(k77)
         with pytest.raises(EnumerationCapError):
             facet_test(k77, row)
     assert calls == []
@@ -107,9 +108,9 @@ def _complete_minus(n, missing):
 def test_sparse_instance_tours():
     # An 8-cycle as the whole instance: exactly one tour.
     instance = _eight_cycle()
-    tours = list(enumerate_tours(instance))
+    tours = _tours(instance)
     assert len(tours) == 1
-    assert tours[0].edges == instance.edges
+    assert {instance.sorted_edges[k] for k in tours[0]} == instance.edges
 
 
 def _random_instance(rng):
@@ -122,16 +123,16 @@ def _random_instance(rng):
 
 def test_edge_tours_match_nested_generator_oracle():
     # The single-frame kernel against the code it replaced: the same
-    # tuples in the same order, which `_stride_order` relies on.
+    # tuples in the same order, which `_stride_order` relies on.  Unequal
+    # classes never reach the kernel (`test_unequal_classes_yield_no_tours`).
     rng = random.Random(2017)
     instances = (
         [BipartiteInstance.complete(n) for n in (2, 3, 4, 5, 6)]
-        + [_eight_cycle(), _complete_minus(4, {(0, 0)}), BipartiteInstance.complete(3, 2)]
+        + [_eight_cycle(), _complete_minus(4, {(0, 0)})]
         + [_random_instance(rng) for _ in range(300)]
     )
     for instance in instances:
-        got = tours_module._tours(instance).tours
-        assert list(got) == nested_generator_edge_tours(instance)
+        assert list(_tours(instance)) == nested_generator_edge_tours(instance)
 
 
 @pytest.mark.parametrize(
@@ -140,40 +141,27 @@ def test_edge_tours_match_nested_generator_oracle():
     + [_eight_cycle(), _complete_minus(4, {(0, 0)})],
 )
 def test_tours_match_kernel_sequences(instance):
-    # Tour objects built from the reference search's edge tuples, in the
-    # same order with the tour set cleared and kept.
-    edges = sorted(instance.edges)
-    expected = []
-    for tour in nested_generator_edge_tours(instance):
-        vertices = tuple(v for k in tour[0::2] for v in (edges[k].u, edges[k].v))
-        expected.append(Tour(vertices, frozenset(edges[k] for k in tour)))
+    # The kept tuples against the reference search's, in the same order
+    # with the tour set cleared and kept.
+    expected = tuple(nested_generator_edge_tours(instance))
     tours_module._tour_set.cache_clear()
-    assert list(enumerate_tours(instance)) == expected
-    assert list(enumerate_tours(instance)) == expected
+    assert tours_module._tour_set(instance).tours == expected
+    assert tours_module._tour_set(instance).tours == expected
 
 
 def test_dimension_small_instances(k33, k44):
-    assert polytope_dimension(BipartiteInstance.complete(2)) == 0
-    assert polytope_dimension(k33) == 4
+    assert _dim(BipartiteInstance.complete(2)) == 0
+    assert _dim(k33) == 4
     # 2n degree equalities have rank 2n - 1 on a connected bipartite graph,
     # so the dimension can be at most n^2 - (2n - 1) = 9; it is exactly 9.
-    assert polytope_dimension(k44) == 9
+    assert _dim(k44) == 9
 
 
 def test_dimension_matches_fraction_gauss_oracle(k33):
-    tours = list(enumerate_tours(k33))
-    edges = sorted(k33.edges)
-    index = {e: k for k, e in enumerate(edges)}
-    base = [0] * len(edges)
-    for e in tours[0].edges:
-        base[index[e]] = 1
-    rows = []
-    for t in tours[1:]:
-        row = [0] * len(edges)
-        for e in t.edges:
-            row[index[e]] = 1
-        rows.append([a - b for a, b in zip(row, base)])
-    assert fraction_rank(rows) == polytope_dimension(k33) == 4
+    tours = _tours(k33)
+    base = [int(k in tours[0]) for k in range(len(k33.edges))]
+    rows = [[int(k in t) - b for k, b in enumerate(base)] for t in tours[1:]]
+    assert fraction_rank(rows) == _dim(k33) == 4
 
 
 def test_facet_verdicts_for_subtour_row(k33):
@@ -189,14 +177,10 @@ def test_facet_verdicts_for_subtour_row(k33):
     assert report.tight_tour_count > 0
     # Cross-check the tight face dimension against the naive rank oracle:
     # Fraction elimination over the tight tours' difference rows.
-    tights = [
-        t
-        for t in enumerate_tours(k33)
-        if row.value_on(t.as_point(k33)) == row.rhs
-    ]
+    tights = [t for t in _tours(k33) if row.value_on(tour_point(k33, t)) == row.rhs]
     assert report.tight_tour_count == len(tights)
     edges = sorted(k33.edges)
-    points = [[t.as_point(k33).weight(e) for e in edges] for t in tights]
+    points = [[tour_point(k33, t).weight(e) for e in edges] for t in tights]
     differences = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
     assert report.tight_face_dim == fraction_rank(differences)
 
@@ -218,7 +202,7 @@ def test_facet_invalid_inequality(k33):
 
 def test_certified_combs_never_facet_on_k44(k44):
     rng = random.Random(616)
-    dim = polytope_dimension(k44)
+    dim = _dim(k44)
     for k in range(15):
         family = ("l1", "l2", "l3", "t1", "t2")[k % 5]
         comb = sample_comb(rng, k44, family)
@@ -230,7 +214,8 @@ def test_certified_combs_never_facet_on_k44(k44):
 
 
 # Differential tests: `facet_test` against the oracle, which evaluates each
-# row with `value_on` at every tour's point and ranks with `fraction_rank`.
+# row with `value_on` at every kept tour's point and ranks with
+# `fraction_rank`.
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +225,7 @@ def oracle_dim():
 
     def dim(instance, tours):
         if instance not in dims:
-            dims[instance] = tour_affine_rank(instance, tours)
+            dims[instance] = tour_affine_rank(instance.sorted_edges, tours)
         return dims[instance]
 
     return dim
@@ -248,7 +233,7 @@ def oracle_dim():
 
 def _assert_reports_match_oracle(instance, rows, oracle_dim):
     # Each row twice: with the tour set cleared, and then kept.
-    tours = list(enumerate_tours(instance))
+    tours = _tours(instance)
     dim = oracle_dim(instance, tours)
     for row in rows:
         expected = facet_report_oracle(instance, row, tours, dim)
@@ -269,7 +254,8 @@ def test_facet_reports_match_oracle_on_criterion_7_corpus(k44, oracle_dim):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_polytope_dimension_matches_oracle_on_criterion_6_corpus(n, oracle_dim):
     instance = BipartiteInstance.complete(n)
-    assert polytope_dimension(instance) == oracle_dim(instance, list(enumerate_tours(instance)))
+    kept = tours_module._tour_set(instance)
+    assert kept.dim == oracle_dim(instance, kept.tours)
 
 
 @pytest.mark.parametrize("n,per_family", [(3, 4), (4, 4), (5, 2)])
@@ -368,8 +354,8 @@ def test_facet_reports_cold_and_warm_agree_on_k66():
         cold = facet_test(instance, row)
         assert facet_test(instance, row) == cold, row
     tours_module._tour_set.cache_clear()
-    cold = polytope_dimension(instance)
-    assert polytope_dimension(instance) == cold == 25
+    cold = _dim(instance)
+    assert _dim(instance) == cold == 25
 
 
 def test_kept_tour_set_is_a_tuple_of_tuples(k33):
@@ -377,7 +363,7 @@ def test_kept_tour_set_is_a_tuple_of_tuples(k33):
     kept = tours_module._tour_set(k33)
     assert type(kept.tours) is tuple and all(type(t) is tuple for t in kept.tours)
     assert kept.tours == tuple(nested_generator_edge_tours(k33))
-    assert kept.dim == tour_affine_rank(k33, list(enumerate_tours(k33))) == 4
+    assert kept.dim == tour_affine_rank(k33.sorted_edges, kept.tours) == 4
     # Equal instances share it.
     assert tours_module._tour_set(BipartiteInstance.complete(3)) is kept
 
@@ -396,9 +382,6 @@ def test_instance_without_a_tour_raises_on_every_call(monkeypatch):
     row = LinearInequality({}, Fraction(1), ConstraintKind.AGGREGATE, "0<=1")
     tours_module._tour_set.cache_clear()
     for _ in range(2):
-        assert list(enumerate_tours(instance)) == []
-        with pytest.raises(NoToursError):
-            polytope_dimension(instance)
         with pytest.raises(NoToursError):
             facet_test(instance, row)
     assert len(calls) == 1
@@ -411,7 +394,7 @@ def test_tour_sets_kept_stays_bounded():
     instances = [BipartiteInstance.complete(n) for n in (2, 3, 4)]
     instances += [_eight_cycle(), _complete_minus(4, {(0, 0)})]
     for instance in instances + instances:
-        polytope_dimension(instance)
+        tours_module._tour_set(instance)
         assert info().currsize <= tours_module.TOUR_SETS_KEPT
     assert info().currsize == tours_module.TOUR_SETS_KEPT
 
@@ -421,7 +404,7 @@ def test_tour_sets_kept_stays_bounded():
 
 @pytest.mark.parametrize("n,dim", [(5, 16), (6, 25)])
 def test_polytope_dimension_large(n, dim):
-    assert polytope_dimension(BipartiteInstance.complete(n)) == dim == (n - 1) ** 2
+    assert _dim(BipartiteInstance.complete(n)) == dim == (n - 1) ** 2
 
 
 def _count_echelon_rows(monkeypatch):
@@ -446,19 +429,19 @@ def test_rank_stops_at_polytope_bound(n, monkeypatch):
     bound = len(instance.edges) - instance.num_vertices + 1
     calls = _count_echelon_rows(monkeypatch)
     tours_module._tour_set.cache_clear()
-    assert polytope_dimension(instance) == bound
+    assert _dim(instance) == bound
     assert 0 < len(calls) <= bound
 
 
 def test_rank_below_bound_reads_every_tour(monkeypatch):
     instance = _complete_minus(4, {(0, 0), (1, 2), (3, 2)})
-    tours = list(enumerate_tours(instance))
+    tours = _tours(instance)
     bound = len(instance.edges) - instance.num_vertices + 1
-    oracle = tour_affine_rank(instance, tours)
+    oracle = tour_affine_rank(instance.sorted_edges, tours)
     assert oracle < bound
     calls = _count_echelon_rows(monkeypatch)
     tours_module._tour_set.cache_clear()
-    assert polytope_dimension(instance) == oracle
+    assert _dim(instance) == oracle
     assert len(calls) == len(tours) - 1
 
 
