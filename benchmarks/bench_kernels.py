@@ -8,7 +8,7 @@ Nine workloads:
     on four disjoint weight-1 4-cycles covering K_{8,8}, which must
     violate exactly the 14 subtour rows of their unions;
   * Hamiltonian tour enumeration on complete balanced instances: the
-    single-frame `_kernels.hamiltonian_cycles` from a K_{n,n} position
+    recursive search `_kernels.hamiltonian_cycles` from a K_{n,n} position
     table to its list of edge-index tuples, which must hold all
     n! (n-1)! / 2 tours, and the peak RSS of the process after it;
   * lazy subtour separation: the min cut that `is_implied` uses against

@@ -20,8 +20,8 @@ routine, `_min_cut`, serves both cut kernels:
                        by branching on min cuts
 
 Tours.  `hamiltonian_cycles` enumerates the tours of a balanced
-bipartite graph, from an (a, b) -> edge index table straight to tuples
-of edge indices.
+bipartite graph by a recursive depth-first search, from an (a, b) ->
+edge index table straight to tuples of edge indices.
 
 Inputs are plain ints, so results are exact at any precision.  Callers
 reach the kernels as attributes of this module, which is where layer
@@ -145,9 +145,13 @@ def most_violated_set(
     network has no source arcs and the cut around S is f(S) itself.  Each
     max flow forces one vertex into S and one or more out of it: vertex 0
     in and k out, then k in and 0..k-1 out, for k = 1..N-1.  These 2(N-1)
-    flows cover every S other than the empty set and V.  The first strict
-    minimum below 2D in that order wins; within a flow, S is the least
-    source side.  Sets of one or two vertices are never violated inside
+    flows cover every S other than the empty set and V.  Within a flow, S
+    is the least source side.  A flow's S replaces the one kept when its
+    cut is below the best so far, which starts at 2D; a flow at or above
+    it is refused at that limit after an augmentation.  A flow of value 0
+    makes none, so once the best is 0 every later zero cut replaces S.
+    So the first strict minimum in that order wins, unless the minimum is
+    0: then the last zero cut does.  Sets of one or two vertices are never violated inside
     the unit box, so a violated S has 3 <= |S| <= N - 1, the default
     window of the subtour family.
     """
@@ -224,29 +228,19 @@ def hamiltonian_cycles(
 ) -> list[tuple[int, ...]]:
     """Canonical Hamiltonian cycles of a balanced bipartite graph.
 
-    `position[a][b]` is the index of the edge between class-1 vertex a and
-    class-2 vertex b, or -1 when they are not joined; the caller passes the
-    indices into `BipartiteInstance.sorted_edges`.  A cycle (a_0 = 0, b_0, a_1,
-    b_1, ..., a_{n-1}, b_{n-1}) is returned as the tuple of its 2n edge
-    indices in tour order: entry 2k is the edge a_k b_k and entry 2k + 1
-    the edge b_k a_{k+1}, the last one closing back to a_0.  Each
-    undirected cycle appears exactly once, in the direction with
-    b_0 < b_{n-1}, and the list is in lexicographic order of the vertex
-    sequences.
+    `position[a][b]` is the index into `BipartiteInstance.sorted_edges` of
+    the edge between class-1 vertex a and class-2 vertex b, or -1 if none.
+    A cycle (a_0 = 0, b_0, a_1, b_1, ..., a_{n-1}, b_{n-1}) is returned as
+    the tuple of its 2n edge indices: entry 2k is the edge a_k b_k, entry
+    2k + 1 the edge b_k a_{k+1}, and the last closes back to a_0.  Each
+    undirected cycle appears once, in the direction with b_0 < b_{n-1}, and
+    the list is in lexicographic order of the vertex sequences.
 
-    One depth-first search in a single frame, on an explicit stack of
-    candidate bitmasks.  The edge-index path is updated as each vertex is
-    placed, so a cycle costs one ``tuple(path)``.  Two cuts skip subtrees
-    that hold no canonical cycle: b_{n-1} must be a neighbour of a_0 above
-    b_0 (the set `hi`), so the last unplaced vertex of `hi` is never placed
-    before the end; and the final a and b are forced, so the search stops
-    at b_{n-2}.
+    A recursive depth-first search over bitmasks of the unplaced vertices
+    fills one edge-index path.  b_{n-1} must be a neighbour of a_0 above
+    b_0 (the set `hi`), so the last unplaced vertex of `hi` is held back
+    for the end, and once `hi` is empty no larger b_0 is tried.
     """
-    if n < 2:
-        return []
-    if n == 2:
-        tour = (position[0][0], position[1][0], position[1][1], position[0][1])
-        return [tour] if min(tour) >= 0 else []
     adj12 = [0] * n  # class-1 vertex -> bitmask of its class-2 neighbours
     adj21 = [0] * n  # class-2 vertex -> bitmask of its class-1 neighbours
     for a, row in enumerate(position):
@@ -254,65 +248,38 @@ def hamiltonian_cycles(
             if k >= 0:
                 adj12[a] |= 1 << b
                 adj21[b] |= 1 << a
-    full = (1 << n) - 1
-    top = 2 * n - 3  # depth of b_{n-2}, the last free choice
-    row0 = position[0]
-    seq = [0] * top  # seq[d]: the vertex placed at depth d
-    used = [0] * top  # used[d]: bitmask of seq[d]'s class placed by depth d
-    cands = [0] * (top + 1)  # cands[d]: candidates at depth d not yet tried
     path = [0] * (2 * n)
-    used[0] = 1
     out = []
-    mask0 = adj12[0]
-    while mask0:
-        low0 = mask0 & -mask0
-        mask0 ^= low0
-        hi = adj12[0] & ~((low0 << 1) - 1)
+
+    def extend(a: int, i: int, cands: int, free1: int, free2: int) -> None:
+        # Each b in `cands` as b_k after a_k = a (i = 2k), then each a_{k+1}.
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            b = low.bit_length() - 1
+            path[i] = position[a][b]
+            left = free2 ^ low
+            rest = hi & left
+            after = adj21[b] & free1
+            while after:
+                low1 = after & -after
+                after ^= low1
+                a1 = low1.bit_length() - 1
+                path[i + 1] = position[a1][b]
+                if low1 != free1:
+                    c = adj12[a1] & left
+                    if not rest & (rest - 1):  # keep the last of hi for b_{n-1}
+                        c &= ~rest
+                    extend(a1, i + 2, c, free1 ^ low1, left)
+                elif adj12[a1] & left:  # a1 is a_{n-1}; the b left is in hi
+                    last = left.bit_length() - 1
+                    path[i + 2 :] = position[a1][last], position[0][last]
+                    out.append(tuple(path))
+
+    for b0 in range(n):
+        hi = adj12[0] >> (b0 + 1) << (b0 + 1)
         if not hi:
             break  # hi only shrinks as b_0 grows
-        b0 = low0.bit_length() - 1
-        seq[1] = b0
-        used[1] = low0
-        path[0] = row0[b0]
-        cands[2] = adj21[b0] & ~1
-        d = 2
-        while d > 1:
-            mask = cands[d]
-            if not mask:
-                d -= 1
-                continue
-            low = mask & -mask
-            cands[d] = mask ^ low
-            v = low.bit_length() - 1
-            if d & 1:  # class-2 vertex v after class-1 vertex seq[d - 1]
-                path[d - 1] = position[seq[d - 1]][v]
-                placed = used[d - 2] | low
-                if d == top:
-                    # The one unplaced b lies in hi, and v meets the last a.
-                    b = (full & ~placed).bit_length() - 1
-                    k = last_row[b]
-                    if k >= 0:
-                        path[d] = last_row[v]
-                        path[d + 1] = k
-                        path[d + 2] = row0[b]
-                        out.append(tuple(path))
-                    continue
-                used[d] = placed
-                seq[d] = v
-                d += 1
-                cands[d] = adj21[v] & ~used[d - 2]
-            else:  # class-1 vertex v after class-2 vertex seq[d - 1]
-                path[d - 1] = position[v][seq[d - 1]]
-                used[d] = used[d - 2] | low
-                seq[d] = v
-                d += 1
-                c = adj12[v] & ~used[d - 2]
-                rest = hi & ~used[d - 2]
-                if not rest & (rest - 1):  # keep the last of hi for b_{n-1}
-                    c &= ~rest
-                if d == top:
-                    a = (full & ~used[d - 1]).bit_length() - 1
-                    last_row = position[a]
-                    c &= adj12[a]
-                cands[d] = c
+        extend(0, 0, adj12[0] & 1 << b0, (1 << n) - 2, (1 << n) - 1)
+    del extend  # it refers to itself: a cycle that would hold `out`
     return out

@@ -163,16 +163,22 @@ def lower_bound(instance: BipartiteInstance, edge: Edge) -> LinearInequality:
     )
 
 
-def gen_secs(instance: BipartiteInstance) -> Iterator[LinearInequality]:
-    """Stream every subtour row, 3 <= |S| <= N - 1, smallest sets first.
-
-    Raises `EnumerationCapError` on the first row when N is above
-    `DEFAULT_ENUMERATION_CAP`.  The window is empty on instances too small
-    to have any subtour row.
-    """
+def check_enumeration_cap(instance: BipartiteInstance) -> None:
+    """Refuse an instance of more than `DEFAULT_ENUMERATION_CAP` vertices,
+    whose subtour rows are too many to enumerate (`EnumerationCapError`)."""
     n = instance.num_vertices
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError("subtour enumeration", n, DEFAULT_ENUMERATION_CAP)
+
+
+def gen_secs(instance: BipartiteInstance) -> Iterator[LinearInequality]:
+    """Stream every subtour row, 3 <= |S| <= N - 1, smallest sets first.
+
+    Refuses, by `check_enumeration_cap`, on the first row.  The window is
+    empty on instances too small to have any subtour row.
+    """
+    check_enumeration_cap(instance)
+    n = instance.num_vertices
     order = list(instance.vertices())
     for size in range(3, n):
         for combo in combinations(order, size):

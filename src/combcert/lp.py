@@ -59,17 +59,17 @@ from typing import Iterable, Mapping, Sequence
 
 from . import _kernels
 from .constraints import (
-    DEFAULT_ENUMERATION_CAP,
     DegreeMode,
     LinearInequality,
     _degree_kind,
+    check_enumeration_cap,
     gen_degree,
     gen_secs,
     scan_inputs,
     sec_constraint,
     upper_bound,
 )
-from .errors import CombcertError, EnumerationCapError
+from .errors import CombcertError
 from .graph import BipartiteInstance, Edge, FractionalPoint
 from .rational import exact_value, normal, scale_to_ints
 
@@ -515,12 +515,10 @@ def is_implied(
     rows, plus every subtour row unless `lazy`, in which case `solve`
     separates subtour rows at each optimum instead.  They and the
     starting tableau are prepared once per instance, mode and driver.
-    Both modes refuse an instance of more than
-    `DEFAULT_ENUMERATION_CAP` vertices before it looks for a prepared one.
+    Both modes refuse an instance past the vertex cap
+    (`check_enumeration_cap`) before they look for a prepared one.
     """
-    n = instance.num_vertices
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError("subtour enumeration", n, DEFAULT_ENUMERATION_CAP)
+    check_enumeration_cap(instance)
     _degree_kind(mode)  # before `_prepared`, whose lookup hashes the mode
     solution = solve(instance, target.coeffs, _prepared(instance, mode, bool(lazy)), lazy)
     if solution.status != OPTIMAL:

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from .certificates import BUILDERS, certify, verify
 from .combs import Comb, comb_inequality, twice_toothless_bound, validate_comb
-from .constraints import DEFAULT_ENUMERATION_CAP
-from .errors import CombcertError, EnumerationCapError
+from .constraints import check_enumeration_cap
+from .errors import CombcertError
 from .graph import CLASS1, CLASS2, BipartiteInstance, VertexId
 from .jsonio import dump_comb
 from .lp import is_implied
@@ -59,7 +59,7 @@ class _Pools:
         return len(self._pool[side])
 
 
-def _draw(pools, rng, side, count) -> list[VertexId] | None:
+def _draw(pools, side, count) -> list[VertexId] | None:
     out = []
     for _ in range(count):
         v = pools.take(side)
@@ -148,18 +148,18 @@ def _attempt(rng, instance, family, flip) -> Comb | None:
         for i in range(t):
             if i < p:
                 s_i = rng.randint(0, 1) if pools.available(1) > t else 0
-                part1 = _draw(pools, rng, 1, 1 + s_i)
+                part1 = _draw(pools, 1, 1 + s_i)
                 if part1 is None:
                     return None
                 part2 = []
                 if family != "t2" and pools.available(2) > t:
-                    part2 = _draw(pools, rng, 2, rng.randint(0, 1))
+                    part2 = _draw(pools, 2, rng.randint(0, 1))
                     if part2 is None:
                         return None
                 members = part1 + part2
             else:
                 r_i = rng.randint(0, 1) if pools.available(2) > t else 0
-                members = _draw(pools, rng, 2, 1 + r_i)
+                members = _draw(pools, 2, 1 + r_i)
                 if members is None:
                     return None
                 trailing_r += r_i
@@ -185,7 +185,7 @@ def _attempt(rng, instance, family, flip) -> Comb | None:
         for _ in range(t):
             k1 = rng.randint(0, 1)
             k2 = rng.randint(0 if k1 else 1, 1)
-            part = (_draw(pools, rng, 1, k1) or []) + (_draw(pools, rng, 2, k2) or [])
+            part = (_draw(pools, 1, k1) or []) + (_draw(pools, 2, k2) or [])
             if not part:
                 return None
             hand.extend(part)
@@ -237,11 +237,8 @@ def run_search(config: ExperimentConfig) -> dict:
     the cap is refused before any comb is drawn.
     """
     instance = _complete(config.size)
-    wild = "wild" in config.families[: config.comb_count]
-    if wild and instance.num_vertices > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            "subtour enumeration", instance.num_vertices, DEFAULT_ENUMERATION_CAP
-        )
+    if "wild" in config.families[: config.comb_count]:
+        check_enumeration_cap(instance)
     rng = random.Random(config.seed)
     findings = {
         "config": config.as_dict(),

@@ -25,11 +25,14 @@ tested it against `instance.edges`.  Both are kept unchanged.
 A tour is handled as the package keeps it, a tuple of indices into
 `instance.sorted_edges`; `tour_point` is its unit point, and
 `expected_tour_count` the closed-form count of the tours of K_{n,n}.
+`edmonds_karp_cut` is a textbook max flow with an explicit source and
+sink, the reference for `combcert._kernels._min_cut`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -224,8 +227,8 @@ def is_hamiltonian_cycle(instance, tour):
 
 def nested_generator_edge_tours(instance):
     """Every tour as a tuple of indices into ``sorted(instance.edges)``, by
-    the nested-generator search and per-tour mapping that the single-frame
-    `_kernels.hamiltonian_cycles` replaced, both kept unchanged as its
+    a nested-generator search over vertex sequences and a per-tour mapping
+    to edges, independent of `_kernels.hamiltonian_cycles` and kept as its
     reference: entry 2k of a tour is the edge a_k b_k and entry 2k + 1 the
     edge b_k a_{k+1} of the search's vertex sequence.
     """
@@ -307,6 +310,54 @@ def nested_generator_edge_tours(instance):
             )
         )
     return out
+
+
+def edmonds_karp_cut(network, sources, sinks, limit):
+    """`_kernels._min_cut` by the textbook Edmonds-Karp on a capacity matrix.
+
+    `network` is a `_kernels._network` tuple.  Its vertices 0..N-1 get an
+    explicit source s = N and sink t = N + 1.  Each edge uv is an arc
+    each way, each vertex keeps its arcs to t and from s, and a vertex in
+    `sources` (`sinks`) joins s (t) by an arc of capacity `limit` + 1.
+    A cut through such an arc exceeds `limit`, so no cut below `limit`
+    uses one.  Returns None once the flow reaches `limit` after an
+    augmentation, and otherwise (max flow, mask of the vertices reachable
+    from s in the residual graph).
+    """
+    adjacent, to_sink, from_source, _ = network
+    n = len(adjacent)
+    s, t = n, n + 1
+    residual = [[0] * (n + 2) for _ in range(n + 2)]
+    for u, arcs in enumerate(adjacent):
+        for v, capacity in arcs.items():
+            residual[u][v] += capacity
+    for v in range(n):
+        residual[v][t] += to_sink[v] + (limit + 1 if sinks >> v & 1 else 0)
+        residual[s][v] += from_source[v] + (limit + 1 if sources >> v & 1 else 0)
+    flow = 0
+    while True:
+        parent = {s: None}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for v in range(n + 2):
+                if v not in parent and residual[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            return flow, sum(1 << v for v in parent if v < n)
+        path = []
+        v = t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
+        if flow >= limit:
+            return None
 
 
 def fraction_rank(rows):

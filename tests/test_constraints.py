@@ -16,13 +16,14 @@ from combcert import (
     degree_constraint,
     gen_degree,
     gen_secs,
+    is_implied,
     sec_constraint,
 )
 from combcert import constraints, tours
 from combcert.certificates import BUILDERS, member_inequality
 from combcert.combs import classify
 from combcert.constraints import lower_bound, upper_bound
-from combcert.search import FAMILIES, sample_comb
+from combcert.search import FAMILIES, ExperimentConfig, run_search, sample_comb
 from oracles import in_normal_form, naive_sec_violations, subset_count, tour_point
 
 HALF = Fraction(1, 2)
@@ -94,6 +95,21 @@ def test_gen_secs_cap():
     big = BipartiteInstance.complete(13)  # 26 vertices > default cap 24
     with pytest.raises(EnumerationCapError):
         next(gen_secs(big))
+
+
+def test_every_subtour_cap_refusal_reads_one_cap(monkeypatch):
+    # `gen_secs`, `is_implied` and a wild `run_search` all refuse through
+    # `check_enumeration_cap`, so lowering the one cap moves all three.
+    monkeypatch.setattr(constraints, "DEFAULT_ENUMERATION_CAP", 7)
+    k44 = BipartiteInstance.complete(4)
+    message = "subtour enumeration: size 8 exceeds the enumeration cap 7"
+    with pytest.raises(EnumerationCapError, match=message):
+        next(gen_secs(k44))
+    with pytest.raises(EnumerationCapError, match=message):
+        is_implied(k44, upper_bound(k44, k44.sorted_edges[0]))
+    with pytest.raises(EnumerationCapError, match=message):
+        run_search(ExperimentConfig(seed=0, size=4, comb_count=1, families=("wild",)))
+    run_search(ExperimentConfig(seed=0, size=4, comb_count=1, families=("l1",)))
 
 
 def test_check_point_table1_feasible(table1):

@@ -16,8 +16,9 @@ from combcert import (
     is_implied,
     tours,
 )
+from combcert.constraints import scan_inputs
 from combcert.search import sample_comb
-from oracles import expected_tour_count
+from oracles import edmonds_karp_cut, expected_tour_count
 
 
 def test_oversized_weights_stay_exact():
@@ -81,6 +82,52 @@ def test_callers_reach_kernels_through_module_attributes(monkeypatch):
 
     is_implied(instance, row)
     assert calls[2:] and set(calls[2:]) == {"most_violated_set"}
+
+
+def test_min_cut_matches_edmonds_karp():
+    # Weights above D push a vertex's degree past 2 and give it a source
+    # arc; negative weights are clipped.  Each network is cut between
+    # random disjoint sets of several vertices, at limits of 0, the cut
+    # value and above it.
+    rng = random.Random(24)
+    seen = {"source arcs": 0, "refused": 0, "zero cut": 0}
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        denom = rng.randint(1, 4)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        masks = [1 << u | 1 << v for u, v in pairs]
+        weights = [rng.randint(-denom, 3 * denom) for _ in pairs]
+        network = _kernels._network(n, masks, weights, denom)
+        seen["source arcs"] += bool(network[3])
+        for _ in range(3):
+            order = rng.sample(range(n), n)
+            split = rng.randint(1, n - 1)
+            end = rng.randint(split + 1, n)
+            sources = sum(1 << v for v in order[:split])
+            sinks = sum(1 << v for v in order[split:end])
+            cut, _ = edmonds_karp_cut(network, sources, sinks, 1 << 20)
+            for limit in (0, cut, cut + 1, cut + rng.randint(2, 9)):
+                found = _kernels._min_cut(network, sources, sinks, limit)
+                assert found == edmonds_karp_cut(network, sources, sinks, limit)
+                seen["refused"] += found is None
+                seen["zero cut"] += found is not None and found[0] == 0
+    assert all(seen.values()), seen
+
+
+def test_most_violated_set_keeps_the_last_zero_cut():
+    # Two weight-1 4-cycles both have f = 0.  The flow that finds the
+    # first one sets the best to 0; the flow (u3 in, u0..u2 out) then has
+    # max flow 0, so it makes no augmentation, is not refused at the
+    # limit, and its set replaces the first.
+    instance = BipartiteInstance.complete(6)
+    u = [instance.vertex(f"u{i}") for i in range(6)]
+    v = [instance.vertex(f"v{i}") for i in range(6)]
+    weights = {Edge(u[0], v[0]): 1}
+    for i in (1, 3):
+        weights.update({Edge(a, b): 1 for a in u[i : i + 2] for b in v[i : i + 2]})
+    masks, scaled, denom = scan_inputs(instance, FractionalPoint(instance, weights))
+    mask = _kernels.most_violated_set(instance.num_vertices, masks, scaled, denom)
+    assert instance.vertices_in(mask) == {u[3], u[4], v[3], v[4]}
 
 
 def test_kernel_backend_is_pure():

@@ -23,6 +23,7 @@ from combcert import (
     lp,
     solve,
 )
+from combcert import constraints
 from combcert.constraints import upper_bound
 from combcert.lp import OPTIMAL
 from combcert.search import FAMILIES, sample_comb
@@ -191,7 +192,7 @@ def test_a_bad_mode_is_refused_on_every_call(k33):
 def test_the_vertex_cap_is_checked_before_the_cache(k44, monkeypatch):
     target = upper_bound(k44, k44.sorted_edges[0])
     is_implied(k44, target, lazy=False)  # prepared under the default cap
-    monkeypatch.setattr(lp, "DEFAULT_ENUMERATION_CAP", 7)
+    monkeypatch.setattr(constraints, "DEFAULT_ENUMERATION_CAP", 7)
     with pytest.raises(EnumerationCapError, match="subtour enumeration"):
         is_implied(k44, target, lazy=False)
 

@@ -122,8 +122,8 @@ def _random_instance(rng):
 
 
 def test_edge_tours_match_nested_generator_oracle():
-    # The single-frame kernel against the code it replaced: the same
-    # tuples in the same order, which `_stride_order` relies on.  Unequal
+    # The recursive kernel against the nested-generator reference: the
+    # same tuples in the same order, which `_stride_order` relies on.  Unequal
     # classes never reach the kernel (`test_unequal_classes_yield_no_tours`).
     rng = random.Random(2017)
     instances = (
