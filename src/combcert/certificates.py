@@ -73,7 +73,6 @@ from .combs import (
     comb_rhs,
     require_valid,
 )
-from .constraints import ConstraintKind, LinearInequality, sec_constraint
 from .errors import CertificateInvariantError, HypothesisNotMetError
 from .graph import CLASS1, CLASS2, BipartiteInstance, Edge, VertexId
 
@@ -84,8 +83,8 @@ class CertificateMember:
 
     kind "degree": `vertex` plus the explicit `support` (a subset of its
     incident edges).  kind "sec": its `vertex_set` alone; `support` is for
-    degree members only, and the row's edges come from the instance when
-    `member_inequality` builds it.
+    degree members only, and the row's edges are the instance edges
+    inside the set, as `verify` derives them.
     """
 
     kind: str
@@ -124,20 +123,6 @@ def member_rhs(member: CertificateMember) -> int:
     if member.kind == "degree":
         return 2
     return len(member.vertex_set) - 1
-
-
-def member_inequality(
-    instance: BipartiteInstance, member: CertificateMember
-) -> LinearInequality:
-    if member.kind == "degree":
-        label = instance.label(member.vertex)
-        return LinearInequality(
-            {e: 1 for e in member.support},
-            2,
-            ConstraintKind.DEGREE_LE2,
-            f"deg[{label}]",
-        )
-    return sec_constraint(instance, member.vertex_set)
 
 
 def aggregation_members(

@@ -28,6 +28,12 @@ from .tables import reproduce_tables
 from .tours import facet_test
 
 
+# The largest n of a `search` instance: the n^2 edges of K_{n,n} are built
+# before any comb, and five certified combs on K_{300,300} take under a
+# second and about 41 MiB.
+MAX_SEARCH_SIZE = 300
+
+
 def _approx(value: int | Fraction) -> str:
     """The exact rational plus a decimal reading when it is fractional.
 
@@ -209,6 +215,8 @@ def _cmd_paper_tables(args) -> int:
 def _cmd_search(args) -> int:
     if args.size < 3:
         raise FormatError("size", f"must be at least 3, got {args.size}")
+    if args.size > MAX_SEARCH_SIZE:
+        raise FormatError("size", f"must be at most {MAX_SEARCH_SIZE}, got {args.size}")
     if args.count < 0:
         raise FormatError("count", f"must not be negative, got {args.count}")
     families = FAMILIES

@@ -278,15 +278,10 @@ class FractionalPoint:
     def __repr__(self) -> str:
         return f"FractionalPoint({len(self._weights)} weighted edges)"
 
-    def replace(self, edge: Edge, weight: int | Fraction) -> "FractionalPoint":
-        """A copy with one weight changed (points themselves are immutable)."""
-        new = dict(self._weights)
-        new[edge] = weight
-        return FractionalPoint(self.instance, new)
-
 
 def degree(point: FractionalPoint, vertex: VertexId) -> int | Fraction:
-    """Sum of the weights of the edges incident with `vertex`."""
+    """Sum of the weights of the edges incident with `vertex`.  Kept as
+    public API: README names it among the exact readings of a point."""
     return normal(sum(map(point.weight, point.instance.incident(vertex))))
 
 

@@ -109,7 +109,8 @@ def load_instance(source) -> tuple[BipartiteInstance, FractionalPoint]:
 
 
 def dump_instance(instance: BipartiteInstance, point: FractionalPoint) -> dict:
-    """One weights entry per instance edge; edges off the point get "0"."""
+    """One weights entry per instance edge; edges off the point get "0".
+    Kept as public API: README names it as the writer whose weights read back."""
     weights = {
         instance.edge_label(e): format_rational(point.weight(e))
         for e in instance.sorted_edges
@@ -180,6 +181,8 @@ def dump_certificate(cert: Certificate, instance: BipartiteInstance) -> dict:
 
 
 def load_certificate(source, instance: BipartiteInstance) -> Certificate:
+    """Read a `certify --output` file back; kept as the loader an
+    independent checker of those files will use."""
     doc = _as_document(source, "certificate")
     builder = doc.get("builder")
     if not isinstance(builder, str) or builder not in BUILDERS:

@@ -6,8 +6,12 @@ Gaussian elimination, and LP optima come from enumerating candidate
 vertices of the constraint system.  `VertexId` and `Edge` are the frozen
 dataclass identities that `combcert.graph`'s tuple types replaced, kept
 unchanged as their reference.  `verify` is the certificate checker that
-`combcert.certificates.verify` replaced, kept unchanged with the member
-check it calls: it builds every member's row and sums in `Fraction`.
+`combcert.certificates.verify` replaced, kept with the member check it
+calls: it builds every member's row by `member_inequality`, a sec
+member's edges by `scan_sec_coeffs` (not the package's `sec_constraint`),
+and sums in `Fraction`.
+`with_weight` is a point with one weight changed, the tests' one way to
+perturb a point.
 `scan_sec_coeffs`, `scan_comb_coeffs` and `scan_set_weight` are the
 vertex-set rules that `BipartiteInstance.edges_within` replaced, and
 `fraction_condition_bound` the toothless-vertex bound that
@@ -80,6 +84,13 @@ class Edge:
 
     def touches(self, vertex: VertexId) -> bool:
         return self.u == vertex or self.v == vertex
+
+
+def with_weight(point, edge, weight):
+    """A copy of `point` with one weight changed, built by the constructor."""
+    from combcert import FractionalPoint
+
+    return FractionalPoint(point.instance, {**dict(point.items()), edge: weight})
 
 
 def naive_sec_violations(instance, point, lo, hi):
@@ -506,6 +517,23 @@ def _validate_member(instance, idx, member):
     return problems
 
 
+def member_inequality(instance, member):
+    """A certificate member's row: a degree member's `support` with rhs 2,
+    a sec member's `scan_sec_coeffs` with rhs |S| - 1."""
+    from combcert.constraints import ConstraintKind, LinearInequality
+
+    if member.kind == "degree":
+        label = instance.label(member.vertex)
+        return LinearInequality(
+            {e: 1 for e in member.support}, 2, ConstraintKind.DEGREE_LE2, f"deg[{label}]"
+        )
+    vset = member.vertex_set
+    provenance = "sec{" + ",".join(instance.labels_of(vset)) + "}"
+    return LinearInequality(
+        scan_sec_coeffs(instance, vset), len(vset) - 1, ConstraintKind.SUBTOUR_ELIM, provenance
+    )
+
+
 def verify(instance, certificate):
     """Recompute everything from scratch and check domination.
 
@@ -513,7 +541,7 @@ def verify(instance, certificate):
     structural identity, the per-edge sums and aggregate rhs are recomputed,
     and the target comb row is rebuilt (and the comb validated) from the comb.
     """
-    from combcert.certificates import CertificateReport, member_inequality
+    from combcert.certificates import CertificateReport
     from combcert.combs import comb_inequality
 
     target = comb_inequality(instance, certificate.comb)

@@ -25,7 +25,6 @@ from combcert.certificates import (
     CertificateMember,
     aggregation_members,
     certify,
-    member_inequality,
 )
 from combcert import certificates, load_table, validate_comb
 from combcert import tours as tours_module
@@ -34,7 +33,7 @@ from combcert.errors import CombcertError, InvalidCombError
 from combcert.graph import CLASS1, CLASS2, Edge, VertexId
 from combcert.search import FAMILIES, ExperimentConfig, run_search, sample_comb
 import oracles
-from oracles import in_normal_form, tour_point
+from oracles import in_normal_form, member_inequality, tour_point
 
 
 def _labels(instance, *names):

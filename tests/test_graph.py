@@ -14,7 +14,7 @@ from combcert import (
     degree,
     set_weight,
 )
-from oracles import in_normal_form
+from oracles import in_normal_form, with_weight
 
 HALF = Fraction(1, 2)
 
@@ -106,7 +106,7 @@ def test_point_takes_only_ints_and_fractions(table1):
     for given, stored in ((1, 1), (Fraction(4, 2), 2), (HALF, HALF), (Fraction(0), 0)):
         weight = FractionalPoint(instance, {edge: given}).weight(edge)
         assert in_normal_form(weight) and weight == stored
-    assert in_normal_form(point.replace(edge, 0).weight(edge))
+    assert in_normal_form(with_weight(point, edge, 0).weight(edge))
     absent = next(e for e in instance.edges if e != edge)
     assert in_normal_form(FractionalPoint(instance, {edge: 1}).weight(absent))
     unit = FractionalPoint(instance, {edge: 1})
@@ -115,14 +115,14 @@ def test_point_takes_only_ints_and_fractions(table1):
         with pytest.raises(TypeError, match="expected an int or a Fraction"):
             FractionalPoint(instance, {edge: bad})
         with pytest.raises(TypeError, match="expected an int or a Fraction"):
-            point.replace(edge, bad)
+            with_weight(point, edge, bad)
 
 
 def test_point_allows_out_of_bound_weights(table1):
     # Bounds are checked by the feasibility checker, not at construction.
     instance, point, _ = table1
     edge = next(iter(instance.edges))
-    bad = point.replace(edge, Fraction(3, 2))
+    bad = with_weight(point, edge, Fraction(3, 2))
     assert bad.weight(edge) == Fraction(3, 2)
 
 

@@ -594,16 +594,29 @@ def test_cli_search_unknown_family_exit_2(families, capsys):
 
 @pytest.mark.parametrize(
     "option,value,field",
-    [("--size", "2", "size"), ("--size", "-1", "size"), ("--count", "-3", "count")],
+    [
+        ("--size", "2", "size"),
+        ("--size", "-1", "size"),
+        ("--size", "301", "size"),
+        ("--size", "1000", "size"),
+        ("--count", "-3", "count"),
+    ],
 )
 def test_cli_search_refuses_impossible_sizes_and_counts(
-    option, value, field, capsys, monkeypatch
+    option, value, field, tmp_path, capsys, monkeypatch
 ):
     _refuse_sampling(monkeypatch)
-    assert main(["search", "--seed", "0", option, value]) == 2
+    output = tmp_path / "findings.json"
+    assert main(["search", "--seed", "0", option, value, "--output", str(output)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["field"] == field
     assert value in error["reason"]
+    assert not output.exists()
+
+
+def test_cli_search_runs_at_the_size_bound(capsys):
+    assert main(["search", "--seed", "0", "--size", "300", "--count", "1"]) == 0
+    assert "certified: 1" in capsys.readouterr().out
 
 
 def test_cli_verify_point_past_the_violated_set_budget_exit_2(
