@@ -13,7 +13,7 @@ Four workloads:
     table to its list of edge-index tuples, which must hold all
     n! (n-1)! / 2 tours, and the peak RSS of the process after it;
   * warm lazy `solve` on K_{30,30}, past the vertex cap of `is_implied`:
-    8 seeded wild combs over one prepared `lp._Relaxation` of the degree
+    8 seeded wild combs over one prepared `lp._Tableau` of the degree
     rows, every one optimal, and the share of that time spent in the
     duality audit;
   * `facet_test` on K_{6,6} (43,200 tours) over 6 seeded combs, first
@@ -108,7 +108,7 @@ def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int 
     """Warm lazy `solve` per query on K_{n,n}, and its duality audit's share.
 
     `is_implied` refuses an instance over `DEFAULT_ENUMERATION_CAP`
-    vertices, so the queries go through `solve` over a relaxation of the
+    vertices, so the queries go through `solve` over a tableau of the
     degree rows prepared once, as `is_implied` prepares its own.  The best
     of `repeat` passes over the same queries is reported.
     """
@@ -116,7 +116,7 @@ def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int 
     rng = random.Random(seed)
     targets = [comb_inequality(instance, sample_comb(rng, instance, "wild")) for _ in range(combs)]
     t0 = time.perf_counter()
-    relaxation = lp._Relaxation(instance, gen_degree(instance))
+    prepared = lp._Tableau(instance, gen_degree(instance))
     t_prepare = time.perf_counter() - t0
     audit = lp._audit_duality
     audit_seconds = 0.0
@@ -133,7 +133,7 @@ def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int 
         for _ in range(repeat):
             audit_seconds = 0.0
             t0 = time.perf_counter()
-            solutions = [solve(instance, t.coeffs, relaxation, lazy=True) for t in targets]
+            solutions = [solve(instance, t.coeffs, prepared, lazy=True) for t in targets]
             seconds = time.perf_counter() - t0
             if best is None or seconds < best[0]:
                 best = seconds, audit_seconds

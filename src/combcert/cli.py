@@ -23,7 +23,7 @@ from .errors import CombcertError, FormatError, HypothesisNotMetError, InvalidCo
 from .jsonio import dump_certificate, load_comb, load_instance, write_json
 from .lp import is_implied
 from .rational import format_rational
-from .search import FAMILIES, ExperimentConfig, run_search
+from .search import FAMILIES, ORIENTATION_POLICIES, ExperimentConfig, run_search
 from .tables import reproduce_tables
 from .tours import facet_test
 
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=4, help="n for the K_{n,n} instance")
     p.add_argument("--count", type=int, default=60)
     p.add_argument("--families", help="comma-separated subset of " + ",".join(FAMILIES))
-    p.add_argument("--policy", choices=("random", "fixed"), default="random")
+    p.add_argument("--policy", choices=ORIENTATION_POLICIES, default="random")
     p.add_argument("--output", help="write findings JSON here")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_search)

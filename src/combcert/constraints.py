@@ -12,11 +12,12 @@ subtour family on purpose: the x <= 1 bound already covers them, and the
 feasibility checker relies on the bounds for that case.
 
 Materializing the subtour family (`gen_secs`, for direct-mode LPs) is
-exhaustive and refuses to run above a vertex cap.  `check_point` does not
-enumerate subsets: it lists the violated subtour sets by branching on
-min cuts (`_kernels.violated_sets`), so its work grows with the number of
-violated sets, which `VIOLATED_SET_BUDGET` bounds.  `scan_inputs` turns a
-point into the integer data that the cut kernels read.
+exhaustive and refuses to run above `SUBTOUR_ROWS_CAP` = 16 vertices.
+`check_point` does not enumerate subsets: it lists the violated subtour
+sets by branching on min cuts (`_kernels.violated_sets`), so its work
+grows with the number of violated sets, which `VIOLATED_SET_BUDGET`
+bounds.  `scan_inputs` turns a point into the integer data that the cut
+kernels read.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
 from .rational import exact_value, normal, scale_to_ints
 
 DEFAULT_ENUMERATION_CAP = 24
+
+# Most vertices whose subtour rows `gen_secs` materializes.  K_{8,8} has
+# 65,398 of them, and a direct `is_implied` over them takes about 2 s and
+# 185 MiB; K_{9,9} has 261,971 (about 9 s and 846 MiB), and K_{10,10}
+# more than a million (Python 3.11, one core).
+SUBTOUR_ROWS_CAP = 16
 
 # Most subtour sets `check_point` lists before it refuses a point.  A point
 # on 12 or fewer vertices never reaches it, since it has 2^12 vertex sets at
@@ -174,11 +181,15 @@ def check_enumeration_cap(instance: BipartiteInstance) -> None:
 def gen_secs(instance: BipartiteInstance) -> Iterator[LinearInequality]:
     """Stream every subtour row, 3 <= |S| <= N - 1, smallest sets first.
 
-    Refuses, by `check_enumeration_cap`, on the first row.  The window is
-    empty on instances too small to have any subtour row.
+    Refuses on the first row, before it builds one: by
+    `check_enumeration_cap`, then past `SUBTOUR_ROWS_CAP` vertices
+    (`EnumerationCapError` both).  The window is empty on instances too
+    small to have any subtour row.
     """
     check_enumeration_cap(instance)
     n = instance.num_vertices
+    if n > SUBTOUR_ROWS_CAP:
+        raise EnumerationCapError("subtour rows", n, SUBTOUR_ROWS_CAP)
     order = list(instance.vertices())
     for size in range(3, n):
         for combo in combinations(order, size):

@@ -13,10 +13,10 @@ the dual a plain vector over rows: the multiplier of every row, box rows
 included, is read off the reduced cost of that row's slack (or
 artificial) column.
 
-`solve` is the one driver.  Its rows, with a box row per edge added,
-and the starting tableau over them form a `_Relaxation`, which does not
-depend on the objective: the tableau has run phase 1 already, since
-phase 1 reads no objective.  `solve` copies that tableau, prices out the
+`solve` is the one driver.  A `_Tableau` is built from the given rows:
+it adds a box row per edge and runs phase 1, which reads no objective,
+so one tableau serves any objective over the same rows.  `solve` copies
+a prepared tableau (or builds one for the call), prices out the
 objective, runs phase 2 and reads the optimum.  With `lazy` it then
 repeatedly appends the most violated subtour row at the current optimum
 until none is violated.  Each added row is appended to the optimal
@@ -41,9 +41,9 @@ the same exact optimum.
 `is_implied` maximizes a row's left-hand side over the relaxation
 polytope.  Direct mode hands `solve` every subtour row up front; lazy
 mode hands it the degree rows only and separates the rest.  It prepares
-those rows and their starting tableau once per instance, degree mode and
-driver, keeps the last `RELAXATIONS_KEPT` of them, and hands `solve` the
-prepared relaxation, so a query builds no row that does not depend on
+the tableau over those rows once per instance, degree mode and driver,
+keeps the last `RELAXATIONS_KEPT` of them, and hands `solve` the
+prepared tableau, so a query builds no row that does not depend on
 its target.  Every optimum is still audited against the rows themselves,
 and an "implied" verdict carries an independently checkable nonnegative
 combination of relaxation rows, in either mode.
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import _kernels
 from .constraints import (
@@ -75,9 +75,8 @@ from .rational import exact_value, normal, scale_to_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
-# Relaxations `is_implied` keeps prepared: one instance's two degree modes
+# Tableaus `is_implied` keeps prepared: one instance's two degree modes
 # under both drivers.
 RELAXATIONS_KEPT = 4
 
@@ -94,52 +93,26 @@ class LpSolution:
     rounds: int  # optima read: 1 per cold solve, +1 per cut
 
 
-class _Relaxation:
-    """The part of an LP that does not depend on the objective, prepared once.
-
-    Holds the variable order (`instance.sorted_edges`), the rows (the
-    given rows, each checked to name only instance edges, then one
-    x_e <= 1 box row per edge) and the starting tableau over them.
-    Phase 1 does not depend on the objective, so the starting tableau has
-    run it already, and an infeasible outcome is kept with it.  `solve`
-    reads a relaxation and copies its tableau; nothing writes to either
-    after construction, so one relaxation serves any number of queries.
-    """
-
-    def __init__(self, instance: BipartiteInstance, rows: Iterable[LinearInequality]):
-        given = list(rows)
-        for row in given:
-            for e in row.coeffs:
-                if e not in instance.edges:
-                    raise ValueError(f"row {row.provenance} names edge {e} outside the instance")
-        self.variables = instance.sorted_edges
-        self.given = len(given)
-        self.rows = tuple(given + [upper_bound(instance, e) for e in self.variables])
-        self.tableau = _Tableau(self.variables, self.rows)
-        self.tableau.phase_one()
-
-
 def solve(
     instance: BipartiteInstance,
     objective: Mapping[Edge, int | Fraction],
-    rows: Iterable[LinearInequality] | _Relaxation,
+    rows: Iterable[LinearInequality] | _Tableau,
     lazy: bool = False,
 ) -> LpSolution:
     """Maximize `objective` over `rows` and the unit box, x >= 0.
 
     The variables are the instance's edges.  Each objective value must be
     an int or a `Fraction`; anything else raises `TypeError` naming its
-    edge, before any tableau work.  `rows` is either the given
-    rows, which are prepared here for this one call, or a `_Relaxation`
-    prepared from them before.  The tableau holds the given rows, then
-    one x_e <= 1 row per edge; a copy of a prepared relaxation's starting
-    tableau (or the tableau itself, when prepared for this call) runs
-    phase 2.  With `lazy`, the most violated subtour row at each
-    optimum is appended and the tableau re-optimized by the dual simplex,
-    until separation finds none; a separated row that the optimum already
-    satisfies raises `CombcertError`, since adding it again would loop
-    forever.  Every optimum read has its dual audited against the
-    tableau's rows.
+    edge, before any tableau work.  `rows` is either the given rows, over
+    which a tableau is built for this one call, or a `_Tableau` built over
+    them before, which is copied and left as it is.  Either way the
+    tableau holds the given rows and one x_e <= 1 row per edge, and has
+    run phase 1; phase 2 runs on it.  With `lazy`, the most violated
+    subtour row at each optimum is appended and the tableau re-optimized
+    by the dual simplex, until separation finds none; a separated row
+    that the optimum already satisfies raises `CombcertError`, since
+    adding it again would loop forever.  Every optimum read has its dual
+    audited against the tableau's rows.
     """
     costs = {}
     for e, c in objective.items():
@@ -148,39 +121,26 @@ def solve(
         c = exact_value(c, "objective coefficient of edge", e)
         if c:
             costs[e] = c
-    if isinstance(rows, _Relaxation):
-        relaxation, tableau = rows, _Tableau.copy_of(rows.tableau)
-    else:  # prepared for this call only: its tableau needs no copy
-        relaxation = _Relaxation(instance, rows)
-        tableau = relaxation.tableau
-    variables = relaxation.variables
-    # Tableau order: given rows, box rows, then each cut as it is added.
-    tableau_rows = list(relaxation.rows)
-    boxes = slice(relaxation.given, len(tableau_rows))
-
-    def given_cuts_box(seq: Sequence) -> tuple:
-        return (*seq[: boxes.start], *seq[boxes.stop :], *seq[boxes])
-
+    # A tableau built for this call only needs no copy.
+    tableau = rows.copy() if isinstance(rows, _Tableau) else _Tableau(instance, rows)
     status = tableau.run(costs)
     rounds = 0
     while status == OPTIMAL:
         assignment = tableau.primal_values()
         value = normal(sum(costs.get(e, 0) * x for e, x in assignment.items()))
-        dual = tableau.dual_values()
-        _audit_duality(tableau_rows, variables, costs, value, dual)
+        rows_read, dual = tableau.rows_and_duals()
+        _audit_duality(rows_read, tableau.variables, costs, value, dual)
         point = FractionalPoint(instance, assignment)
         rounds += 1
         cut = _most_violated_sec(instance, point) if lazy else None
         if cut is None:
-            rows_out = given_cuts_box(tableau_rows)
-            return LpSolution(OPTIMAL, value, point, given_cuts_box(dual), rows_out, rounds)
+            return LpSolution(OPTIMAL, value, point, dual, rows_read, rounds)
         if not cut.value_on(point) > cut.rhs:
             raise CombcertError(
                 f"separation returned {cut.provenance}, which the optimum satisfies"
             )
-        tableau_rows.append(cut)
         status = tableau.add_row(cut)
-    return LpSolution(status, None, None, None, given_cuts_box(tableau_rows), rounds)
+    return LpSolution(status, None, None, None, tableau.rows_and_duals()[0], rounds)
 
 
 def _audit_duality(rows, variables, objective, optimum, dual) -> None:
@@ -233,7 +193,17 @@ def _subtract(target: dict, factor, row: dict) -> None:
 
 
 class _Tableau:
-    """Sparse exact simplex tableau: two phases cold, dual simplex per cut.
+    """Sparse exact simplex tableau over an instance's edges, x_e <= 1 included.
+
+    Built from the given rows, each checked to name only instance edges,
+    followed by one x_e <= 1 box row per edge (`instance.sorted_edges`),
+    so every variable is bounded and no objective is unbounded.  `source`
+    holds the `LinearInequality` of each row: the given rows, the box rows
+    (at the positions `boxes`), then each cut `add_row` appends.  Phase 1
+    reads no objective, so the constructor runs it once and keeps its
+    outcome in `feasible`.  `copy` makes a tableau in the same state that
+    shares nothing it changes, so one prepared tableau serves any number
+    of objectives.
 
     Each row, and the reduced-cost row `cbar`, is a {column: value} dict
     of its nonzeros.  Every value is in the package's one form
@@ -246,41 +216,47 @@ class _Tableau:
     negated for its negative rhs).  Artificials form a set and never enter
     the basis, so a slack appended later is eligible like any other.
 
-    `run` solves by Bland's rule: phase 1 (`phase_one`, run once and kept,
-    so a copy made by `copy_of` after it goes straight to phase 2), then
-    phase 2 for the objective.  `add_row`
-    appends a <= row with a fresh slack column, reduces it against the
-    current basis and restores primal feasibility by the dual simplex
-    (Lemke, 1954) under Bland's rule: the leaving row is the negative-rhs
-    row with the smallest basic column; the entering column attains the
-    minimum ratio cbar_j / a_j over a_j < 0, ties to the smaller column.
-    The reduced costs never turn positive, so the result is optimal.
+    `run` prices out an objective and runs phase 2 by Bland's rule.
+    `add_row` appends a <= row with a fresh slack column, reduces it
+    against the current basis and restores primal feasibility by the dual
+    simplex (Lemke, 1954) under Bland's rule: the leaving row is the
+    negative-rhs row with the smallest basic column; the entering column
+    attains the minimum ratio cbar_j / a_j over a_j < 0, ties to the
+    smaller column.  The reduced costs never turn positive, so the result
+    is optimal.
 
-    The dual of original row i is read off its identity column (its slack,
-    or its artificial): y_i = -sign_i * cbar[column].  That covers the box
-    rows as well, which are ordinary rows here.  A row dropped as
-    redundant in phase 1 leaves its artificial all zero, so it reads 0.
+    The dual of row i is read off its identity column (its slack, or its
+    artificial): y_i = -sign_i * cbar[column].  That covers the box rows
+    as well, which are ordinary rows here.  A row dropped as redundant in
+    phase 1 leaves its artificial all zero, so it reads 0.
+    `rows_and_duals` reads every row with its multiplier.
     """
 
-    def __init__(self, variables: Sequence[Edge], rows: Sequence[LinearInequality]):
-        self.variables = tuple(variables)
+    def __init__(self, instance: BipartiteInstance, rows: Iterable[LinearInequality]):
+        given = list(rows)
+        for row in given:
+            for e in row.coeffs:
+                if e not in instance.edges:
+                    raise ValueError(f"row {row.provenance} names edge {e} outside the instance")
+        self.variables = instance.sorted_edges
         self.column = {e: j for j, e in enumerate(self.variables)}
+        self.source = given + [upper_bound(instance, e) for e in self.variables]
+        self.boxes = slice(len(given), len(self.source))
         self.rows: list[dict] = []
         self.rhs: list = []
         self.basis: list[int] = []
-        self.unit: list[tuple[int, int]] = []  # per original row: (column, sign)
+        self.unit: list[tuple[int, int]] = []  # per row of `source`: (column, sign)
         self.artificial: set[int] = set()
         self.cbar: dict = {}
-        self.feasible: bool | None = None  # phase 1 not run yet
         col = len(self.variables)
         slacks = []
-        for row in rows:
+        for row in self.source:
             if row.is_equality:
                 slacks.append(None)
             else:
                 slacks.append(col)
                 col += 1
-        for row, slack in zip(rows, slacks):
+        for row, slack in zip(self.source, slacks):
             sign = -1 if row.rhs < 0 else 1
             entries = {self.column[e]: c for e, c in row.coeffs.items()}
             if sign < 0:
@@ -298,43 +274,35 @@ class _Tableau:
             self.basis.append(unit)
             self.unit.append((unit, sign))
         self.next_column = col
+        # Phase 1: drive the artificials to 0 and out of the basis.
+        self.feasible = True
+        if self.artificial:
+            self._price_out({col: -1 for col in self.artificial})
+            self._primal()
+            self.feasible = not any(
+                self.rhs[i] for i, col in enumerate(self.basis) if col in self.artificial
+            )
+            if self.feasible:
+                self._expel_artificials()
 
-    @classmethod
-    def copy_of(cls, start: _Tableau) -> _Tableau:
-        """A tableau in the state of `start` that shares nothing it changes."""
-        tableau = cls.__new__(cls)
-        tableau.variables, tableau.column = start.variables, start.column
-        tableau.rows = [dict(row) for row in start.rows]
-        tableau.rhs = list(start.rhs)
-        tableau.basis = list(start.basis)
-        tableau.unit = list(start.unit)
-        tableau.artificial = set(start.artificial)
-        tableau.cbar = dict(start.cbar)
-        tableau.next_column = start.next_column
-        tableau.feasible = start.feasible
+    def copy(self) -> _Tableau:
+        """A tableau in this state that shares nothing either one changes."""
+        tableau = _Tableau.__new__(_Tableau)
+        tableau.variables, tableau.column = self.variables, self.column
+        tableau.artificial, tableau.boxes = self.artificial, self.boxes
+        tableau.source = list(self.source)
+        tableau.rows = [dict(row) for row in self.rows]
+        tableau.rhs = list(self.rhs)
+        tableau.basis = list(self.basis)
+        tableau.unit = list(self.unit)
+        tableau.cbar = dict(self.cbar)
+        tableau.next_column = self.next_column
+        tableau.feasible = self.feasible
         return tableau
 
-    def phase_one(self) -> bool:
-        """Drive the artificials to 0 and out of the basis, once.
-
-        Returns whether the rows are feasible.  The outcome is kept, and
-        copies inherit it, since phase 1 does not read the objective.
-        """
-        if self.feasible is None:
-            self.feasible = True
-            if self.artificial:
-                self._price_out({col: -1 for col in self.artificial})
-                status = self._primal()
-                self.feasible = status == OPTIMAL and not any(
-                    self.rhs[i] for i, col in enumerate(self.basis) if col in self.artificial
-                )
-                if self.feasible:
-                    self._expel_artificials()
-        return self.feasible
-
     def run(self, objective: Mapping[Edge, int | Fraction]) -> str:
-        """Phase 1 unless done already, then phase 2 for `objective`."""
-        if not self.phase_one():
+        """Phase 2 for `objective`, or INFEASIBLE if phase 1 found no point."""
+        if not self.feasible:
             return INFEASIBLE
         self._price_out({self.column[e]: normal(c) for e, c in objective.items() if c})
         return self._primal()
@@ -355,6 +323,7 @@ class _Tableau:
         self.rhs.append(rhs)
         self.basis.append(slack)
         self.unit.append((slack, 1))
+        self.source.append(row)
         return self._dual()
 
     def _price_out(self, costs: dict) -> None:
@@ -401,8 +370,8 @@ class _Tableau:
                         if diff > 0 or (diff == 0 and self.basis[i] > self.basis[leave]):
                             continue
                     leave = i
-            if leave < 0:
-                return UNBOUNDED
+            if leave < 0:  # the box rows bound every column: a solver bug
+                raise CombcertError(f"column {enter} is unbounded in a bounded tableau")
             self._pivot(leave, enter)
 
     def _dual(self) -> str:
@@ -454,12 +423,17 @@ class _Tableau:
             if col < n and self.rhs[i]
         }
 
-    def dual_values(self) -> tuple[int | Fraction, ...]:
-        """Original-row multipliers, in the order the rows were added, as stored."""
+    def rows_and_duals(self) -> tuple[tuple[LinearInequality, ...], tuple[int | Fraction, ...]]:
+        """Every row and its multiplier as stored: given rows, cuts, box rows."""
         # cbar[col] = c_col - z_col and c_col = 0, so z_col = -cbar[col].
         # `cbar` holds nonzeros only; an absent column reads 0.
-        cbar = self.cbar
-        return tuple(-sign * cbar[col] if col in cbar else 0 for col, sign in self.unit)
+        cbar, boxes = self.cbar, self.boxes
+        duals = [-sign * cbar[col] if col in cbar else 0 for col, sign in self.unit]
+        source = self.source
+        return (
+            (*source[: boxes.start], *source[boxes.stop :], *source[boxes]),
+            (*duals[: boxes.start], *duals[boxes.stop :], *duals[boxes]),
+        )
 
 
 @dataclass(frozen=True)
@@ -491,15 +465,15 @@ def _most_violated_sec(
 
 
 @lru_cache(maxsize=RELAXATIONS_KEPT)
-def _prepared(instance: BipartiteInstance, mode: DegreeMode, lazy: bool) -> _Relaxation:
-    """The relaxation of `is_implied`, prepared on its first query.
+def _prepared(instance: BipartiteInstance, mode: DegreeMode, lazy: bool) -> _Tableau:
+    """The tableau of `is_implied`'s relaxation, built on its first query.
 
     Equal instances share it.
     """
     rows = gen_degree(instance, mode)
     if not lazy:
         rows.extend(gen_secs(instance))
-    return _Relaxation(instance, rows)
+    return _Tableau(instance, rows)
 
 
 def is_implied(
@@ -513,8 +487,8 @@ def is_implied(
     Implied iff the optimum is <= the target's rhs; otherwise the optimal
     point is returned as a violation witness.  The rows are the degree
     rows, plus every subtour row unless `lazy`, in which case `solve`
-    separates subtour rows at each optimum instead.  They and the
-    starting tableau are prepared once per instance, mode and driver.
+    separates subtour rows at each optimum instead.  The tableau over
+    them is prepared once per instance, mode and driver.
     Both modes refuse an instance past the vertex cap
     (`check_enumeration_cap`) before they look for a prepared one.
     """

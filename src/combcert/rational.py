@@ -83,10 +83,11 @@ def _digits(n: int) -> str:
 
 
 def format_rational(value: int | Fraction) -> str:
-    """The wire form of `value`, exact at any size."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return _digits(value.numerator)
+    """The wire form of `value`, exact at any size; anything but an int or
+    a Fraction raises `TypeError` (`exact_value`)."""
+    value = exact_value(value, "rational")
+    if value.__class__ is int:
+        return _digits(value)
     return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 

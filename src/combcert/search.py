@@ -28,6 +28,9 @@ from .rational import format_rational
 
 # One family per certificate class, plus "wild" (no pattern restriction).
 FAMILIES = tuple(name.lower() for name in BUILDERS) + ("wild",)
+# "random" flips a fair coin per attempt for which real class plays class
+# one in the recipes; "fixed" never flips.
+ORIENTATION_POLICIES = ("random", "fixed")
 _ATTEMPTS = 200
 # Least and greatest tooth size a sampled comb aims for; the run config
 # records it, so a findings file states the sizes it was drawn with.
@@ -89,6 +92,13 @@ def _finish_teeth(pools, rng, teeth: list[list[VertexId]], max_size: int) -> boo
     return True
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in ORIENTATION_POLICIES:
+        raise ValueError(
+            f"orientation policy must be one of {ORIENTATION_POLICIES}, got {policy!r}"
+        )
+
+
 def sample_comb(
     rng: random.Random,
     instance: BipartiteInstance,
@@ -96,9 +106,11 @@ def sample_comb(
     orientation_policy: str = "random",
 ) -> Comb:
     """A random comb of the requested family, its teeth sized within
-    `TOOTH_SIZE_RANGE`; raises after `_ATTEMPTS` misses."""
+    `TOOTH_SIZE_RANGE`; raises after `_ATTEMPTS` misses.  An unknown family
+    or orientation policy raises `ValueError` before any draw."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    _check_policy(orientation_policy)
     for _ in range(_ATTEMPTS):
         flip = orientation_policy == "random" and rng.random() < 0.5
         comb = _attempt(rng, instance, family, flip)
@@ -234,8 +246,15 @@ def run_search(config: ExperimentConfig) -> dict:
 
     A wild comb may need the LP, which enumerates subtour rows up to the
     vertex cap, so a run that samples wild combs on K_{n,n} with 2n over
-    the cap is refused before any comb is drawn.
+    the cap is refused before any comb is drawn.  So is a config with no
+    family, an unknown one, or an unknown orientation policy
+    (`ValueError`).
     """
+    if not config.families or not set(config.families) <= set(FAMILIES):
+        raise ValueError(
+            f"families must be a nonempty tuple of {FAMILIES}, got {config.families!r}"
+        )
+    _check_policy(config.orientation_policy)
     instance = _complete(config.size)
     if "wild" in config.families[: config.comb_count]:
         check_enumeration_cap(instance)

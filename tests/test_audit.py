@@ -196,13 +196,13 @@ BAD_OBJECTIVE_VALUES = [0.5, 0.0, 2.0, True, False, "1/2", None, 1 + 0j]
 def test_solve_refuses_an_objective_value_that_is_not_int_or_fraction(bad, monkeypatch):
     k33 = BipartiteInstance.complete(3)
     e, f = sorted(k33.edges)[:2]
-    prepared = lp._Relaxation(k33, gen_degree(k33))
+    prepared = lp._Tableau(k33, gen_degree(k33))
 
     def no_tableau(*args, **kwargs):
         raise AssertionError("tableau work before the objective was checked")
 
     monkeypatch.setattr(lp._Tableau, "__init__", no_tableau)
-    monkeypatch.setattr(lp._Tableau, "copy_of", no_tableau)
+    monkeypatch.setattr(lp._Tableau, "copy", no_tableau)
     for rows, lazy in ((gen_degree(k33), False), (prepared, True)):
         with pytest.raises(TypeError) as refused:
             solve(k33, {f: 1, e: bad}, rows, lazy)

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -200,6 +202,32 @@ def test_cli_implied_runs_lazy_by_default(table1, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--lazy"])  # lazy is the default; there is no flag for it
     assert exc.value.code == 2
+
+
+def test_cli_direct_implied_refuses_past_the_subtour_row_cap(tmp_path, capsys, monkeypatch):
+    # K_{9,9} is within the 24-vertex cap of lazy queries, but its 261,971
+    # subtour rows are past the 16-vertex cap of `gen_secs`.
+    instance = BipartiteInstance.complete(9)
+    comb = search.sample_comb(random.Random(9), instance, "wild")
+    ipath, cpath = tmp_path / "instance.json", tmp_path / "comb.json"
+    ipath.write_text(json.dumps(dump_instance(instance, FractionalPoint(instance, {}))))
+    cpath.write_text(json.dumps(dump_comb(comb, instance)))
+    args = ["implied", "--instance", str(ipath), "--comb", str(cpath)]
+    built = []
+    with monkeypatch.context() as patch:
+        patch.setattr(constraints, "sec_constraint", lambda *a: built.append(a))
+        for fmt in ("json", "text"):
+            assert main(args + ["--direct", "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            error = json.loads(captured.err)["error"]
+            assert error["message"] == "subtour rows: size 18 exceeds the enumeration cap 16"
+    assert built == []
+    assert main(args + ["--format", "json"]) in (0, 1)
+    document = json.loads(capsys.readouterr().out)
+    lazy = is_implied(instance, comb_inequality(instance, comb))
+    assert document["status"] == lazy.status
+    assert document["rows_used"] == lazy.rows_used
 
 
 def _certifiable_pair(tmp_path):
@@ -564,6 +592,30 @@ def test_search_past_the_vertex_cap_runs_without_wild_combs():
     ):
         findings = run_search(config)
         assert len(findings["certified"]) == config.comb_count
+
+
+@pytest.mark.parametrize("policy", ["Random", "random ", "FIXED", ""])
+def test_unknown_orientation_policy_is_refused_before_any_draw(policy, monkeypatch):
+    # Any policy but "random" used to be sampled as "fixed".
+    k44 = BipartiteInstance.complete(4)
+    rng = random.Random(0)
+    state = rng.getstate()
+    message = r"orientation policy must be one of \('random', 'fixed'\), got "
+    with pytest.raises(ValueError, match=message + re.escape(repr(policy))):
+        search.sample_comb(rng, k44, "l1", policy)
+    assert rng.getstate() == state
+    _refuse_sampling(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_search(ExperimentConfig(seed=0, comb_count=1, orientation_policy=policy))
+
+
+@pytest.mark.parametrize("families", [(), ("l1", "L2"), ("wild", "")])
+@pytest.mark.parametrize("count", [0, 1])
+def test_search_without_known_families_is_refused_before_any_draw(families, count, monkeypatch):
+    # `families=()` with a comb to draw used to raise ZeroDivisionError.
+    _refuse_sampling(monkeypatch)
+    with pytest.raises(ValueError, match=r"families must be a nonempty tuple of \('l1', "):
+        run_search(ExperimentConfig(seed=0, families=families, comb_count=count))
 
 
 def test_search_certifies_all_l1_samples():

@@ -14,7 +14,7 @@ from combcert import (
 )
 from combcert.errors import CombcertError
 from combcert.graph import CLASS1, CLASS2, Edge, VertexId
-from combcert.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _audit_duality, _Tableau
+from combcert.lp import INFEASIBLE, OPTIMAL, _audit_duality
 from combcert.search import sample_comb
 from combcert.certificates import BUILDERS
 from oracles import vertex_enumeration_max
@@ -47,13 +47,6 @@ def test_k22_degree_lp_max_total_weight():
     solution = solve(k22, {e: Fraction(1) for e in k22.edges}, gen_degree(k22))
     assert solution.objective_value == 4
     assert all(solution.point.weight(e) == 1 for e in k22.edges)
-
-
-def test_unbounded_without_box():
-    # `solve` always adds the box rows; the bare tableau has none.
-    instance = BipartiteInstance.complete(1, 1)
-    variables = _vars(instance)
-    assert _Tableau(variables, ()).run({variables[0]: Fraction(1)}) == UNBOUNDED
 
 
 def test_infeasible_detected():

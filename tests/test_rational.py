@@ -120,6 +120,20 @@ def test_exact_value_refuses_anything_but_an_int_or_a_fraction(bad):
         exact_value(bad, "rhs")
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, True, False, "1/2", "3", None])
+def test_format_rational_refuses_anything_but_an_int_or_a_fraction(bad):
+    # Fraction(0.1) would print as 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError) as refused:
+        format_rational(bad)
+    assert str(refused.value) == f"rational: expected an int or a Fraction, got {bad!r}"
+
+
+def test_format_rational_writes_ints_and_fractions_in_the_wire_form():
+    cases = ((7, "7"), (-3, "-3"), (0, "0"), (Fraction(4, 2), "2"), (Fraction(-6, 4), "-3/2"))
+    for value, text in cases:
+        assert format_rational(value) == text
+
+
 def _decimal_int(digits):
     """int(digits) through `decimal`, which has no integer-string limit."""
     with localcontext() as context:

@@ -1,7 +1,8 @@
 """`is_implied` on prepared relaxations against uncached `solve` calls.
 
-`is_implied` prepares the rows and the starting tableau of its relaxation
-once per (instance, mode, driver) and copies the tableau per query.  Its
+`is_implied` prepares the tableau of its relaxation (the rows, box rows
+included, after phase 1) once per (instance, mode, driver) and copies it
+per query.  Its
 outcomes must equal those of `solve` over freshly generated rows, the
 prepared state must never change, and the cache must stay within its
 bound.
@@ -80,13 +81,13 @@ def _pool(instance, count, seed):
     ]
 
 
-def _state(relaxation):
-    """Everything a prepared relaxation holds, as plain comparable values."""
-    tableau = relaxation.tableau
+def _state(tableau):
+    """Everything a prepared tableau holds, as plain comparable values."""
     return (
-        relaxation.variables,
-        relaxation.given,
-        [(dict(row.coeffs), row.rhs, row.kind, row.provenance) for row in relaxation.rows],
+        tableau.variables,
+        dict(tableau.column),
+        [(dict(row.coeffs), row.rhs, row.kind, row.provenance) for row in tableau.source],
+        tableau.boxes,
         [dict(row) for row in tableau.rows],
         list(tableau.rhs),
         list(tableau.basis),
@@ -144,12 +145,12 @@ def test_queries_leave_the_prepared_relaxation_unchanged(mode, lazy):
     instance = BipartiteInstance.complete(4)
     targets = _pool(instance, 20, "relaxation/snapshot")
     is_implied(instance, targets[0], mode=mode, lazy=lazy)
-    relaxation = lp._prepared(instance, mode, lazy)
-    before = _state(relaxation)
+    prepared = lp._prepared(instance, mode, lazy)
+    before = _state(prepared)
     for target in targets:
         is_implied(instance, target, mode=mode, lazy=lazy)
-    assert lp._prepared(instance, mode, lazy) is relaxation
-    assert _state(relaxation) == before
+    assert lp._prepared(instance, mode, lazy) is prepared
+    assert _state(prepared) == before
 
 
 def test_cache_holds_at_most_its_bound():
@@ -175,7 +176,7 @@ def test_infeasible_phase_one_is_reported_on_every_query():
         for _ in range(2):
             with pytest.raises(CombcertError, match="relaxation LP ended infeasible"):
                 is_implied(instance, target, mode="eq", lazy=lazy)
-        assert lp._prepared(instance, "eq", lazy).tableau.feasible is False
+        assert lp._prepared(instance, "eq", lazy).feasible is False
 
 
 def test_a_bad_mode_is_refused_on_every_call(k33):

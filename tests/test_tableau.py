@@ -23,7 +23,6 @@ from combcert import (
     solve,
 )
 from combcert import lp
-from combcert.constraints import upper_bound
 from combcert.lp import INFEASIBLE, OPTIMAL, _audit_duality
 from combcert.search import FAMILIES, sample_comb
 from oracles import in_normal_form
@@ -92,34 +91,38 @@ def test_warm_lazy_matches_cold_solve_on_final_rows(n, mode, monkeypatch):
         assert warm_rounds  # some queries did take warm rounds
 
 
-class _CheckedTableau(lp._Tableau):
-    """Asserts the entry types after every solve and every appended row."""
-
-    checks = 0
-
-    def run(self, objective):
-        status = super().run(objective)
-        self.check()
-        return status
-
-    def add_row(self, row):
-        status = super().add_row(row)
-        self.check()
-        return status
-
-    def check(self):
-        values = list(self.rhs) + list(self.cbar.values())
-        for row in self.rows:
-            values += row.values()
-        for value in values:
-            assert in_normal_form(value), value
-        assert all(values[len(self.rhs) :])  # sparse rows hold no zeros
-        self.__class__.checks += 1
+def _check_entries(tableau):
+    """Asserts that every tableau entry is an int or a Fraction, and no zero."""
+    values = list(tableau.rhs) + list(tableau.cbar.values())
+    for row in tableau.rows:
+        values += row.values()
+    for value in values:
+        assert in_normal_form(value), value
+    assert all(values[len(tableau.rhs) :])  # sparse rows hold no zeros
 
 
-def test_appended_rows_match_cold_solve_on_random_lps():
+def _check_every_solve(patch):
+    """Patches `lp._Tableau.run` and `add_row` to check the entries after
+    every call, on every tableau, copies of one built before included;
+    returns the list that gets one entry per check."""
+    checks = []
+    for name in ("run", "add_row"):
+        method = getattr(lp._Tableau, name)
+
+        def checked(self, arg, method=method):
+            status = method(self, arg)
+            _check_entries(self)
+            checks.append(method.__name__)
+            return status
+
+        patch.setattr(lp._Tableau, name, checked)
+    return checks
+
+
+def test_appended_rows_match_cold_solve_on_random_lps(monkeypatch):
     rng = random.Random(31)
     checked = 0
+    checks = _check_every_solve(monkeypatch)
     for _ in range(60):
         instance = BipartiteInstance.complete(1, rng.randint(2, 4))
         variables = tuple(sorted(instance.edges))
@@ -131,41 +134,43 @@ def test_appended_rows_match_cold_solve_on_random_lps():
 
         objective = {e: Fraction(rng.randint(-2, 3)) for e in variables}
         base = [random_row(f"r{i}") for i in range(rng.randint(0, 3))]
-        rows = base + [upper_bound(instance, e) for e in variables]
-        tableau = _CheckedTableau(variables, rows)
+        tableau = lp._Tableau(instance, base)
         status = tableau.run(objective)
+        cuts = []
         for k in range(4):
             if status != OPTIMAL:
                 break
             cut = random_row(f"cut{k}")
-            rows.append(cut)
+            cuts.append(cut)
             status = tableau.add_row(cut)
-            cold = solve(instance, objective, base + rows[len(base) + n :])
+            cold = solve(instance, objective, base + cuts)
             assert status == cold.status
+            rows, dual = tableau.rows_and_duals()
+            assert rows == cold.rows  # given rows, cuts, then box rows
             if status == OPTIMAL:
                 assignment = tableau.primal_values()
                 warm = sum(c * assignment.get(e, 0) for e, c in objective.items())
                 assert warm == cold.objective_value
-                _audit_duality(rows, variables, objective, warm, tableau.dual_values())
+                _audit_duality(rows, variables, objective, warm, dual)
                 checked += 1
     assert checked > 50
+    assert checks.count("add_row") >= checked  # every warm round was checked
 
 
 def test_cut_that_empties_the_polytope_is_infeasible():
     instance = BipartiteInstance.complete(1, 2)
     variables = tuple(sorted(instance.edges))
-    tableau = lp._Tableau(variables, [upper_bound(instance, e) for e in variables])
+    tableau = lp._Tableau(instance, [])
     assert tableau.run({variables[0]: Fraction(1)}) == OPTIMAL
     assert tableau.add_row(_row(variables, {0: -1, 1: -1}, -3)) == INFEASIBLE
 
 
 def _checked_queries(cases, monkeypatch):
-    """Every query of `cases` with `lp._Tableau` checked; returns the
+    """Every query of `cases` with every `lp._Tableau` checked; returns the
     number of checks and the number of optima the queries read."""
     optima = 0
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_Tableau", _CheckedTableau)
-        patch.setattr(_CheckedTableau, "checks", 0)
+        checks = _check_every_solve(patch)
         for inst, target, modes in cases:
             for mode in modes:
                 result = is_implied(inst, target, mode=mode)
@@ -180,7 +185,7 @@ def _checked_queries(cases, monkeypatch):
             assert in_normal_form(solution.objective_value)
             assert all(map(in_normal_form, solution.dual))
             assert all(in_normal_form(w) for _, w in solution.point.items())
-        return _CheckedTableau.checks, optima
+        return len(checks), optima
 
 
 def test_tableau_entries_are_int_or_fraction_never_float(table1, monkeypatch):
@@ -191,9 +196,10 @@ def test_tableau_entries_are_int_or_fraction_never_float(table1, monkeypatch):
         (k55, comb_inequality(k55, sample_comb(rng, k55, "wild")), ("le", "eq"))
         for _ in range(6)
     ]  # the Table 1 instance has no tour
-    # `is_implied` copies a prepared starting tableau per query.  Every run
-    # and every warm round goes through the checked class whether the
-    # start was prepared under it (cold cache) or before it (warm cache).
+    # `is_implied` copies a prepared tableau per query.  Every run and
+    # every warm round goes through the checked methods whether the
+    # tableau was prepared under the patch (cold cache) or before it (warm
+    # cache).
     lp._prepared.cache_clear()
     for warm in (False, True):
         if warm:
