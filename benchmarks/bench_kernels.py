@@ -14,8 +14,9 @@ Four workloads:
     n! (n-1)! / 2 tours, and the peak RSS of the process after it;
   * warm lazy `solve` on K_{30,30}, past the vertex cap of `is_implied`:
     8 seeded wild combs over one prepared `lp._Tableau` of the degree
-    rows, every one optimal, and the share of that time spent in the
-    duality audit;
+    rows, every one optimal, the share of that time spent in the
+    duality audit, the simplex pivots per query and the simplex time
+    per pivot;
   * `facet_test` on K_{6,6} (43,200 tours) over 6 seeded combs, first
     and then per query, the same reports on a second pass, and the size
     of the kept tour set and the peak RSS with it kept.
@@ -104,13 +105,31 @@ def bench_tours(n: int):
     print(f"{line}  {seconds * 1e3:9.1f} ms   peak RSS so far {peak:6.0f} MiB")
 
 
+def _timed(owner, name: str, totals: dict) -> None:
+    """Replace `owner.name` by a wrapper that adds its seconds to totals[name]."""
+    method = getattr(owner, name)
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return method(*args)
+        finally:
+            totals[name] += time.perf_counter() - t0
+
+    setattr(owner, name, timed)
+
+
 def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int = 3):
-    """Warm lazy `solve` per query on K_{n,n}, and its duality audit's share.
+    """Warm lazy `solve` per query on K_{n,n}, its duality audit's share,
+    and its simplex pivots.
 
     `is_implied` refuses an instance over `DEFAULT_ENUMERATION_CAP`
     vertices, so the queries go through `solve` over a tableau of the
     degree rows prepared once, as `is_implied` prepares its own.  The best
-    of `repeat` passes over the same queries is reported.
+    of `repeat` passes over the same queries is reported.  The time per
+    pivot is the time spent in the primal and dual simplex loops
+    (`_primal`, `_dual`: entering choice, ratio test and pivots) over the
+    pivots per query, which a separate untimed pass counts.
     """
     instance = BipartiteInstance.complete(n)
     rng = random.Random(seed)
@@ -118,34 +137,48 @@ def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int 
     t0 = time.perf_counter()
     prepared = lp._Tableau(instance, gen_degree(instance))
     t_prepare = time.perf_counter() - t0
-    audit = lp._audit_duality
-    audit_seconds = 0.0
 
-    def timed_audit(*args):
-        nonlocal audit_seconds
-        t0 = time.perf_counter()
-        audit(*args)
-        audit_seconds += time.perf_counter() - t0
+    def queries():
+        return [solve(instance, t.coeffs, prepared, lazy=True) for t in targets]
 
-    best = None
-    lp._audit_duality = timed_audit
+    pivots = 0
+    pivot = lp._Tableau._pivot
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        pivot(*args)
+
+    lp._Tableau._pivot = counted
     try:
-        for _ in range(repeat):
-            audit_seconds = 0.0
-            t0 = time.perf_counter()
-            solutions = [solve(instance, t.coeffs, prepared, lazy=True) for t in targets]
-            seconds = time.perf_counter() - t0
-            if best is None or seconds < best[0]:
-                best = seconds, audit_seconds
+        queries()
     finally:
-        lp._audit_duality = audit
+        lp._Tableau._pivot = pivot
+
+    originals = lp._audit_duality, lp._Tableau._primal, lp._Tableau._dual
+    best = None
+    for _ in range(repeat):
+        totals = {"_audit_duality": 0.0, "_primal": 0.0, "_dual": 0.0}
+        _timed(lp, "_audit_duality", totals)
+        _timed(lp._Tableau, "_primal", totals)
+        _timed(lp._Tableau, "_dual", totals)
+        try:
+            t0 = time.perf_counter()
+            solutions = queries()
+            seconds = time.perf_counter() - t0
+        finally:
+            lp._audit_duality, lp._Tableau._primal, lp._Tableau._dual = originals
+        if best is None or seconds < best[0]:
+            best = seconds, totals
     assert all(solution.status == lp.OPTIMAL for solution in solutions)
     rounds = sum(solution.rounds for solution in solutions)
-    seconds, audit_seconds = best
+    seconds, totals = best
+    simplex = totals["_primal"] + totals["_dual"]
     line = f"lazy LP      n={instance.num_vertices:2d} ({combs} combs, {rounds} rounds)"
     print(
         f"{line}  prepare {t_prepare * 1e3:6.1f} ms, then {seconds / combs * 1e3:6.2f} ms/query"
-        f"   of which the audit {audit_seconds / combs * 1e3:5.2f} ms/query"
+        f"   of which the audit {totals['_audit_duality'] / combs * 1e3:5.2f} ms/query"
+        f"   {pivots / combs:5.1f} pivots/query at {simplex / pivots * 1e6:6.1f} us/pivot"
     )
 
 

@@ -8,10 +8,11 @@ entries are plain Python ints and all others `fractions.Fraction`; every
 division goes through `Fraction`, so no float ever appears, and most
 pivot arithmetic stays on ints.  Pivoting is by Bland's rule
 (anti-cycling, no scaling; exact arithmetic makes scaling pointless at
-desk scale).  Upper bounds x <= 1 enter as explicit rows, which keeps
-the dual a plain vector over rows: the multiplier of every row, box rows
-included, is read off the reduced cost of that row's slack (or
-artificial) column.
+desk scale).  A pivot reads its entering column once: the ratio test
+and the elimination run over the rows that hold it.  Upper bounds
+x <= 1 enter as explicit rows, which keeps the dual a plain vector over
+rows: the multiplier of every row, box rows included, is read off the
+reduced cost of that row's slack (or artificial) column.
 
 `solve` is the one driver.  A `_Tableau` is built from the given rows:
 it adds a box row per edge and runs phase 1, which reads no objective,
@@ -216,7 +217,9 @@ class _Tableau:
     negated for its negative rhs).  Artificials form a set and never enter
     the basis, so a slack appended later is eligible like any other.
 
-    `run` prices out an objective and runs phase 2 by Bland's rule.
+    `run` prices out an objective and runs phase 2 by Bland's rule.  A
+    pivot reads its entering column once (`_column`); the ratio test and
+    the elimination read only the rows that hold it.
     `add_row` appends a <= row with a fresh slack column, reduces it
     against the current basis and restores primal feasibility by the dual
     simplex (Lemke, 1954) under Bland's rule: the leaving row is the
@@ -333,19 +336,25 @@ class _Tableau:
             if cost:
                 _subtract(self.cbar, cost, self.rows[i])
 
-    def _pivot(self, r: int, j: int) -> None:
+    def _column(self, j: int) -> list[tuple[int, int | Fraction]]:
+        """(row index, entry) of every row that holds column j, in row order."""
+        return [(i, row[j]) for i, row in enumerate(self.rows) if j in row]
+
+    def _pivot(self, r: int, j: int, column: list[tuple[int, int | Fraction]]) -> None:
+        """Pivot on (r, j), eliminating j from the rows of `column`, which is
+        `_column(j)` read before the pivot, and from `cbar`."""
         row = self.rows[r]
         pivot = row[j]
         if pivot != 1:
             inverse = -1 if pivot == -1 else Fraction(1, pivot)
             row = self.rows[r] = {k: normal(v * inverse) for k, v in row.items()}
             self.rhs[r] = normal(self.rhs[r] * inverse)
-        b = self.rhs[r]
-        for i, other in enumerate(self.rows):
-            factor = other.get(j)
-            if factor and i != r:
-                _subtract(other, factor, row)
-                self.rhs[i] = normal(self.rhs[i] - factor * b)
+        rows, rhs, b = self.rows, self.rhs, self.rhs[r]
+        for i, factor in column:
+            if i != r:
+                _subtract(rows[i], factor, row)
+                if b:  # a degenerate pivot leaves every rhs as it is
+                    rhs[i] = normal(rhs[i] - factor * b)
         factor = self.cbar.get(j)
         if factor:
             _subtract(self.cbar, factor, row)
@@ -353,6 +362,7 @@ class _Tableau:
 
     def _primal(self) -> str:
         """Primal simplex, Bland's rule, from a primal feasible basis."""
+        rhs, basis = self.rhs, self.basis
         while True:
             enter = min(
                 (j for j, v in self.cbar.items() if v > 0 and j not in self.artificial),
@@ -360,19 +370,19 @@ class _Tableau:
             )
             if enter < 0:
                 return OPTIMAL
+            column = self._column(enter)
             leave = -1
-            for i, row in enumerate(self.rows):
-                a = row.get(enter, 0)
+            for i, a in column:
                 if a > 0:
                     if leave >= 0:
                         # rhs_i / a against rhs_leave / a_leave, both a > 0
-                        diff = self.rhs[i] * self.rows[leave][enter] - self.rhs[leave] * a
-                        if diff > 0 or (diff == 0 and self.basis[i] > self.basis[leave]):
+                        diff = rhs[i] * a_leave - rhs[leave] * a
+                        if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
                             continue
-                    leave = i
+                    leave, a_leave = i, a
             if leave < 0:  # the box rows bound every column: a solver bug
                 raise CombcertError(f"column {enter} is unbounded in a bounded tableau")
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, column)
 
     def _dual(self) -> str:
         """Dual simplex, Bland's rule, from a dual feasible basis."""
@@ -395,7 +405,7 @@ class _Tableau:
                     enter = j
             if enter < 0:
                 return INFEASIBLE
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, self._column(enter))
 
     def _expel_artificials(self) -> None:
         # Any artificial still basic sits at value 0; pivot it out on a
@@ -407,7 +417,7 @@ class _Tableau:
                     (j for j in self.rows[i] if j not in self.artificial), default=-1
                 )
                 if enter >= 0:
-                    self._pivot(i, enter)
+                    self._pivot(i, enter, self._column(enter))
                     i += 1
                 else:
                     del self.rows[i], self.rhs[i], self.basis[i]

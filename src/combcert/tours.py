@@ -31,8 +31,9 @@ row's tight face.  An instance without a tour has no dimension:
 nonzero coefficients and its rhs are scaled by D, the lcm of their
 denominators (`rational.scale_to_ints`; D = 1 on the integral degree,
 subtour and comb rows).  Its value on a tour is the sum of the scaled
-coefficients at the tour's edge indices, compared exactly against rhs*D.
-Coefficients on edges outside the instance are ignored, as in `value_on`.
+coefficients at the tour's edge indices, compared exactly against rhs*D
+by `_tight`, once per query over the kept tours.  Coefficients on edges
+outside the instance are ignored, as in `value_on`.
 
 Dimension work is affine: the polytope dimension is the rank of the
 difference vectors between tour incidence vectors, computed by exact
@@ -202,6 +203,23 @@ def _affine_rank(
     return echelon.rank
 
 
+def _tight(
+    tours: Sequence[tuple[int, ...]], coef: Sequence[int], rhs: int, equality: bool
+) -> list[tuple[int, ...]] | None:
+    """The tours, in order, on which the integer row `coef` . x <= rhs
+    (== rhs when `equality`) holds with equality; None at the first tour
+    that violates it.  A tour's value is the sum of `coef` at its edge
+    indices."""
+    tight = []
+    for tour in tours:
+        value = sum(map(coef.__getitem__, tour))
+        if value > rhs or (equality and value != rhs):
+            return None
+        if value == rhs:
+            tight.append(tour)
+    return tight
+
+
 def facet_test(instance: BipartiteInstance, ineq: LinearInequality) -> FacetReport:
     """Validity on all tours, tight-face dimension, and the verdict.
 
@@ -231,15 +249,9 @@ def facet_test(instance: BipartiteInstance, ineq: LinearInequality) -> FacetRepo
     (rhs, *nonzeros), _ = scale_to_ints([ineq.rhs, *ineq.coeffs.values()])
     scaled = dict(zip(ineq.coeffs, nonzeros))
     coef = [scaled.get(e, 0) for e in edges]
-    equality = ineq.is_equality
-    tight: list[tuple[int, ...]] = []
-    for tour in tours:
-        value = sum(map(coef.__getitem__, tour))
-        if value > rhs or (equality and value != rhs):
-            return FacetReport(polytope_dim, 0, -1, FacetVerdict.NOT_VALID)
-        if value == rhs:
-            tight.append(tour)
-
+    tight = _tight(tours, coef, rhs, ineq.is_equality)
+    if tight is None:
+        return FacetReport(polytope_dim, 0, -1, FacetVerdict.NOT_VALID)
     if not tight:
         return FacetReport(polytope_dim, 0, -1, FacetVerdict.NOT_SUPPORTING)
     bound = polytope_dim if len(tight) == len(tours) else polytope_dim - 1

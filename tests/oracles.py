@@ -31,6 +31,12 @@ A tour is handled as the package keeps it, a tuple of indices into
 `expected_tour_count` the closed-form count of the tours of K_{n,n}.
 `edmonds_karp_cut` is a textbook max flow with an explicit source and
 sink, the reference for `combcert._kernels._min_cut`.
+`full_scan_primal` and `full_scan_pivot` are the `lp._Tableau._primal`
+and `_pivot` bodies that the gathered-column pivot replaced, kept
+unchanged: each pivot looks its column up in every row, once in the
+ratio test and once in the elimination.  They are methods to patch onto
+`lp._Tableau`; `full_scan_pivot` ignores the gathered column that the
+current callers pass.
 """
 
 from __future__ import annotations
@@ -670,3 +676,54 @@ def aggregation_members(instance, comb, pattern):
         members.append(_degree_member(instance, a, h2))
     agg_rhs = sum(member_rhs(m) for m in members)
     return tuple(members), agg_rhs
+
+
+def full_scan_pivot(self, r, j, column=None):
+    from fractions import Fraction
+
+    from combcert.lp import _subtract
+    from combcert.rational import normal
+
+    row = self.rows[r]
+    pivot = row[j]
+    if pivot != 1:
+        inverse = -1 if pivot == -1 else Fraction(1, pivot)
+        row = self.rows[r] = {k: normal(v * inverse) for k, v in row.items()}
+        self.rhs[r] = normal(self.rhs[r] * inverse)
+    b = self.rhs[r]
+    for i, other in enumerate(self.rows):
+        factor = other.get(j)
+        if factor and i != r:
+            _subtract(other, factor, row)
+            self.rhs[i] = normal(self.rhs[i] - factor * b)
+    factor = self.cbar.get(j)
+    if factor:
+        _subtract(self.cbar, factor, row)
+    self.basis[r] = j
+
+
+def full_scan_primal(self):
+    """Primal simplex, Bland's rule, from a primal feasible basis."""
+    from combcert.errors import CombcertError
+    from combcert.lp import OPTIMAL
+
+    while True:
+        enter = min(
+            (j for j, v in self.cbar.items() if v > 0 and j not in self.artificial),
+            default=-1,
+        )
+        if enter < 0:
+            return OPTIMAL
+        leave = -1
+        for i, row in enumerate(self.rows):
+            a = row.get(enter, 0)
+            if a > 0:
+                if leave >= 0:
+                    # rhs_i / a against rhs_leave / a_leave, both a > 0
+                    diff = self.rhs[i] * self.rows[leave][enter] - self.rhs[leave] * a
+                    if diff > 0 or (diff == 0 and self.basis[i] > self.basis[leave]):
+                        continue
+                leave = i
+        if leave < 0:  # the box rows bound every column: a solver bug
+            raise CombcertError(f"column {enter} is unbounded in a bounded tableau")
+        self._pivot(leave, enter)
