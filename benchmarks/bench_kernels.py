@@ -15,8 +15,8 @@ Four workloads:
   * warm lazy `solve` on K_{30,30}, past the vertex cap of `is_implied`:
     8 seeded wild combs over one prepared `lp._Tableau` of the degree
     rows, every one optimal, the share of that time spent in the
-    duality audit, the simplex pivots per query and the simplex time
-    per pivot;
+    duality audit, the simplex pivots per query, the simplex time per
+    pivot, the row eliminations per pivot and the rows a query copies;
   * `facet_test` on K_{6,6} (43,200 tours) over 6 seeded combs, first
     and then per query, the same reports on a second pass, and the size
     of the kept tour set and the peak RSS with it kept.
@@ -129,7 +129,10 @@ def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int 
     of `repeat` passes over the same queries is reported.  The time per
     pivot is the time spent in the primal and dual simplex loops
     (`_primal`, `_dual`: entering choice, ratio test and pivots) over the
-    pivots per query, which a separate untimed pass counts.
+    pivots per query, which a separate untimed pass counts, with the row
+    eliminations per pivot (the stored rows a pivot subtracts from; `cbar`
+    is not counted) and the rows each query's copy of the prepared
+    tableau duplicates (its stored rows, of all its rows).
     """
     instance = BipartiteInstance.complete(n)
     rng = random.Random(seed)
@@ -141,19 +144,33 @@ def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int 
     def queries():
         return [solve(instance, t.coeffs, prepared, lazy=True) for t in targets]
 
-    pivots = 0
-    pivot = lp._Tableau._pivot
+    counts = {"pivots": 0, "eliminations": 0, "copied": 0}
+    pivot, copy, subtract = lp._Tableau._pivot, lp._Tableau.copy, lp._subtract
+    pivoting = []  # the `cbar` of the tableau in `_pivot`, if any
 
-    def counted(*args):
-        nonlocal pivots
-        pivots += 1
-        pivot(*args)
+    def counted_pivot(self, *args):
+        counts["pivots"] += 1
+        pivoting.append(self.cbar)
+        try:
+            pivot(self, *args)
+        finally:
+            pivoting.pop()
 
-    lp._Tableau._pivot = counted
+    def counted_subtract(target, *args):
+        if pivoting and target is not pivoting[-1]:
+            counts["eliminations"] += 1
+        subtract(target, *args)
+
+    def counted_copy(self):
+        counts["copied"] += len(self.rows)
+        return copy(self)
+
+    lp._Tableau._pivot, lp._Tableau.copy = counted_pivot, counted_copy
+    lp._subtract = counted_subtract
     try:
         queries()
     finally:
-        lp._Tableau._pivot = pivot
+        lp._Tableau._pivot, lp._Tableau.copy, lp._subtract = pivot, copy, subtract
 
     originals = lp._audit_duality, lp._Tableau._primal, lp._Tableau._dual
     best = None
@@ -174,11 +191,14 @@ def bench_lazy_past_the_cap(seed: int, n: int = 30, combs: int = 8, repeat: int 
     rounds = sum(solution.rounds for solution in solutions)
     seconds, totals = best
     simplex = totals["_primal"] + totals["_dual"]
+    pivots = counts["pivots"]
     line = f"lazy LP      n={instance.num_vertices:2d} ({combs} combs, {rounds} rounds)"
     print(
         f"{line}  prepare {t_prepare * 1e3:6.1f} ms, then {seconds / combs * 1e3:6.2f} ms/query"
         f"   of which the audit {totals['_audit_duality'] / combs * 1e3:5.2f} ms/query"
         f"   {pivots / combs:5.1f} pivots/query at {simplex / pivots * 1e6:6.1f} us/pivot"
+        f"   {counts['eliminations'] / pivots:5.1f} row eliminations/pivot"
+        f"   copies {counts['copied'] / combs:.0f} of {len(prepared.rhs)} rows/query"
     )
 
 

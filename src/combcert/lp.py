@@ -10,9 +10,19 @@ pivot arithmetic stays on ints.  Pivoting is by Bland's rule
 (anti-cycling, no scaling; exact arithmetic makes scaling pointless at
 desk scale).  A pivot reads its entering column once: the ratio test
 and the elimination run over the rows that hold it.  Upper bounds
-x <= 1 enter as explicit rows, which keeps the dual a plain vector over
-rows: the multiplier of every row, box rows included, is read off the
-reduced cost of that row's slack (or artificial) column.
+x <= 1 are explicit rows of the tableau, which keeps the dual a plain
+vector over rows: the multiplier of every row, box rows included, is
+read off the reduced cost of that row's slack (or artificial) column.
+But most box rows are not stored, because an identity fixes them (the
+`_Tableau` docstring proves it): with s_e the slack of x_e + s_e = 1,
+x_e or s_e is basic in every basis, and that equation is the sum of the
+rows of the basic ones.  So a lone basic one's row is {x_e: 1, s_e: 1}
+with rhs 1 (*trivial*), and if both are basic, one row is the unit
+minus the non-basic part of the other and the rhs sum to 1
+(*mirrored*).  Such a row is derived from the basis on demand, while
+every rhs stays stored; every row and entry of the expanded tableau
+still exists, so the Bland path and the duals are those of the expanded
+tableau.
 
 `solve` is the one driver.  A `_Tableau` is built from the given rows:
 it adds a box row per edge and runs phase 1, which reads no objective,
@@ -113,8 +123,11 @@ def solve(
     by the dual simplex, until separation finds none; a separated row
     that the optimum already satisfies raises `CombcertError`, since
     adding it again would loop forever.  Every optimum read has its dual
-    audited against the tableau's rows.
+    audited against the tableau's rows.  A `_Tableau` whose variables are
+    not the instance's `sorted_edges` raises `ValueError` before any work.
     """
+    if isinstance(rows, _Tableau) and rows.variables != instance.sorted_edges:
+        raise ValueError("the prepared tableau's variables are not the instance's edges")
     costs = {}
     for e, c in objective.items():
         if e not in instance.edges:
@@ -206,16 +219,44 @@ class _Tableau:
     shares nothing it changes, so one prepared tableau serves any number
     of objectives.
 
-    Each row, and the reduced-cost row `cbar`, is a {column: value} dict
-    of its nonzeros.  Every value is in the package's one form
-    (`rational.normal`), the form `LinearInequality` stores its
-    coefficients and rhs in, so a row's values enter the tableau as they
-    are; pivots divide through `Fraction` only, so no float ever appears.
-    Columns are the structurals 0..n-1 (the problem's
-    variables), then one slack per inequality row, then one artificial per
-    row that starts without an identity column (an equality, or a row
-    negated for its negative rhs).  Artificials form a set and never enter
-    the basis, so a slack appended later is eligible like any other.
+    Each stored row, and the reduced-cost row `cbar`, is a {column: value}
+    dict of its nonzeros; `rows` maps a stored row's index to it.  Every
+    value is in the package's one form (`rational.normal`), the form
+    `LinearInequality` stores its coefficients and rhs in, so a row's
+    values enter the tableau as they are; pivots divide through `Fraction`
+    only, so no float ever appears.  Columns are the structurals 0..n-1
+    (the problem's variables), then one slack per inequality row, then one
+    artificial per row that starts without an identity column (an
+    equality, or a row negated for its negative rhs).  Artificials form a
+    set and never enter the basis, so a slack appended later is eligible
+    like any other.
+
+    Most box rows are derived, not stored.  Let s_e be the slack of x_e's
+    box row x_e + s_e = 1; `partner` pairs the two columns and `pos` gives
+    the row of each basic one.  The identity: x_e or s_e is basic in every
+    basis, and x_e + s_e = 1 is the sum of the rows of the basic ones.
+    Proof: every original row is the sum of the tableau rows weighted by
+    its own coefficients at the basic columns, and the box row's only
+    coefficients are 1 at x_e and s_e (with neither basic it would read
+    0 = 1).  So if one is basic, its row is {x_e: 1, s_e: 1} with rhs 1
+    (*trivial*); if both are, in rows i and k, row k is 1 at basis[k]
+    minus the non-basic part of row i, and rhs[k] = 1 - rhs[i]
+    (*mirrored*).  After phase 1 the constructor checks every pair against
+    the identity, a failure being a solver bug, and drops from `rows`
+    every trivial row and the slack's row of every mirrored pair; `mirror`
+    maps the stored row of each mirrored pair to its derived one.  `rhs`
+    and `basis` keep a slot for every row.  `_row(i)` rebuilds a derived
+    row, `_column(j)` reads j's entries in the derived rows off the stored
+    ones, and `_pivot` eliminates in the stored rows only and keeps the
+    bookkeeping: the row of the leaving column's partner turns trivial;
+    the trivial row of the entering column's partner becomes the mirror
+    of the pivot row; a derived pivot row is stored first, unless it is
+    trivial, which is x_e's own bound flip and stays trivial.  So every
+    row and entry of the expanded tableau, the one that stores every box
+    row, is still read as that tableau holds it, and every ratio,
+    tie-break, pivot and dual is that tableau's: no rule is remapped, and
+    only arithmetic whose outcome the identity fixes is skipped.  `copy`
+    duplicates the stored rows only.
 
     `run` prices out an objective and runs phase 2 by Bland's rule.  A
     pivot reads its entering column once (`_column`); the ratio test and
@@ -245,12 +286,15 @@ class _Tableau:
         self.column = {e: j for j, e in enumerate(self.variables)}
         self.source = given + [upper_bound(instance, e) for e in self.variables]
         self.boxes = slice(len(given), len(self.source))
-        self.rows: list[dict] = []
+        self.rows: dict[int, dict] = {}
         self.rhs: list = []
         self.basis: list[int] = []
         self.unit: list[tuple[int, int]] = []  # per row of `source`: (column, sign)
         self.artificial: set[int] = set()
         self.cbar: dict = {}
+        self.partner: dict[int, int] = {}  # filled by `_compact`
+        self.pos: dict[int, int] = {}
+        self.mirror: dict[int, int] = {}
         col = len(self.variables)
         slacks = []
         for row in self.source:
@@ -272,7 +316,7 @@ class _Tableau:
                 entries[col] = 1
                 self.artificial.add(col)
                 col += 1
-            self.rows.append(entries)
+            self.rows[len(self.rhs)] = entries
             self.rhs.append(sign * row.rhs)
             self.basis.append(unit)
             self.unit.append((unit, sign))
@@ -287,17 +331,38 @@ class _Tableau:
             )
             if self.feasible:
                 self._expel_artificials()
+        if self.feasible:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Derive every trivial row and one row of every mirrored pair,
+        after checking it against the identity; a pair that breaks it is a
+        solver bug."""
+        partner, pos = self.partner, self.pos
+        for x, (s, _) in enumerate(self.unit[self.boxes]):
+            partner[x], partner[s] = s, x
+        pos.update((col, i) for i, col in enumerate(self.basis) if col in partner)
+        for x in range(len(self.variables)):
+            basic = [pos[col] for col in (x, partner[x]) if col in pos]
+            k = basic[-1] if basic else -1
+            if len(basic) == 2:
+                self.mirror[basic[0]] = k
+            row = self.rows.pop(k, None)
+            if k < 0 or sum(self.rhs[i] for i in basic) != 1 or self._row(k) != row:
+                raise CombcertError(f"box pair of column {x} breaks x + s = 1: a solver bug")
 
     def copy(self) -> _Tableau:
         """A tableau in this state that shares nothing either one changes."""
         tableau = _Tableau.__new__(_Tableau)
         tableau.variables, tableau.column = self.variables, self.column
         tableau.artificial, tableau.boxes = self.artificial, self.boxes
+        tableau.partner = self.partner
         tableau.source = list(self.source)
-        tableau.rows = [dict(row) for row in self.rows]
+        tableau.rows = {i: dict(row) for i, row in self.rows.items()}
         tableau.rhs = list(self.rhs)
         tableau.basis = list(self.basis)
         tableau.unit = list(self.unit)
+        tableau.pos, tableau.mirror = dict(self.pos), dict(self.mirror)
         tableau.cbar = dict(self.cbar)
         tableau.next_column = self.next_column
         tableau.feasible = self.feasible
@@ -317,12 +382,12 @@ class _Tableau:
         for i, col in enumerate(self.basis):
             factor = entries.get(col)
             if factor:
-                _subtract(entries, factor, self.rows[i])
+                _subtract(entries, factor, self._row(i))
                 rhs = normal(rhs - factor * self.rhs[i])
         slack = self.next_column
         self.next_column += 1
         entries[slack] = 1
-        self.rows.append(entries)
+        self.rows[len(self.rhs)] = entries
         self.rhs.append(rhs)
         self.basis.append(slack)
         self.unit.append((slack, 1))
@@ -334,31 +399,81 @@ class _Tableau:
         for i, col in enumerate(self.basis):
             cost = costs.get(col)
             if cost:
-                _subtract(self.cbar, cost, self.rows[i])
+                _subtract(self.cbar, cost, self._row(i))
 
-    def _column(self, j: int) -> list[tuple[int, int | Fraction]]:
-        """(row index, entry) of every row that holds column j, in row order."""
-        return [(i, row[j]) for i, row in enumerate(self.rows) if j in row]
+    def _row(self, i: int) -> dict:
+        """Row i as the expanded tableau holds it; a derived row is rebuilt."""
+        row = self.rows.get(i)
+        if row is not None:
+            return row
+        basic = self.basis[i]
+        other = self.partner[basic]
+        twin = self.pos.get(other)
+        if twin is None:
+            return {basic: 1, other: 1}
+        row = {k: -v for k, v in self.rows[twin].items() if k != other}
+        row[basic] = 1
+        return row
 
-    def _pivot(self, r: int, j: int, column: list[tuple[int, int | Fraction]]) -> None:
-        """Pivot on (r, j), eliminating j from the rows of `column`, which is
-        `_column(j)` read before the pivot, and from `cbar`."""
-        row = self.rows[r]
+    def _column(self, j: int) -> tuple[list, list]:
+        """Column j, a non-basic column, as (row index, entry) pairs: those
+        of the stored rows that hold it, and those of the derived rows that
+        do, which are the mirror of each such row (entry negated) and the
+        trivial row of j's partner (entry 1)."""
+        rows = self.rows
+        stored = [(i, row[j]) for i, row in rows.items() if j in row]
+        derived = [(k, -rows[i][j]) for i, k in self.mirror.items() if j in rows[i]]
+        if j in self.partner:
+            derived.append((self.pos[self.partner[j]], 1))
+        return stored, derived
+
+    def _pivot(self, r: int, j: int, column: tuple[list, list]) -> None:
+        """Pivot on (r, j), `column` being `_column(j)` read before the
+        pivot: eliminate j from the stored rows that hold it and from
+        `cbar`, update the rhs of every row that holds it, and keep the
+        derived rows derived."""
+        stored, derived = column
+        rows, rhs, partner, pos, mirror = self.rows, self.rhs, self.partner, self.pos, self.mirror
+        leaving = self.basis[r]
+        row = rows.get(r)
+        if row is not None:
+            twin = mirror.pop(r, None)
+        else:
+            twin = pos.get(partner[leaving])
+            if twin is None:  # trivial: x_e's own bound flip, which stays trivial
+                row = {leaving: 1, j: 1}
+            else:  # a mirror is stored from now on
+                row = rows[r] = self._row(r)
+                del rows[twin], mirror[twin]
+                stored = [(i, a) for i, a in stored if i != twin]
         pivot = row[j]
         if pivot != 1:
             inverse = -1 if pivot == -1 else Fraction(1, pivot)
-            row = self.rows[r] = {k: normal(v * inverse) for k, v in row.items()}
-            self.rhs[r] = normal(self.rhs[r] * inverse)
-        rows, rhs, b = self.rows, self.rhs, self.rhs[r]
-        for i, factor in column:
+            row = rows[r] = {k: normal(v * inverse) for k, v in row.items()}
+            rhs[r] = normal(rhs[r] * inverse)
+        b = rhs[r]
+        for i, factor in stored:
             if i != r:
                 _subtract(rows[i], factor, row)
                 if b:  # a degenerate pivot leaves every rhs as it is
+                    rhs[i] = normal(rhs[i] - factor * b)
+        if b:
+            for i, factor in derived:
+                if i != r:
                     rhs[i] = normal(rhs[i] - factor * b)
         factor = self.cbar.get(j)
         if factor:
             _subtract(self.cbar, factor, row)
         self.basis[r] = j
+        if twin is not None:  # the leaving column's partner stays basic alone
+            rhs[twin] = 1
+        if leaving in partner:
+            del pos[leaving]
+        if j in partner:
+            pos[j] = r
+            t = pos.get(partner[j])  # None after a bound flip
+            if t is not None:
+                mirror[r] = t
 
     def _primal(self) -> str:
         """Primal simplex, Bland's rule, from a primal feasible basis."""
@@ -372,14 +487,15 @@ class _Tableau:
                 return OPTIMAL
             column = self._column(enter)
             leave = -1
-            for i, a in column:
-                if a > 0:
-                    if leave >= 0:
-                        # rhs_i / a against rhs_leave / a_leave, both a > 0
-                        diff = rhs[i] * a_leave - rhs[leave] * a
-                        if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
-                            continue
-                    leave, a_leave = i, a
+            for part in column:
+                for i, a in part:
+                    if a > 0:
+                        if leave >= 0:
+                            # rhs_i / a against rhs_leave / a_leave, both a > 0
+                            diff = rhs[i] * a_leave - rhs[leave] * a
+                            if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                                continue
+                        leave, a_leave = i, a
             if leave < 0:  # the box rows bound every column: a solver bug
                 raise CombcertError(f"column {enter} is unbounded in a bounded tableau")
             self._pivot(leave, enter, column)
@@ -393,7 +509,7 @@ class _Tableau:
                     leave = i
             if leave < 0:
                 return OPTIMAL
-            row = self.rows[leave]
+            row = self._row(leave)
             enter = -1
             for j, a in row.items():
                 if a < 0 and j not in self.artificial:
@@ -411,7 +527,7 @@ class _Tableau:
         # Any artificial still basic sits at value 0; pivot it out on a
         # non-artificial column, or drop the row as redundant.
         i = 0
-        while i < len(self.rows):
+        while i < len(self.rhs):
             if self.basis[i] in self.artificial:
                 enter = min(
                     (j for j in self.rows[i] if j not in self.artificial), default=-1
@@ -420,7 +536,8 @@ class _Tableau:
                     self._pivot(i, enter, self._column(enter))
                     i += 1
                 else:
-                    del self.rows[i], self.rhs[i], self.basis[i]
+                    del self.rhs[i], self.basis[i]
+                    self.rows = {k - (k > i): row for k, row in self.rows.items() if k != i}
             else:
                 i += 1
 

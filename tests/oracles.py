@@ -35,8 +35,14 @@ sink, the reference for `combcert._kernels._min_cut`.
 and `_pivot` bodies that the gathered-column pivot replaced, kept
 unchanged: each pivot looks its column up in every row, once in the
 ratio test and once in the elimination.  They are methods to patch onto
-`lp._Tableau`; `full_scan_pivot` ignores the gathered column that the
+`ExpandedTableau`; `full_scan_pivot` ignores the gathered column that the
 current callers pass.
+`ExpandedTableau` is the `lp._Tableau` that stored every box row, kept
+unchanged but for its name: every x_e <= 1 row is a dict that each pivot
+eliminates in, the reference for the tableau that derives the box rows
+the identity x_e + s_e = 1 fixes.  `check_box_pairs` asserts the identity
+on every box pair of either tableau, and on `lp._Tableau` the bookkeeping
+of its derived rows; `expanded_rows` reads either as the expanded rows.
 """
 
 from __future__ import annotations
@@ -46,6 +52,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterable, Mapping
+
+from combcert.constraints import upper_bound
+from combcert.errors import CombcertError
+from combcert.lp import INFEASIBLE, OPTIMAL, _subtract
+from combcert.rational import normal
 
 CLASS1 = 1
 CLASS2 = 2
@@ -727,3 +739,304 @@ def full_scan_primal(self):
         if leave < 0:  # the box rows bound every column: a solver bug
             raise CombcertError(f"column {enter} is unbounded in a bounded tableau")
         self._pivot(leave, enter)
+
+
+class ExpandedTableau:
+    """Sparse exact simplex tableau over an instance's edges, x_e <= 1 included.
+
+    Built from the given rows, each checked to name only instance edges,
+    followed by one x_e <= 1 box row per edge (`instance.sorted_edges`),
+    so every variable is bounded and no objective is unbounded.  `source`
+    holds the `LinearInequality` of each row: the given rows, the box rows
+    (at the positions `boxes`), then each cut `add_row` appends.  Phase 1
+    reads no objective, so the constructor runs it once and keeps its
+    outcome in `feasible`.  `copy` makes a tableau in the same state that
+    shares nothing it changes, so one prepared tableau serves any number
+    of objectives.
+
+    Each row, and the reduced-cost row `cbar`, is a {column: value} dict
+    of its nonzeros.  Every value is in the package's one form
+    (`rational.normal`), the form `LinearInequality` stores its
+    coefficients and rhs in, so a row's values enter the tableau as they
+    are; pivots divide through `Fraction` only, so no float ever appears.
+    Columns are the structurals 0..n-1 (the problem's
+    variables), then one slack per inequality row, then one artificial per
+    row that starts without an identity column (an equality, or a row
+    negated for its negative rhs).  Artificials form a set and never enter
+    the basis, so a slack appended later is eligible like any other.
+
+    `run` prices out an objective and runs phase 2 by Bland's rule.  A
+    pivot reads its entering column once (`_column`); the ratio test and
+    the elimination read only the rows that hold it.
+    `add_row` appends a <= row with a fresh slack column, reduces it
+    against the current basis and restores primal feasibility by the dual
+    simplex (Lemke, 1954) under Bland's rule: the leaving row is the
+    negative-rhs row with the smallest basic column; the entering column
+    attains the minimum ratio cbar_j / a_j over a_j < 0, ties to the
+    smaller column.  The reduced costs never turn positive, so the result
+    is optimal.
+
+    The dual of row i is read off its identity column (its slack, or its
+    artificial): y_i = -sign_i * cbar[column].  That covers the box rows
+    as well, which are ordinary rows here.  A row dropped as redundant in
+    phase 1 leaves its artificial all zero, so it reads 0.
+    `rows_and_duals` reads every row with its multiplier.
+    """
+
+    def __init__(self, instance: BipartiteInstance, rows: Iterable[LinearInequality]):
+        given = list(rows)
+        for row in given:
+            for e in row.coeffs:
+                if e not in instance.edges:
+                    raise ValueError(f"row {row.provenance} names edge {e} outside the instance")
+        self.variables = instance.sorted_edges
+        self.column = {e: j for j, e in enumerate(self.variables)}
+        self.source = given + [upper_bound(instance, e) for e in self.variables]
+        self.boxes = slice(len(given), len(self.source))
+        self.rows: list[dict] = []
+        self.rhs: list = []
+        self.basis: list[int] = []
+        self.unit: list[tuple[int, int]] = []  # per row of `source`: (column, sign)
+        self.artificial: set[int] = set()
+        self.cbar: dict = {}
+        col = len(self.variables)
+        slacks = []
+        for row in self.source:
+            if row.is_equality:
+                slacks.append(None)
+            else:
+                slacks.append(col)
+                col += 1
+        for row, slack in zip(self.source, slacks):
+            sign = -1 if row.rhs < 0 else 1
+            entries = {self.column[e]: c for e, c in row.coeffs.items()}
+            if sign < 0:
+                entries = {j: -v for j, v in entries.items()}
+            unit = slack
+            if slack is not None:
+                entries[slack] = sign  # +1 slack, -1 surplus
+            if slack is None or sign < 0:
+                unit = col
+                entries[col] = 1
+                self.artificial.add(col)
+                col += 1
+            self.rows.append(entries)
+            self.rhs.append(sign * row.rhs)
+            self.basis.append(unit)
+            self.unit.append((unit, sign))
+        self.next_column = col
+        # Phase 1: drive the artificials to 0 and out of the basis.
+        self.feasible = True
+        if self.artificial:
+            self._price_out({col: -1 for col in self.artificial})
+            self._primal()
+            self.feasible = not any(
+                self.rhs[i] for i, col in enumerate(self.basis) if col in self.artificial
+            )
+            if self.feasible:
+                self._expel_artificials()
+
+    def copy(self) -> ExpandedTableau:
+        """A tableau in this state that shares nothing either one changes."""
+        tableau = ExpandedTableau.__new__(ExpandedTableau)
+        tableau.variables, tableau.column = self.variables, self.column
+        tableau.artificial, tableau.boxes = self.artificial, self.boxes
+        tableau.source = list(self.source)
+        tableau.rows = [dict(row) for row in self.rows]
+        tableau.rhs = list(self.rhs)
+        tableau.basis = list(self.basis)
+        tableau.unit = list(self.unit)
+        tableau.cbar = dict(self.cbar)
+        tableau.next_column = self.next_column
+        tableau.feasible = self.feasible
+        return tableau
+
+    def run(self, objective: Mapping[Edge, int | Fraction]) -> str:
+        """Phase 2 for `objective`, or INFEASIBLE if phase 1 found no point."""
+        if not self.feasible:
+            return INFEASIBLE
+        self._price_out({self.column[e]: normal(c) for e, c in objective.items() if c})
+        return self._primal()
+
+    def add_row(self, row: LinearInequality) -> str:
+        """Append a <= row to an optimal tableau and re-optimize."""
+        entries = {self.column[e]: c for e, c in row.coeffs.items()}
+        rhs = row.rhs
+        for i, col in enumerate(self.basis):
+            factor = entries.get(col)
+            if factor:
+                _subtract(entries, factor, self.rows[i])
+                rhs = normal(rhs - factor * self.rhs[i])
+        slack = self.next_column
+        self.next_column += 1
+        entries[slack] = 1
+        self.rows.append(entries)
+        self.rhs.append(rhs)
+        self.basis.append(slack)
+        self.unit.append((slack, 1))
+        self.source.append(row)
+        return self._dual()
+
+    def _price_out(self, costs: dict) -> None:
+        self.cbar = dict(costs)
+        for i, col in enumerate(self.basis):
+            cost = costs.get(col)
+            if cost:
+                _subtract(self.cbar, cost, self.rows[i])
+
+    def _column(self, j: int) -> list[tuple[int, int | Fraction]]:
+        """(row index, entry) of every row that holds column j, in row order."""
+        return [(i, row[j]) for i, row in enumerate(self.rows) if j in row]
+
+    def _pivot(self, r: int, j: int, column: list[tuple[int, int | Fraction]]) -> None:
+        """Pivot on (r, j), eliminating j from the rows of `column`, which is
+        `_column(j)` read before the pivot, and from `cbar`."""
+        row = self.rows[r]
+        pivot = row[j]
+        if pivot != 1:
+            inverse = -1 if pivot == -1 else Fraction(1, pivot)
+            row = self.rows[r] = {k: normal(v * inverse) for k, v in row.items()}
+            self.rhs[r] = normal(self.rhs[r] * inverse)
+        rows, rhs, b = self.rows, self.rhs, self.rhs[r]
+        for i, factor in column:
+            if i != r:
+                _subtract(rows[i], factor, row)
+                if b:  # a degenerate pivot leaves every rhs as it is
+                    rhs[i] = normal(rhs[i] - factor * b)
+        factor = self.cbar.get(j)
+        if factor:
+            _subtract(self.cbar, factor, row)
+        self.basis[r] = j
+
+    def _primal(self) -> str:
+        """Primal simplex, Bland's rule, from a primal feasible basis."""
+        rhs, basis = self.rhs, self.basis
+        while True:
+            enter = min(
+                (j for j, v in self.cbar.items() if v > 0 and j not in self.artificial),
+                default=-1,
+            )
+            if enter < 0:
+                return OPTIMAL
+            column = self._column(enter)
+            leave = -1
+            for i, a in column:
+                if a > 0:
+                    if leave >= 0:
+                        # rhs_i / a against rhs_leave / a_leave, both a > 0
+                        diff = rhs[i] * a_leave - rhs[leave] * a
+                        if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                            continue
+                    leave, a_leave = i, a
+            if leave < 0:  # the box rows bound every column: a solver bug
+                raise CombcertError(f"column {enter} is unbounded in a bounded tableau")
+            self._pivot(leave, enter, column)
+
+    def _dual(self) -> str:
+        """Dual simplex, Bland's rule, from a dual feasible basis."""
+        while True:
+            leave = -1
+            for i, b in enumerate(self.rhs):
+                if b < 0 and (leave < 0 or self.basis[i] < self.basis[leave]):
+                    leave = i
+            if leave < 0:
+                return OPTIMAL
+            row = self.rows[leave]
+            enter = -1
+            for j, a in row.items():
+                if a < 0 and j not in self.artificial:
+                    if enter >= 0:
+                        # cbar_j / a against cbar_enter / a_enter, both a < 0
+                        diff = self.cbar.get(j, 0) * row[enter] - self.cbar.get(enter, 0) * a
+                        if diff > 0 or (diff == 0 and j > enter):
+                            continue
+                    enter = j
+            if enter < 0:
+                return INFEASIBLE
+            self._pivot(leave, enter, self._column(enter))
+
+    def _expel_artificials(self) -> None:
+        # Any artificial still basic sits at value 0; pivot it out on a
+        # non-artificial column, or drop the row as redundant.
+        i = 0
+        while i < len(self.rows):
+            if self.basis[i] in self.artificial:
+                enter = min(
+                    (j for j in self.rows[i] if j not in self.artificial), default=-1
+                )
+                if enter >= 0:
+                    self._pivot(i, enter, self._column(enter))
+                    i += 1
+                else:
+                    del self.rows[i], self.rhs[i], self.basis[i]
+            else:
+                i += 1
+
+    def primal_values(self) -> dict[Edge, int | Fraction]:
+        """The nonzero variables of the current basic solution, as stored."""
+        n = len(self.variables)
+        return {
+            self.variables[col]: self.rhs[i]
+            for i, col in enumerate(self.basis)
+            if col < n and self.rhs[i]
+        }
+
+    def rows_and_duals(self) -> tuple[tuple[LinearInequality, ...], tuple[int | Fraction, ...]]:
+        """Every row and its multiplier as stored: given rows, cuts, box rows."""
+        # cbar[col] = c_col - z_col and c_col = 0, so z_col = -cbar[col].
+        # `cbar` holds nonzeros only; an absent column reads 0.
+        cbar, boxes = self.cbar, self.boxes
+        duals = [-sign * cbar[col] if col in cbar else 0 for col, sign in self.unit]
+        source = self.source
+        return (
+            (*source[: boxes.start], *source[boxes.stop :], *source[boxes]),
+            (*duals[: boxes.start], *duals[boxes.stop :], *duals[boxes]),
+        )
+
+
+def expanded_rows(tableau):
+    """Every row as the expanded tableau holds it: an `lp._Tableau`'s
+    derived rows are rebuilt by `_row`."""
+    if isinstance(tableau, ExpandedTableau):
+        return tableau.rows
+    return [tableau._row(i) for i in range(len(tableau.rhs))]
+
+
+def check_box_pairs(tableau) -> None:
+    """Asserts x_e + s_e = 1's identity on every box pair: one member is
+    basic and its row is {x_e: 1, s_e: 1} with rhs 1, or both are and
+    their rows negate each other off their basic columns, with rhs summing
+    to 1.  On `lp._Tableau` it also asserts that the derived-row
+    bookkeeping matches the basis."""
+    rows, rhs, basis = expanded_rows(tableau), tableau.rhs, tableau.basis
+    at = {col: i for i, col in enumerate(basis)}
+    for x, (s, _) in enumerate(tableau.unit[tableau.boxes]):
+        basic = [at[col] for col in (x, s) if col in at]
+        assert basic, f"neither column {x} nor its slack {s} is basic"
+        if len(basic) == 1:
+            (i,) = basic
+            assert (rows[i], rhs[i]) == ({x: 1, s: 1}, 1)
+        else:
+            i, k = basic
+            assert {c: -v for c, v in rows[i].items() if c != x} == {
+                c: v for c, v in rows[k].items() if c != s
+            }
+            assert rhs[i] + rhs[k] == 1
+    if isinstance(tableau, ExpandedTableau) or not tableau.partner:
+        return
+    partner = tableau.partner
+    assert tableau.pos == {col: i for col, i in at.items() if col in partner}
+    derived = set(range(len(basis))) - set(tableau.rows)
+    assert set(tableau.rows) <= set(range(len(basis)))
+    mirrored = {}  # stored row -> derived row, of each pair with both basic
+    for i, col in enumerate(basis):
+        if col not in partner:
+            assert i not in derived
+        elif partner[col] in at:  # a mirrored pair: exactly one row derived
+            k = at[partner[col]]
+            assert (i in derived) != (k in derived)
+            if k in derived:
+                mirrored[i] = k
+        else:  # trivial
+            assert i in derived
+    assert tableau.mirror == mirrored

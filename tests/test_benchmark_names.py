@@ -3,16 +3,19 @@ fails here, not at the next benchmark run.
 
 `benchmarks/bench_kernels.py` is run at its defaults in a subprocess:
 running it resolves every name it reads and runs its own asserts, and
-each of its four measurements must print its lines.  A walk of
-`perfbench/run.py` resolves every chain rooted at `pkg`, the package as
-that script imports it (such as `pkg.lp.is_implied`), and a walk of
-`perfbench/spans.py` resolves every target its `SPANS` and `COUNTERS`
-tables patch (such as `lp.solve` or `tours._IntEchelon.add`); both
-scripts are only read.
+each of its four measurements must print its lines.  Its lazy LP
+measurement, which patches the tableau's pivot, simplex loops and copy,
+also runs in process at a small size, and must restore what it patched.
+A walk of `perfbench/run.py` resolves every chain rooted at `pkg`, the
+package as that script imports it (such as `pkg.lp.is_implied`), and a
+walk of `perfbench/spans.py` resolves every target its `SPANS` and
+`COUNTERS` tables patch (such as `lp.solve` or
+`tours._IntEchelon.add`); both scripts are only read.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -61,6 +64,26 @@ def test_bench_kernels_runs_every_measurement():
     # warm lazy solve on K_{30,30}, facet_test on K_{6,6}
     heads = [line.split(" n=")[0].strip() for line in lines[1:]]
     assert heads == ["verify-point"] * 3 + ["tour search"] * 2 + ["lazy LP", "facet test"]
+
+
+def test_bench_lazy_past_the_cap_runs_small_and_restores_what_it_patches(capsys):
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    lp = bench.lp
+    patched = (lp._Tableau._pivot, lp._Tableau._primal, lp._Tableau._dual, lp._Tableau.copy)
+    patched += (lp._subtract, lp._audit_duality)
+    bench.bench_lazy_past_the_cap(7, n=4, combs=2, repeat=1)
+    after = (lp._Tableau._pivot, lp._Tableau._primal, lp._Tableau._dual, lp._Tableau.copy)
+    assert after + (lp._subtract, lp._audit_duality) == patched
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("lazy LP      n= 8 (2 combs, ")
+    words = line.split()
+    pivots = float(words[words.index("pivots/query") - 1])
+    eliminations = float(words[words.index("row") - 1])
+    copied = words[words.index("copies") + 1 : words.index("copies") + 4]
+    assert pivots > 0 and eliminations > 0
+    assert copied == ["8", "of", "24"]  # the degree rows; every box row is derived
 
 
 def test_perfbench_package_names_resolve():

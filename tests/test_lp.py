@@ -14,6 +14,7 @@ from combcert import (
 )
 from combcert.errors import CombcertError
 from combcert.graph import CLASS1, CLASS2, Edge, VertexId
+from combcert import lp
 from combcert.lp import INFEASIBLE, OPTIMAL, _audit_duality
 from combcert.search import sample_comb
 from combcert.certificates import BUILDERS
@@ -224,6 +225,25 @@ def test_solve_refuses_an_edge_outside_the_instance():
         solve(instance, {foreign: Fraction(1)}, ())
     with pytest.raises(ValueError, match="outside the instance"):
         solve(instance, {variables[0]: Fraction(1)}, [row], lazy=True)
+
+
+def test_solve_refuses_a_tableau_over_other_edges(monkeypatch):
+    k33, k44 = BipartiteInstance.complete(3), BipartiteInstance.complete(4)
+    objective = dict.fromkeys(k33.edges, 1)  # x(E(K_{3,3})), edges of K_{4,4} too
+    assert solve(k44, objective, gen_degree(k44, "eq")).objective_value == 5
+    foreign = lp._Tableau(k33, gen_degree(k33, "eq"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the tableau's variables were checked")
+
+    monkeypatch.setattr(lp, "exact_value", no_work)
+    monkeypatch.setattr(lp._Tableau, "copy", no_work)
+    for lazy in (False, True):
+        with pytest.raises(ValueError, match="variables are not the instance's edges"):
+            solve(k44, objective, foreign, lazy)
+    monkeypatch.undo()
+    # An equal instance, built apart, has the same variables.
+    assert solve(BipartiteInstance.complete(3), objective, foreign).objective_value == 6
 
 
 def test_lazy_solve_lists_rows_given_then_cuts_then_box(table1):

@@ -25,7 +25,7 @@ from combcert import (
 from combcert import lp
 from combcert.lp import INFEASIBLE, OPTIMAL, _audit_duality
 from combcert.search import FAMILIES, sample_comb
-from oracles import in_normal_form
+from oracles import ExpandedTableau, check_box_pairs, expanded_rows, in_normal_form
 
 
 def _row(variables, coeffs, rhs, name="row"):
@@ -94,7 +94,7 @@ def test_warm_lazy_matches_cold_solve_on_final_rows(n, mode, monkeypatch):
 def _check_entries(tableau):
     """Asserts that every tableau entry is an int or a Fraction, and no zero."""
     values = list(tableau.rhs) + list(tableau.cbar.values())
-    for row in tableau.rows:
+    for row in expanded_rows(tableau):
         values += row.values()
     for value in values:
         assert in_normal_form(value), value
@@ -119,7 +119,24 @@ def _check_every_solve(patch):
     return checks
 
 
-def test_appended_rows_match_cold_solve_on_random_lps(monkeypatch):
+def _check_every_pivot(patch, cls):
+    """Patches `cls._pivot` to check every box pair after every pivot
+    (`check_box_pairs`); returns the list that gets one entry per check."""
+    checks = []
+    pivot = cls._pivot
+
+    def checked(self, *args):
+        pivot(self, *args)
+        check_box_pairs(self)
+        checks.append(args[:2])
+
+    patch.setattr(cls, "_pivot", checked)
+    return checks
+
+
+def _random_lp_rounds(monkeypatch) -> int:
+    """Random LPs with random cuts appended, each warm round against a
+    cold solve; returns the number of optimal warm rounds."""
     rng = random.Random(31)
     checked = 0
     checks = _check_every_solve(monkeypatch)
@@ -153,8 +170,71 @@ def test_appended_rows_match_cold_solve_on_random_lps(monkeypatch):
                 assert warm == cold.objective_value
                 _audit_duality(rows, variables, objective, warm, dual)
                 checked += 1
-    assert checked > 50
     assert checks.count("add_row") >= checked  # every warm round was checked
+    return checked
+
+
+def test_appended_rows_match_cold_solve_on_random_lps(monkeypatch):
+    pivots = _check_every_pivot(monkeypatch, lp._Tableau)
+    assert _random_lp_rounds(monkeypatch) > 50
+    assert len(pivots) > 100
+
+
+def test_expanded_tableau_keeps_the_box_identity_on_random_lps(monkeypatch):
+    # The same LPs on the tableau that stores every box row: the identity
+    # that `lp._Tableau` derives its box rows from holds after every pivot.
+    monkeypatch.setattr(lp, "_Tableau", ExpandedTableau)
+    pivots = _check_every_pivot(monkeypatch, ExpandedTableau)
+    assert _random_lp_rounds(monkeypatch) > 50
+    assert len(pivots) > 100
+
+
+def test_compaction_refuses_a_box_pair_that_breaks_the_identity(monkeypatch):
+    k33 = BipartiteInstance.complete(3)
+    compact = lp._Tableau._compact
+    monkeypatch.setattr(lp._Tableau, "_compact", lambda self: None)
+
+    def uncompacted(mode):
+        tableau = lp._Tableau(k33, gen_degree(k33, mode))
+        at = {col: i for i, col in enumerate(tableau.basis)}
+        boxes = enumerate(tableau.unit[tableau.boxes])
+        return tableau, [(x, s, at.get(x), at.get(s)) for x, (s, _) in boxes]
+
+    def breaks(tableau):
+        with pytest.raises(CombcertError, match=r"box pair of column \d+ breaks x \+ s = 1"):
+            compact(tableau)
+
+    tableau, pairs = uncompacted("le")  # every box row starts trivial, its slack basic
+    assert all(i is None and k is not None for _, _, i, k in pairs)
+    compact(tableau)
+    check_box_pairs(tableau)
+    assert len(tableau.rows) == len(tableau.rhs) - len(pairs)
+    x, s, _, k = pairs[4]
+    for name, value in (("rhs", 2), ("entry", Fraction(1, 2))):
+        tableau, _ = uncompacted("le")
+        if name == "rhs":
+            tableau.rhs[k] = value
+        else:
+            tableau.rows[k][x] = value
+        breaks(tableau)
+    tableau, _ = uncompacted("le")
+    tableau.basis[k] = tableau.next_column  # neither x nor s basic
+    breaks(tableau)
+
+    tableau, pairs = uncompacted("eq")
+    mirrored = [(x, s, i, k) for x, s, i, k in pairs if i is not None and k is not None]
+    assert mirrored  # phase 1 left pairs with both columns basic
+    compact(tableau)
+    check_box_pairs(tableau)
+    x, s, i, k = mirrored[0]
+    for name in ("rhs", "entry"):
+        tableau, _ = uncompacted("eq")
+        if name == "rhs":
+            tableau.rhs[k] += 1
+        else:
+            column = next(c for c in tableau.rows[i] if c != x)
+            tableau.rows[k][column] += 1
+        breaks(tableau)
 
 
 def test_cut_that_empties_the_polytope_is_infeasible():
