@@ -6,10 +6,13 @@ Three families describe the relaxation polytope of an instance:
   subtour     x(S) <= |S| - 1 for every vertex subset with 3 <= |S| <= N - 1
   bounds      0 <= x_e <= 1 per edge
 
-All proofs in this package use the <= form of the degree constraints; the
-== form exists for tour validation.  Size-2 subsets are excluded from the
-subtour family on purpose: the x <= 1 bound already covers them, and the
-feasibility checker relies on the bounds for that case.
+Aggregation certificates use the <= form of the degree constraints.  The
+== form is the tour form, which `check_point` and `is_implied` take with
+`mode="eq"` (`verify-point --mode eq`, `implied --mode eq`): an eq-mode LP
+runs over the degree equations, and its dual may weigh them with either
+sign.  Size-2 subsets are excluded from the subtour family on purpose:
+the x <= 1 bound already covers them, and the feasibility checker relies
+on the bounds for that case.
 
 Materializing the subtour family (`gen_secs`, for direct-mode LPs) is
 exhaustive and refuses to run above `SUBTOUR_ROWS_CAP` = 16 vertices.
@@ -33,6 +36,12 @@ from .errors import EnumerationCapError
 from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
 from .rational import exact_value, normal, scale_to_ints
 
+# Most vertices of an instance that `is_implied` (lazy or direct), wild
+# `search` and `gen_secs` take.  It is an instance-size bound, not a row
+# count: lazy separation finds its rows by min cuts and enumerates none,
+# and `gen_secs` stops far below it, at `SUBTOUR_ROWS_CAP`.  Solving an
+# `le`-mode query on the comb's own vertices would lift it in that mode.  The
+# refusal still reads "subtour enumeration: ...", which scripts match on.
 DEFAULT_ENUMERATION_CAP = 24
 
 # Most vertices whose subtour rows `gen_secs` materializes.  K_{8,8} has
@@ -171,8 +180,9 @@ def lower_bound(instance: BipartiteInstance, edge: Edge) -> LinearInequality:
 
 
 def check_enumeration_cap(instance: BipartiteInstance) -> None:
-    """Refuse an instance of more than `DEFAULT_ENUMERATION_CAP` vertices,
-    whose subtour rows are too many to enumerate (`EnumerationCapError`)."""
+    """Refuse an instance of more than `DEFAULT_ENUMERATION_CAP` vertices
+    (`EnumerationCapError`), the size bound of `is_implied`, wild `search`
+    and `gen_secs`; no caller enumerates subtour rows up to it."""
     n = instance.num_vertices
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError("subtour enumeration", n, DEFAULT_ENUMERATION_CAP)

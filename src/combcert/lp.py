@@ -13,16 +13,18 @@ and the elimination run over the rows that hold it.  Upper bounds
 x <= 1 are explicit rows of the tableau, which keeps the dual a plain
 vector over rows: the multiplier of every row, box rows included, is
 read off the reduced cost of that row's slack (or artificial) column.
-But most box rows are not stored, because an identity fixes them (the
+But a box row is stored only while an identity does not fix it (the
 `_Tableau` docstring proves it): with s_e the slack of x_e + s_e = 1,
 x_e or s_e is basic in every basis, and that equation is the sum of the
 rows of the basic ones.  So a lone basic one's row is {x_e: 1, s_e: 1}
 with rhs 1 (*trivial*), and if both are basic, one row is the unit
 minus the non-basic part of the other and the rhs sum to 1
 (*mirrored*).  Such a row is derived from the basis on demand, while
-every rhs stays stored; every row and entry of the expanded tableau
-still exists, so the Bland path and the duals are those of the expanded
-tableau.
+every rhs stays stored.  Every box row starts trivial, so the tableau
+builds row dicts for the given rows only, and phase 1, phase 2 and the
+dual rounds all run on that one storage.  Every row and entry of the
+expanded tableau still exists, so the Bland path and the duals are
+those of the expanded tableau.
 
 `solve` is the one driver.  A `_Tableau` is built from the given rows:
 it adds a box row per edge and runs phase 1, which reads no objective,
@@ -231,23 +233,25 @@ class _Tableau:
     set and never enter the basis, so a slack appended later is eligible
     like any other.
 
-    Most box rows are derived, not stored.  Let s_e be the slack of x_e's
-    box row x_e + s_e = 1; `partner` pairs the two columns and `pos` gives
-    the row of each basic one.  The identity: x_e or s_e is basic in every
-    basis, and x_e + s_e = 1 is the sum of the rows of the basic ones.
-    Proof: every original row is the sum of the tableau rows weighted by
-    its own coefficients at the basic columns, and the box row's only
-    coefficients are 1 at x_e and s_e (with neither basic it would read
-    0 = 1).  So if one is basic, its row is {x_e: 1, s_e: 1} with rhs 1
-    (*trivial*); if both are, in rows i and k, row k is 1 at basis[k]
-    minus the non-basic part of row i, and rhs[k] = 1 - rhs[i]
-    (*mirrored*).  After phase 1 the constructor checks every pair against
-    the identity, a failure being a solver bug, and drops from `rows`
-    every trivial row and the slack's row of every mirrored pair; `mirror`
-    maps the stored row of each mirrored pair to its derived one.  `rhs`
-    and `basis` keep a slot for every row.  `_row(i)` rebuilds a derived
-    row, `_column(j)` reads j's entries in the derived rows off the stored
-    ones, and `_pivot` eliminates in the stored rows only and keeps the
+    Box rows are derived, not stored, wherever the identity fixes them.
+    Let s_e be the slack of x_e's box row x_e + s_e = 1; `partner` pairs
+    the two columns and `pos` gives the row of each basic one.  The
+    identity: x_e or s_e is basic in every basis, and x_e + s_e = 1 is the
+    sum of the rows of the basic ones.  Proof: every original row is the
+    sum of the tableau rows weighted by its own coefficients at the basic
+    columns, and the box row's only coefficients are 1 at x_e and s_e
+    (with neither basic it would read 0 = 1).  So if one is basic, its row
+    is {x_e: 1, s_e: 1} with rhs 1 (*trivial*); if both are, in rows i and
+    k, row k is 1 at basis[k] minus the non-basic part of row i, and
+    rhs[k] = 1 - rhs[i] (*mirrored*).  `rows` holds no trivial row and one
+    row of each mirrored pair; `mirror` maps that stored row to the
+    derived one.  The constructor registers each box row as the trivial
+    row it starts as, s_e basic with rhs 1, and builds no dict for it, so
+    phase 1 already runs on this storage; a row that phase 1 drops as
+    redundant moves every later row up one, in `pos` and `mirror` too.
+    `rhs` and `basis` keep a slot for every row.  `_row(i)` rebuilds a
+    derived row, `_column(j)` reads j's entries in the derived rows off the
+    stored ones, and `_pivot` eliminates in the stored rows only and keeps the
     bookkeeping: the row of the leaving column's partner turns trivial;
     the trivial row of the entering column's partner becomes the mirror
     of the pivot row; a derived pivot row is stored first, unless it is
@@ -292,26 +296,23 @@ class _Tableau:
         self.unit: list[tuple[int, int]] = []  # per row of `source`: (column, sign)
         self.artificial: set[int] = set()
         self.cbar: dict = {}
-        self.partner: dict[int, int] = {}  # filled by `_compact`
+        self.partner: dict[int, int] = {}
         self.pos: dict[int, int] = {}
         self.mirror: dict[int, int] = {}
-        col = len(self.variables)
-        slacks = []
-        for row in self.source:
-            if row.is_equality:
-                slacks.append(None)
-            else:
-                slacks.append(col)
-                col += 1
-        for row, slack in zip(self.source, slacks):
+        n = len(self.variables)
+        # Slacks count up from n in row order, the n box rows' last, and
+        # artificials from the column past the last slack.
+        slack, col = n, 2 * n + sum(not row.is_equality for row in given)
+        for row in given:
             sign = -1 if row.rhs < 0 else 1
             entries = {self.column[e]: c for e, c in row.coeffs.items()}
             if sign < 0:
                 entries = {j: -v for j, v in entries.items()}
             unit = slack
-            if slack is not None:
+            if not row.is_equality:
                 entries[slack] = sign  # +1 slack, -1 surplus
-            if slack is None or sign < 0:
+                slack += 1
+            if row.is_equality or sign < 0:
                 unit = col
                 entries[col] = 1
                 self.artificial.add(col)
@@ -320,6 +321,14 @@ class _Tableau:
             self.rhs.append(sign * row.rhs)
             self.basis.append(unit)
             self.unit.append((unit, sign))
+        # Each box row starts trivial: its slack basic, rhs 1.
+        for x in range(n):
+            self.partner[x], self.partner[slack] = slack, x
+            self.pos[slack] = len(self.rhs)
+            self.rhs.append(1)
+            self.basis.append(slack)
+            self.unit.append((slack, 1))
+            slack += 1
         self.next_column = col
         # Phase 1: drive the artificials to 0 and out of the basis.
         self.feasible = True
@@ -331,25 +340,6 @@ class _Tableau:
             )
             if self.feasible:
                 self._expel_artificials()
-        if self.feasible:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Derive every trivial row and one row of every mirrored pair,
-        after checking it against the identity; a pair that breaks it is a
-        solver bug."""
-        partner, pos = self.partner, self.pos
-        for x, (s, _) in enumerate(self.unit[self.boxes]):
-            partner[x], partner[s] = s, x
-        pos.update((col, i) for i, col in enumerate(self.basis) if col in partner)
-        for x in range(len(self.variables)):
-            basic = [pos[col] for col in (x, partner[x]) if col in pos]
-            k = basic[-1] if basic else -1
-            if len(basic) == 2:
-                self.mirror[basic[0]] = k
-            row = self.rows.pop(k, None)
-            if k < 0 or sum(self.rhs[i] for i in basic) != 1 or self._row(k) != row:
-                raise CombcertError(f"box pair of column {x} breaks x + s = 1: a solver bug")
 
     def copy(self) -> _Tableau:
         """A tableau in this state that shares nothing either one changes."""
@@ -535,9 +525,11 @@ class _Tableau:
                 if enter >= 0:
                     self._pivot(i, enter, self._column(enter))
                     i += 1
-                else:
+                else:  # every row below moves up one
                     del self.rhs[i], self.basis[i]
                     self.rows = {k - (k > i): row for k, row in self.rows.items() if k != i}
+                    self.pos = {col: k - (k > i) for col, k in self.pos.items()}
+                    self.mirror = {k - (k > i): t - (t > i) for k, t in self.mirror.items()}
             else:
                 i += 1
 

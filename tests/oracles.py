@@ -1010,7 +1010,9 @@ def check_box_pairs(tableau) -> None:
     bookkeeping matches the basis."""
     rows, rhs, basis = expanded_rows(tableau), tableau.rhs, tableau.basis
     at = {col: i for i, col in enumerate(basis)}
+    partner = {}
     for x, (s, _) in enumerate(tableau.unit[tableau.boxes]):
+        partner[x], partner[s] = s, x
         basic = [at[col] for col in (x, s) if col in at]
         assert basic, f"neither column {x} nor its slack {s} is basic"
         if len(basic) == 1:
@@ -1022,9 +1024,8 @@ def check_box_pairs(tableau) -> None:
                 c: v for c, v in rows[k].items() if c != s
             }
             assert rhs[i] + rhs[k] == 1
-    if isinstance(tableau, ExpandedTableau) or not tableau.partner:
+    if isinstance(tableau, ExpandedTableau):
         return
-    partner = tableau.partner
     assert tableau.pos == {col: i for col, i in at.items() if col in partner}
     derived = set(range(len(basis))) - set(tableau.rows)
     assert set(tableau.rows) <= set(range(len(basis)))

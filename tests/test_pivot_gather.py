@@ -15,8 +15,9 @@ every appended cut, and the same `LpSolution`.  `lp._Tableau`'s rows are
 read through `_row`, which rebuilds a derived row; since a derived row's
 dict is built in another key order, its rows and `cbar` are compared as
 sorted items, while the two expanded runs are compared key order and all.
-After every pivot of every run each box pair is checked against the
-identity (`check_box_pairs`).
+After every pivot of every run, phase 1's included, each box pair is
+checked against the identity and `lp._Tableau`'s derived-row bookkeeping
+against its basis (`check_box_pairs`).
 """
 
 import random

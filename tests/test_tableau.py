@@ -189,54 +189,6 @@ def test_expanded_tableau_keeps_the_box_identity_on_random_lps(monkeypatch):
     assert len(pivots) > 100
 
 
-def test_compaction_refuses_a_box_pair_that_breaks_the_identity(monkeypatch):
-    k33 = BipartiteInstance.complete(3)
-    compact = lp._Tableau._compact
-    monkeypatch.setattr(lp._Tableau, "_compact", lambda self: None)
-
-    def uncompacted(mode):
-        tableau = lp._Tableau(k33, gen_degree(k33, mode))
-        at = {col: i for i, col in enumerate(tableau.basis)}
-        boxes = enumerate(tableau.unit[tableau.boxes])
-        return tableau, [(x, s, at.get(x), at.get(s)) for x, (s, _) in boxes]
-
-    def breaks(tableau):
-        with pytest.raises(CombcertError, match=r"box pair of column \d+ breaks x \+ s = 1"):
-            compact(tableau)
-
-    tableau, pairs = uncompacted("le")  # every box row starts trivial, its slack basic
-    assert all(i is None and k is not None for _, _, i, k in pairs)
-    compact(tableau)
-    check_box_pairs(tableau)
-    assert len(tableau.rows) == len(tableau.rhs) - len(pairs)
-    x, s, _, k = pairs[4]
-    for name, value in (("rhs", 2), ("entry", Fraction(1, 2))):
-        tableau, _ = uncompacted("le")
-        if name == "rhs":
-            tableau.rhs[k] = value
-        else:
-            tableau.rows[k][x] = value
-        breaks(tableau)
-    tableau, _ = uncompacted("le")
-    tableau.basis[k] = tableau.next_column  # neither x nor s basic
-    breaks(tableau)
-
-    tableau, pairs = uncompacted("eq")
-    mirrored = [(x, s, i, k) for x, s, i, k in pairs if i is not None and k is not None]
-    assert mirrored  # phase 1 left pairs with both columns basic
-    compact(tableau)
-    check_box_pairs(tableau)
-    x, s, i, k = mirrored[0]
-    for name in ("rhs", "entry"):
-        tableau, _ = uncompacted("eq")
-        if name == "rhs":
-            tableau.rhs[k] += 1
-        else:
-            column = next(c for c in tableau.rows[i] if c != x)
-            tableau.rows[k][column] += 1
-        breaks(tableau)
-
-
 def test_cut_that_empties_the_polytope_is_infeasible():
     instance = BipartiteInstance.complete(1, 2)
     variables = tuple(sorted(instance.edges))
