@@ -15,6 +15,9 @@ through floats.
 Comb files are { "hand": [...], "teeth": [[...], ...] }.  Certificates
 carry their builder tag, the member list, and the target comb.  All
 malformed input is reported as `FormatError` naming the offending field.
+A file is read as strict JSON: an object that repeats a key, or nesting
+deeper than the interpreter's recursion limit, is refused as invalid
+JSON on the document's own field ("instance", "comb" or "certificate").
 """
 
 from __future__ import annotations
@@ -32,6 +35,16 @@ from .graph import BipartiteInstance, Edge, FractionalPoint, VertexId
 from .rational import format_rational, parse_rational
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _as_document(source, what: str) -> dict:
     """`source` as a document: a mapping as it is, a str or path as a file."""
     if isinstance(source, Mapping):
@@ -44,8 +57,10 @@ def _as_document(source, what: str) -> dict:
     except (OSError, ValueError) as exc:  # ValueError: NUL in path, not UTF-8
         raise FormatError(what, f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an over-long integer literal or a repeated key;
+        # or nesting deeper than the interpreter's recursion limit.
         raise FormatError(what, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(what, "top-level value must be an object")
@@ -59,17 +74,22 @@ def _string_list(doc: dict, field: str) -> list[str]:
     return value
 
 
+def _vertex(instance: BipartiteInstance, label: str, field: str) -> VertexId:
+    """The vertex labelled `label`; an unknown label is a `FormatError` on `field`."""
+    try:
+        return instance.vertex(label)
+    except UnknownVertexError as exc:
+        raise FormatError(field, str(exc)) from exc
+
+
 def parse_edge_key(instance: BipartiteInstance, key: str, field: str) -> Edge:
     if not isinstance(key, str):
         raise FormatError(field, f"edge key {key!r} must be a string")
     parts = key.split("-")
     if len(parts) != 2:
         raise FormatError(field, f"edge key {key!r} must be 'label-label'")
-    try:
-        a = instance.vertex(parts[0])
-        b = instance.vertex(parts[1])
-    except UnknownVertexError as exc:
-        raise FormatError(field, str(exc)) from exc
+    a = _vertex(instance, parts[0], field)
+    b = _vertex(instance, parts[1], field)
     if a.cls == b.cls:
         raise FormatError(field, f"edge {key!r} joins two same-class vertices")
     return Edge(a, b)
@@ -127,10 +147,7 @@ def _vertex_list(instance, labels, field) -> frozenset[VertexId]:
         raise FormatError(field, "must be a list of vertex labels")
     out = set()
     for k, label in enumerate(labels):
-        try:
-            vertex = instance.vertex(label)
-        except UnknownVertexError as exc:
-            raise FormatError(f"{field}[{k}]", str(exc)) from exc
+        vertex = _vertex(instance, label, f"{field}[{k}]")
         if vertex in out:
             raise FormatError(f"{field}[{k}]", f"repeats vertex {label!r}")
         out.add(vertex)
@@ -207,10 +224,7 @@ def load_certificate(source, instance: BipartiteInstance) -> Certificate:
             label = m.get("vertex")
             if not isinstance(label, str):
                 raise FormatError(f"{field}.vertex", "must be a vertex label")
-            try:
-                vertex = instance.vertex(label)
-            except UnknownVertexError as exc:
-                raise FormatError(f"{field}.vertex", str(exc)) from exc
+            vertex = _vertex(instance, label, f"{field}.vertex")
             support_doc = m.get("support", [])
             if not isinstance(support_doc, list):
                 raise FormatError(f"{field}.support", "must be a list of edge keys")

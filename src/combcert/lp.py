@@ -24,7 +24,8 @@ every rhs stays stored.  Every box row starts trivial, so the tableau
 builds row dicts for the given rows only, and phase 1, phase 2 and the
 dual rounds all run on that one storage.  Every row and entry of the
 expanded tableau still exists, so the Bland path and the duals are
-those of the expanded tableau.
+those of the expanded tableau.  No row is ever removed: a redundant
+equality keeps its row, its artificial basic at 0, and reads 0.
 
 `solve` is the one driver.  A `_Tableau` is built from the given rows:
 it adds a box row per edge and runs phase 1, which reads no objective,
@@ -215,11 +216,12 @@ class _Tableau:
     followed by one x_e <= 1 box row per edge (`instance.sorted_edges`),
     so every variable is bounded and no objective is unbounded.  `source`
     holds the `LinearInequality` of each row: the given rows, the box rows
-    (at the positions `boxes`), then each cut `add_row` appends.  Phase 1
-    reads no objective, so the constructor runs it once and keeps its
-    outcome in `feasible`.  `copy` makes a tableau in the same state that
-    shares nothing it changes, so one prepared tableau serves any number
-    of objectives.
+    (at the positions `boxes`), then each cut `add_row` appends.  A row's
+    index never changes, and `rhs`, `basis`, `source` and `unit` only
+    grow.  Phase 1 reads no objective, so the constructor runs it once
+    and keeps its outcome in `feasible`.  `copy` makes a tableau in the
+    same state that shares nothing it changes, so one prepared tableau
+    serves any number of objectives.
 
     Each stored row, and the reduced-cost row `cbar`, is a {column: value}
     dict of its nonzeros; `rows` maps a stored row's index to it.  Every
@@ -247,8 +249,7 @@ class _Tableau:
     row of each mirrored pair; `mirror` maps that stored row to the
     derived one.  The constructor registers each box row as the trivial
     row it starts as, s_e basic with rhs 1, and builds no dict for it, so
-    phase 1 already runs on this storage; a row that phase 1 drops as
-    redundant moves every later row up one, in `pos` and `mirror` too.
+    phase 1 already runs on this storage.
     `rhs` and `basis` keep a slot for every row.  `_row(i)` rebuilds a
     derived row, `_column(j)` reads j's entries in the derived rows off the
     stored ones, and `_pivot` eliminates in the stored rows only and keeps the
@@ -275,8 +276,10 @@ class _Tableau:
 
     The dual of row i is read off its identity column (its slack, or its
     artificial): y_i = -sign_i * cbar[column].  That covers the box rows
-    as well, which are ordinary rows here.  A row dropped as redundant in
-    phase 1 leaves its artificial all zero, so it reads 0.
+    as well, which are ordinary rows here.  Phase 1 keeps a redundant
+    equality's row with its artificial basic at 0 and artificial columns
+    only, which never enter, so no pivot, cut reduction or `cbar` entry
+    touches it and it reads 0.
     `rows_and_duals` reads every row with its multiplier.
     """
 
@@ -514,24 +517,14 @@ class _Tableau:
             self._pivot(leave, enter, self._column(enter))
 
     def _expel_artificials(self) -> None:
-        # Any artificial still basic sits at value 0; pivot it out on a
-        # non-artificial column, or drop the row as redundant.
-        i = 0
-        while i < len(self.rhs):
-            if self.basis[i] in self.artificial:
-                enter = min(
-                    (j for j in self.rows[i] if j not in self.artificial), default=-1
-                )
+        # Any artificial still basic sits at value 0; pivot it out on its
+        # row's least non-artificial column.  A row with none is redundant
+        # and stays, its artificial basic at 0.
+        for i, col in enumerate(self.basis):
+            if col in self.artificial:
+                enter = min((j for j in self.rows[i] if j not in self.artificial), default=-1)
                 if enter >= 0:
                     self._pivot(i, enter, self._column(enter))
-                    i += 1
-                else:  # every row below moves up one
-                    del self.rhs[i], self.basis[i]
-                    self.rows = {k - (k > i): row for k, row in self.rows.items() if k != i}
-                    self.pos = {col: k - (k > i) for col, k in self.pos.items()}
-                    self.mirror = {k - (k > i): t - (t > i) for k, t in self.mirror.items()}
-            else:
-                i += 1
 
     def primal_values(self) -> dict[Edge, int | Fraction]:
         """The nonzero variables of the current basic solution, as stored."""

@@ -778,8 +778,8 @@ class ExpandedTableau:
 
     The dual of row i is read off its identity column (its slack, or its
     artificial): y_i = -sign_i * cbar[column].  That covers the box rows
-    as well, which are ordinary rows here.  A row dropped as redundant in
-    phase 1 leaves its artificial all zero, so it reads 0.
+    as well, which are ordinary rows here.  A redundant row's artificial
+    is basic, so it never enters `cbar`, and the row reads 0.
     `rows_and_duals` reads every row with its multiplier.
     """
 
@@ -956,21 +956,14 @@ class ExpandedTableau:
             self._pivot(leave, enter, self._column(enter))
 
     def _expel_artificials(self) -> None:
-        # Any artificial still basic sits at value 0; pivot it out on a
-        # non-artificial column, or drop the row as redundant.
-        i = 0
-        while i < len(self.rows):
-            if self.basis[i] in self.artificial:
-                enter = min(
-                    (j for j in self.rows[i] if j not in self.artificial), default=-1
-                )
+        # Any artificial still basic sits at value 0; pivot it out on its
+        # row's least non-artificial column.  A row with none is redundant
+        # and stays, its artificial basic at 0.
+        for i, col in enumerate(self.basis):
+            if col in self.artificial:
+                enter = min((j for j in self.rows[i] if j not in self.artificial), default=-1)
                 if enter >= 0:
                     self._pivot(i, enter, self._column(enter))
-                    i += 1
-                else:
-                    del self.rows[i], self.rhs[i], self.basis[i]
-            else:
-                i += 1
 
     def primal_values(self) -> dict[Edge, int | Fraction]:
         """The nonzero variables of the current basic solution, as stored."""

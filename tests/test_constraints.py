@@ -411,3 +411,11 @@ def test_row_refuses_an_rhs_that_is_not_int_or_fraction(bad):
         LinearInequality({e: 1}, bad, ConstraintKind.AGGREGATE, "r")
     assert str(refused.value).startswith("rhs: ")
     assert str(refused.value).endswith(f"got {bad!r}")
+
+
+def test_check_point_refuses_a_point_on_another_instance(table1):
+    instance, _, _ = table1
+    other = BipartiteInstance.complete(2)
+    point = FractionalPoint(other, {e: 1 for e in other.edges})
+    with pytest.raises(ValueError, match="^point does not belong to this instance$"):
+        check_point(instance, point)

@@ -495,6 +495,73 @@ def test_cli_repeated_label_exit_2(tmp_path, capsys):
     assert "repeats" in error["reason"]
 
 
+DUPLICATE_WEIGHT = (
+    '{"class1": ["a"], "class2": ["c"], "weights": {"a-c": "1", "a-c": "1/2"}}'
+)
+
+
+def test_cli_duplicate_key_exit_2(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(DUPLICATE_WEIGHT)
+    assert main(["verify-point", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"field": "instance", "reason": "invalid JSON: duplicate key 'a-c'"}
+    }
+
+
+@pytest.mark.parametrize(
+    "what, text, key",
+    [
+        ("instance", DUPLICATE_WEIGHT, "a-c"),
+        ("comb", '{"hand": ["a"], "teeth": [], "hand": ["c"]}', "hand"),
+        ("certificate", '{"members": [{"kind": "sec", "kind": "sec"}]}', "kind"),
+    ],
+)
+def test_duplicate_key_is_refused_in_every_document(tmp_path, what, text, key):
+    instance = BipartiteInstance.complete(1)
+    loaders = {
+        "instance": load_instance,
+        "comb": lambda path: load_comb(path, instance),
+        "certificate": lambda path: load_certificate(path, instance),
+    }
+    path = tmp_path / f"{what}.json"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        loaders[what](str(path))
+    assert err.value.field == what
+    assert err.value.reason == f"invalid JSON: duplicate key {key!r}"
+
+
+@pytest.mark.parametrize(
+    "instance_file, comb_file",
+    [
+        ("table1_instance.json", "table1_comb.json"),
+        ("table2_instance_corrected.json", "table2_comb.json"),
+        ("table2_instance_printed.json", "table2_comb.json"),
+    ],
+)
+def test_bundled_files_read_as_strict_json(instance_file, comb_file):
+    # Read by path, each file goes through the duplicate-key check.
+    instance, point = load_instance(_data_path(instance_file))
+    with resources.files("combcert.data").joinpath(instance_file).open() as handle:
+        assert (instance, point) == load_instance(json.load(handle))
+    load_comb(_data_path(comb_file), instance)
+
+
+def test_cli_deeply_nested_document_exit_2(tmp_path, capsys):
+    depth = 200_000
+    path = tmp_path / "instance.json"
+    path.write_text('{"class1": ' + "[" * depth + "]" * depth + "}")
+    assert main(["verify-point", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["field"] == "instance"
+    assert error["reason"].startswith("invalid JSON: maximum recursion depth exceeded")
+
+
 def test_search_is_deterministic():
     config = ExperimentConfig(seed=2, size=4, comb_count=30)
     assert run_search(config) == run_search(config)

@@ -18,6 +18,7 @@ from combcert import (
     LinearInequality,
     comb_inequality,
     gen_degree,
+    gen_secs,
     is_implied,
     sec_constraint,
     solve,
@@ -252,3 +253,47 @@ def test_separated_row_that_is_not_violated_stops_the_loop(k44, monkeypatch):
     monkeypatch.setattr(lp, "_most_violated_sec", lambda inst, point: satisfied)
     with pytest.raises(CombcertError, match="which the optimum satisfies"):
         is_implied(k44, target)
+
+
+def _redundant_rows(tableau):
+    return [i for i, col in enumerate(tableau.basis) if col in tableau.artificial]
+
+
+@pytest.mark.parametrize(
+    "n, lazy",
+    [(n, True) for n in range(3, 9)] + [(3, False), (4, False)],
+    ids=[f"K{n}-lazy" for n in range(3, 9)] + ["K3-direct", "K4-direct"],
+)
+def test_phase_one_keeps_the_dependent_degree_equation(n, lazy, monkeypatch):
+    # In eq mode the |V| degree equations have rank |V| - 1, so phase 1
+    # leaves one artificial basic.  Its row stays, holds artificial columns
+    # only, and no query touches it or gives it a nonzero multiplier.
+    instance = BipartiteInstance.complete(n)
+    rows = gen_degree(instance, "eq")
+    if not lazy:
+        rows.extend(gen_secs(instance))
+    tableau = lp._Tableau(instance, rows)
+    assert tableau.feasible
+    (i,) = _redundant_rows(tableau)
+    assert i < tableau.boxes.start and tableau.source[i].is_equality
+    kept = (dict(tableau.rows[i]), tableau.rhs[i], tableau.basis[i])
+    assert kept[1] == 0
+    assert kept[0] and set(kept[0]) <= tableau.artificial
+    copies = []
+    copy = lp._Tableau.copy
+
+    def recorded_copy(self):
+        copies.append(copy(self))
+        return copies[-1]
+
+    monkeypatch.setattr(lp._Tableau, "copy", recorded_copy)
+    rng = random.Random(f"kept/{n}/{lazy}")
+    for k in range(20):
+        comb = sample_comb(rng, instance, FAMILIES[k % len(FAMILIES)])
+        solution = solve(instance, comb_inequality(instance, comb).coeffs, tableau, lazy)
+        assert solution.status == OPTIMAL
+        assert solution.rows[i] is tableau.source[i] and solution.dual[i] == 0
+        query = copies[-1]
+        assert _redundant_rows(query) == [i]
+        assert (query.rows[i], query.rhs[i], query.basis[i]) == kept
+    assert len(copies) == 20
